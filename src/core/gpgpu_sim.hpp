@@ -42,7 +42,9 @@ class LatencyAttributor;
 class SelfProfiler;
 }
 
-/// Everything the evaluation figures need from one measured run.
+/// Everything the evaluation figures need from one measured run. Every
+/// emitter reads it through the field table in core/metric_fields.hpp: a
+/// new member needs a row there.
 struct Metrics {
   Cycle cycles = 0;
   std::uint64_t warp_instructions = 0;

@@ -5,6 +5,10 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
+
+#include "core/metric_fields.hpp"
 
 namespace arinoc {
 
@@ -63,99 +67,35 @@ std::string metrics_to_json(const Metrics& m, int indent,
     os << pad << "\"provenance\": " << provenance_json;
     sep = ",\n";
   }
-  auto num = [&](const char* key, double v) {
-    os << sep << pad << '"' << key << "\": ";
-    // Emit integers without a fraction for cleanliness.
-    if (v == static_cast<double>(static_cast<long long>(v)) &&
-        std::abs(v) < 1e15) {
-      os << static_cast<long long>(v);
+  for_each_metric(m, [&](std::string_view name, const auto& value,
+                         unsigned flags) {
+    if (!(flags & kMetricReport) ||
+        ((flags & kMetricAttr) && !m.attr_enabled)) {
+      return;
+    }
+    os << sep << pad << '"' << name << "\": ";
+    sep = ",\n";
+    if constexpr (std::is_same_v<std::remove_cvref_t<decltype(value)>,
+                                 std::string>) {
+      os << '"';
+      for (const char c : value) {
+        if (c == '"' || c == '\\') os << '\\';
+        os << c;
+      }
+      os << '"';
     } else {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.6g", v);
-      os << buf;
+      const double v = static_cast<double>(value);
+      // Emit integers without a fraction for cleanliness.
+      if (v == static_cast<double>(static_cast<long long>(v)) &&
+          std::abs(v) < 1e15) {
+        os << static_cast<long long>(v);
+      } else {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "%.6g", v);
+        os << buf;
+      }
     }
-    sep = ",\n";
-  };
-  num("cycles", static_cast<double>(m.cycles));
-  num("warp_instructions", static_cast<double>(m.warp_instructions));
-  num("ipc", m.ipc);
-  num("request_latency", m.request_latency);
-  num("reply_latency", m.reply_latency);
-  num("request_latency_p50", m.request_latency_p50);
-  num("request_latency_p95", m.request_latency_p95);
-  num("request_latency_p99", m.request_latency_p99);
-  num("reply_latency_p50", m.reply_latency_p50);
-  num("reply_latency_p95", m.reply_latency_p95);
-  num("reply_latency_p99", m.reply_latency_p99);
-  num("latency_p99_read_request", m.latency_p99_by_type[0]);
-  num("latency_p99_write_request", m.latency_p99_by_type[1]);
-  num("latency_p99_read_reply", m.latency_p99_by_type[2]);
-  num("latency_p99_write_reply", m.latency_p99_by_type[3]);
-  num("mc_stall_cycles", static_cast<double>(m.mc_stall_cycles));
-  num("flits_read_request", static_cast<double>(m.flits_by_type[0]));
-  num("flits_write_request", static_cast<double>(m.flits_by_type[1]));
-  num("flits_read_reply", static_cast<double>(m.flits_by_type[2]));
-  num("flits_write_reply", static_cast<double>(m.flits_by_type[3]));
-  num("reply_injection_util", m.reply_injection_util);
-  num("reply_internal_util", m.reply_internal_util);
-  num("request_injection_util", m.request_injection_util);
-  num("request_internal_util", m.request_internal_util);
-  num("ni_occupancy_pkts", m.ni_occupancy_pkts);
-  num("l1_hit_rate", m.l1_hit_rate);
-  num("l2_hit_rate", m.l2_hit_rate);
-  num("dram_row_hit_rate", m.dram_row_hit_rate);
-  num("flits_corrupted", static_cast<double>(m.flits_corrupted));
-  num("packets_corrupted", static_cast<double>(m.packets_corrupted));
-  num("packets_retransmitted", static_cast<double>(m.packets_retransmitted));
-  num("packets_recovered", static_cast<double>(m.packets_recovered));
-  num("packets_lost", static_cast<double>(m.packets_lost));
-  num("duplicates_dropped", static_cast<double>(m.duplicates_dropped));
-  num("credits_lost", static_cast<double>(m.credits_lost));
-  num("link_stall_events", static_cast<double>(m.link_stall_events));
-  num("port_failures", static_cast<double>(m.port_failures));
-  num("requests_offered", static_cast<double>(m.requests_offered));
-  num("requests_completed", static_cast<double>(m.requests_completed));
-  num("requests_shed", static_cast<double>(m.requests_shed));
-  num("requests_deferred", static_cast<double>(m.requests_deferred));
-  num("queue_drops", static_cast<double>(m.queue_drops));
-  num("offered_rate", m.offered_rate);
-  num("goodput", m.goodput);
-  num("e2e_latency_p50", m.e2e_latency_p50);
-  num("e2e_latency_p99", m.e2e_latency_p99);
-  num("e2e_latency_p999", m.e2e_latency_p999);
-  num("request_latency_p999", m.request_latency_p999);
-  num("reply_latency_p999", m.reply_latency_p999);
-  num("degrade_transitions", static_cast<double>(m.degrade_transitions));
-  num("cycles_normal", static_cast<double>(m.cycles_normal));
-  num("cycles_throttled", static_cast<double>(m.cycles_throttled));
-  num("cycles_shedding", static_cast<double>(m.cycles_shedding));
-  num("watchdog_pre_trips", static_cast<double>(m.watchdog_pre_trips));
-  num("retx_flits", static_cast<double>(m.activity.noc_retx_flits));
-  num("energy_dynamic_nj", m.energy.dynamic_nj());
-  num("energy_static_nj", m.energy.static_nj);
-  num("energy_total_nj", m.energy.total_nj());
-  // Attribution block only when an attributor ran, so unattributed output
-  // stays byte-identical to pre-attribution builds.
-  if (m.attr_enabled) {
-    static const char* kStageKeys[6] = {"ni_queue", "vc_wait", "sw_wait",
-                                        "link",     "eject",   "retx"};
-    for (int i = 0; i < 6; ++i) {
-      num((std::string("attr_request_") + kStageKeys[i]).c_str(),
-          m.request_stage_share[static_cast<std::size_t>(i)]);
-    }
-    for (int i = 0; i < 6; ++i) {
-      num((std::string("attr_reply_") + kStageKeys[i]).c_str(),
-          m.reply_stage_share[static_cast<std::size_t>(i)]);
-    }
-    num("attr_violations", static_cast<double>(m.attr_violations));
-    std::string esc;
-    for (const char c : m.bottleneck) {
-      if (c == '"' || c == '\\') esc += '\\';
-      esc += c;
-    }
-    os << sep << pad << "\"bottleneck\": \"" << esc << '"';
-    sep = ",\n";
-  }
+  });
   os << "\n}";
   return os.str();
 }

@@ -1,7 +1,10 @@
 #include "core/sweep.hpp"
 
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
+#include "core/metric_fields.hpp"
 #include "exec/runner.hpp"
 
 namespace arinoc {
@@ -56,33 +59,37 @@ std::string Sweep::csv_escape(const std::string& field) {
 }
 
 std::string Sweep::to_csv(const std::vector<SweepCell>& cells) {
+  // Columns after benchmark, resolved through the Metrics field table except
+  // `fabric`, the cell's own. New columns append before the trailing `error`
+  // column so positional consumers of the original prefix keep working.
+  static constexpr std::string_view kColumns[] = {
+      "cycles", "ipc", "request_latency", "reply_latency", "mc_stall_cycles",
+      "reply_injection_util", "reply_internal_util", "l1_hit_rate",
+      "l2_hit_rate", "dram_row_hit_rate", "energy_total_nj",
+      "reply_latency_p50", "reply_latency_p95", "reply_latency_p99",
+      "reply_latency_p999", "offered_rate", "goodput", "requests_shed",
+      "e2e_latency_p99", "cycles_degraded", "fabric", "bottleneck"};
   std::ostringstream os;
-  // New columns append before the trailing `error` column so positional
-  // consumers of the original prefix keep working.
-  os << "point,scheme,benchmark,cycles,ipc,request_latency,reply_latency,"
-        "mc_stall_cycles,reply_injection_util,reply_internal_util,"
-        "l1_hit_rate,l2_hit_rate,dram_row_hit_rate,energy_total_nj,"
-        "reply_latency_p50,reply_latency_p95,reply_latency_p99,"
-        "reply_latency_p999,offered_rate,goodput,requests_shed,"
-        "e2e_latency_p99,cycles_degraded,fabric,bottleneck,error\n";
+  os << "point,scheme,benchmark,";
+  for (const std::string_view col : kColumns) os << col << ',';
+  os << "error\n";
   for (const SweepCell& c : cells) {
-    const Metrics& m = c.metrics;
-    const std::string error =
-        c.ok() ? std::string{} : c.error_kind + ": " + c.error;
     os << csv_escape(c.point) << ',' << csv_escape(c.scheme) << ','
-       << csv_escape(c.benchmark) << ',' << m.cycles << ',' << m.ipc << ','
-       << m.request_latency << ',' << m.reply_latency << ','
-       << m.mc_stall_cycles << ',' << m.reply_injection_util << ','
-       << m.reply_internal_util << ',' << m.l1_hit_rate << ','
-       << m.l2_hit_rate << ',' << m.dram_row_hit_rate << ','
-       << m.energy.total_nj() << ',' << m.reply_latency_p50 << ','
-       << m.reply_latency_p95 << ',' << m.reply_latency_p99 << ','
-       << m.reply_latency_p999 << ',' << m.offered_rate << ','
-       << m.goodput << ',' << m.requests_shed << ','
-       << m.e2e_latency_p99 << ','
-       << (m.cycles_throttled + m.cycles_shedding) << ','
-       << csv_escape(c.fabric) << ',' << csv_escape(m.bottleneck) << ','
-       << csv_escape(error) << '\n';
+       << csv_escape(c.benchmark) << ',';
+    for (const std::string_view col : kColumns) {
+      if (col == "fabric") os << csv_escape(c.fabric);
+      visit_metric(c.metrics, col, [&os](const auto& value, unsigned) {
+        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(value)>,
+                                     std::string>) {
+          os << csv_escape(value);
+        } else {
+          os << value;
+        }
+      });
+      os << ',';
+    }
+    os << csv_escape(c.ok() ? std::string{} : c.error_kind + ": " + c.error)
+       << '\n';
   }
   return os.str();
 }

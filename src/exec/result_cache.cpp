@@ -1,5 +1,7 @@
 #include "exec/result_cache.hpp"
 
+#include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -10,12 +12,13 @@
 #include <type_traits>
 
 #include "common/version.hpp"
+#include "core/metric_fields.hpp"
 
 namespace arinoc::exec {
 
 namespace {
 
-constexpr const char kFormatTag[] = "arinoc-cache-v1";
+constexpr const char kFormatTag[] = "arinoc-cache-v2";
 
 std::string hex64(std::uint64_t v) {
   char buf[17];
@@ -28,6 +31,34 @@ std::string fmt_double(double v) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%a", v);
   return buf;
+}
+
+// Strict value parsers for cache records: the whole token or nothing.
+bool parse_field(std::string_view s, std::uint64_t& out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, out);  // No sign.
+  return ec == std::errc{} && ptr == end;
+}
+
+bool parse_field(std::string_view s, double& out) {
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s[0]))) {
+    return false;
+  }
+  const std::string token(s);
+  char* end = nullptr;
+  out = std::strtod(token.c_str(), &end);  // Accepts hexfloat.
+  return end == token.c_str() + token.size();
+}
+
+bool parse_field(std::string_view s, bool& out) {
+  if (s != "0" && s != "1") return false;
+  out = s == "1";
+  return true;
+}
+
+bool parse_field(std::string_view s, std::string& out) {
+  out = s;
+  return true;
 }
 
 }  // namespace
@@ -64,221 +95,42 @@ std::string cache_key_string(const Config& cfg, std::string_view scheme,
 
 std::string serialize_metrics(const Metrics& m) {
   std::ostringstream os;
-  auto u = [&os](const char* name, std::uint64_t v) {
-    os << name << ' ' << v << '\n';
-  };
-  auto d = [&os](const char* name, double v) {
-    os << name << ' ' << fmt_double(v) << '\n';
-  };
-  u("cycles", m.cycles);
-  u("warp_instructions", m.warp_instructions);
-  d("ipc", m.ipc);
-  d("request_latency", m.request_latency);
-  d("reply_latency", m.reply_latency);
-  d("request_latency_p50", m.request_latency_p50);
-  d("request_latency_p95", m.request_latency_p95);
-  d("request_latency_p99", m.request_latency_p99);
-  d("reply_latency_p50", m.reply_latency_p50);
-  d("reply_latency_p95", m.reply_latency_p95);
-  d("reply_latency_p99", m.reply_latency_p99);
-  u("mc_stall_cycles", m.mc_stall_cycles);
-  for (int i = 0; i < 4; ++i) {
-    u(("flits_by_type" + std::to_string(i)).c_str(), m.flits_by_type[i]);
-    u(("packets_by_type" + std::to_string(i)).c_str(), m.packets_by_type[i]);
-    d(("latency_p99_by_type" + std::to_string(i)).c_str(),
-      m.latency_p99_by_type[i]);
-  }
-  d("reply_injection_util", m.reply_injection_util);
-  d("reply_internal_util", m.reply_internal_util);
-  d("request_injection_util", m.request_injection_util);
-  d("request_internal_util", m.request_internal_util);
-  d("ni_occupancy_pkts", m.ni_occupancy_pkts);
-  d("l1_hit_rate", m.l1_hit_rate);
-  d("l2_hit_rate", m.l2_hit_rate);
-  d("dram_row_hit_rate", m.dram_row_hit_rate);
-  u("flits_corrupted", m.flits_corrupted);
-  u("packets_corrupted", m.packets_corrupted);
-  u("packets_retransmitted", m.packets_retransmitted);
-  u("packets_recovered", m.packets_recovered);
-  u("packets_lost", m.packets_lost);
-  u("duplicates_dropped", m.duplicates_dropped);
-  u("credits_lost", m.credits_lost);
-  u("link_stall_events", m.link_stall_events);
-  u("port_failures", m.port_failures);
-  u("requests_offered", m.requests_offered);
-  u("requests_completed", m.requests_completed);
-  u("requests_shed", m.requests_shed);
-  u("requests_deferred", m.requests_deferred);
-  u("queue_drops", m.queue_drops);
-  d("offered_rate", m.offered_rate);
-  d("goodput", m.goodput);
-  d("e2e_latency_p50", m.e2e_latency_p50);
-  d("e2e_latency_p99", m.e2e_latency_p99);
-  d("e2e_latency_p999", m.e2e_latency_p999);
-  d("request_latency_p999", m.request_latency_p999);
-  d("reply_latency_p999", m.reply_latency_p999);
-  u("degrade_transitions", m.degrade_transitions);
-  u("cycles_normal", m.cycles_normal);
-  u("cycles_throttled", m.cycles_throttled);
-  u("cycles_shedding", m.cycles_shedding);
-  u("watchdog_pre_trips", m.watchdog_pre_trips);
-  u("act_noc_link_flits", m.activity.noc_link_flits);
-  u("act_noc_buffer_ops", m.activity.noc_buffer_ops);
-  u("act_noc_crossbar", m.activity.noc_crossbar);
-  u("act_noc_retx_flits", m.activity.noc_retx_flits);
-  u("act_dram_activates", m.activity.dram_activates);
-  u("act_dram_accesses", m.activity.dram_accesses);
-  u("act_l2_accesses", m.activity.l2_accesses);
-  u("act_l1_accesses", m.activity.l1_accesses);
-  u("act_core_instructions", m.activity.core_instructions);
-  u("act_cycles", m.activity.cycles);
-  d("energy_dynamic_noc_nj", m.energy.dynamic_noc_nj);
-  d("energy_dynamic_mem_nj", m.energy.dynamic_mem_nj);
-  d("energy_dynamic_core_nj", m.energy.dynamic_core_nj);
-  d("energy_static_nj", m.energy.static_nj);
-  u("attr_enabled", m.attr_enabled ? 1 : 0);
-  for (int i = 0; i < 6; ++i) {
-    d(("attr_request_share" + std::to_string(i)).c_str(),
-      m.request_stage_share[static_cast<std::size_t>(i)]);
-    d(("attr_reply_share" + std::to_string(i)).c_str(),
-      m.reply_stage_share[static_cast<std::size_t>(i)]);
-  }
-  u("attr_violations", m.attr_violations);
-  // The bottleneck label can hold spaces; hex-encode it so the token-based
-  // parser stays one `name value` pair per line ("-" = empty).
-  os << "bottleneck_hex ";
-  if (m.bottleneck.empty()) {
-    os << '-';
-  } else {
-    static const char* kHex = "0123456789abcdef";
-    for (const unsigned char c : m.bottleneck) {
-      os << kHex[c >> 4] << kHex[c & 0xF];
+  for_each_metric(m, [&os](std::string_view name, const auto& value,
+                           unsigned flags) {
+    if (!(flags & kMetricStored)) return;
+    using T = std::remove_cvref_t<decltype(value)>;
+    os << name << ' ';
+    if constexpr (std::is_same_v<T, double>) {
+      os << fmt_double(value);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      // Verbatim: a value runs to the end of its line. A label holding a
+      // newline would make the entry unreadable, a miss.
+      os << value;
+    } else {
+      os << static_cast<std::uint64_t>(value);  // A count, or a bool as 0/1.
     }
-  }
-  os << '\n';
+    os << '\n';
+  });
   return os.str();
 }
 
 std::optional<Metrics> deserialize_metrics(const std::string& text) {
+  // A record lists every stored row once, in table order, as one
+  // "<name> <value>\n" line: a missing, repeated, reordered or unknown
+  // field (a stale layout or a corrupt entry) fails the name match.
   Metrics m;
-  std::istringstream is(text);
-  std::string name, value;
-  std::size_t fields = 0;
-  auto want_u = [&](const char* key, auto& out) {
-    if (name != key) return false;
-    out = static_cast<std::remove_reference_t<decltype(out)>>(
-        std::strtoull(value.c_str(), nullptr, 10));
-    ++fields;
-    return true;
-  };
-  auto want_d = [&](const char* key, double& out) {
-    if (name != key) return false;
-    out = std::strtod(value.c_str(), nullptr);  // Accepts hexfloat.
-    ++fields;
-    return true;
-  };
-  while (is >> name >> value) {
-    bool matched =
-        want_u("cycles", m.cycles) ||
-        want_u("warp_instructions", m.warp_instructions) ||
-        want_d("ipc", m.ipc) || want_d("request_latency", m.request_latency) ||
-        want_d("reply_latency", m.reply_latency) ||
-        want_d("request_latency_p50", m.request_latency_p50) ||
-        want_d("request_latency_p95", m.request_latency_p95) ||
-        want_d("request_latency_p99", m.request_latency_p99) ||
-        want_d("reply_latency_p50", m.reply_latency_p50) ||
-        want_d("reply_latency_p95", m.reply_latency_p95) ||
-        want_d("reply_latency_p99", m.reply_latency_p99) ||
-        want_u("mc_stall_cycles", m.mc_stall_cycles) ||
-        want_d("reply_injection_util", m.reply_injection_util) ||
-        want_d("reply_internal_util", m.reply_internal_util) ||
-        want_d("request_injection_util", m.request_injection_util) ||
-        want_d("request_internal_util", m.request_internal_util) ||
-        want_d("ni_occupancy_pkts", m.ni_occupancy_pkts) ||
-        want_d("l1_hit_rate", m.l1_hit_rate) ||
-        want_d("l2_hit_rate", m.l2_hit_rate) ||
-        want_d("dram_row_hit_rate", m.dram_row_hit_rate) ||
-        want_u("flits_corrupted", m.flits_corrupted) ||
-        want_u("packets_corrupted", m.packets_corrupted) ||
-        want_u("packets_retransmitted", m.packets_retransmitted) ||
-        want_u("packets_recovered", m.packets_recovered) ||
-        want_u("packets_lost", m.packets_lost) ||
-        want_u("duplicates_dropped", m.duplicates_dropped) ||
-        want_u("credits_lost", m.credits_lost) ||
-        want_u("link_stall_events", m.link_stall_events) ||
-        want_u("port_failures", m.port_failures) ||
-        want_u("requests_offered", m.requests_offered) ||
-        want_u("requests_completed", m.requests_completed) ||
-        want_u("requests_shed", m.requests_shed) ||
-        want_u("requests_deferred", m.requests_deferred) ||
-        want_u("queue_drops", m.queue_drops) ||
-        want_d("offered_rate", m.offered_rate) ||
-        want_d("goodput", m.goodput) ||
-        want_d("e2e_latency_p50", m.e2e_latency_p50) ||
-        want_d("e2e_latency_p99", m.e2e_latency_p99) ||
-        want_d("e2e_latency_p999", m.e2e_latency_p999) ||
-        want_d("request_latency_p999", m.request_latency_p999) ||
-        want_d("reply_latency_p999", m.reply_latency_p999) ||
-        want_u("degrade_transitions", m.degrade_transitions) ||
-        want_u("cycles_normal", m.cycles_normal) ||
-        want_u("cycles_throttled", m.cycles_throttled) ||
-        want_u("cycles_shedding", m.cycles_shedding) ||
-        want_u("watchdog_pre_trips", m.watchdog_pre_trips) ||
-        want_u("act_noc_link_flits", m.activity.noc_link_flits) ||
-        want_u("act_noc_buffer_ops", m.activity.noc_buffer_ops) ||
-        want_u("act_noc_crossbar", m.activity.noc_crossbar) ||
-        want_u("act_noc_retx_flits", m.activity.noc_retx_flits) ||
-        want_u("act_dram_activates", m.activity.dram_activates) ||
-        want_u("act_dram_accesses", m.activity.dram_accesses) ||
-        want_u("act_l2_accesses", m.activity.l2_accesses) ||
-        want_u("act_l1_accesses", m.activity.l1_accesses) ||
-        want_u("act_core_instructions", m.activity.core_instructions) ||
-        want_u("act_cycles", m.activity.cycles) ||
-        want_d("energy_dynamic_noc_nj", m.energy.dynamic_noc_nj) ||
-        want_d("energy_dynamic_mem_nj", m.energy.dynamic_mem_nj) ||
-        want_d("energy_dynamic_core_nj", m.energy.dynamic_core_nj) ||
-        want_d("energy_static_nj", m.energy.static_nj);
-    if (!matched && name == "attr_enabled") {
-      m.attr_enabled = value != "0";
-      ++fields;
-      matched = true;
-    }
-    if (!matched) matched = want_u("attr_violations", m.attr_violations);
-    if (!matched && name == "bottleneck_hex") {
-      m.bottleneck.clear();
-      if (value != "-") {
-        if (value.size() % 2 != 0) return std::nullopt;
-        for (std::size_t i = 0; i + 1 < value.size(); i += 2) {
-          const char hx[3] = {value[i], value[i + 1], 0};
-          m.bottleneck += static_cast<char>(std::strtoul(hx, nullptr, 16));
-        }
-      }
-      ++fields;
-      matched = true;
-    }
-    if (!matched) {
-      for (int i = 0; i < 4 && !matched; ++i) {
-        matched = want_u(("flits_by_type" + std::to_string(i)).c_str(),
-                         m.flits_by_type[i]) ||
-                  want_u(("packets_by_type" + std::to_string(i)).c_str(),
-                         m.packets_by_type[i]) ||
-                  want_d(("latency_p99_by_type" + std::to_string(i)).c_str(),
-                         m.latency_p99_by_type[i]);
-      }
-    }
-    if (!matched) {
-      for (int i = 0; i < 6 && !matched; ++i) {
-        matched =
-            want_d(("attr_request_share" + std::to_string(i)).c_str(),
-                   m.request_stage_share[static_cast<std::size_t>(i)]) ||
-            want_d(("attr_reply_share" + std::to_string(i)).c_str(),
-                   m.reply_stage_share[static_cast<std::size_t>(i)]);
-      }
-    }
-    if (!matched) return std::nullopt;  // Unknown field: stale layout.
-  }
-  // 63 scalar fields + 24 array slots; anything short is a truncated entry.
-  if (fields != 87) return std::nullopt;
+  std::string_view rest = text;
+  bool ok = true;
+  for_each_metric(m, [&](std::string_view name, auto&& field, unsigned flags) {
+    if (!ok || !(flags & kMetricStored)) return;
+    const std::size_t eol = rest.find('\n');
+    ok = eol != std::string_view::npos && eol > name.size() &&
+         rest.starts_with(name) && rest[name.size()] == ' ' &&
+         parse_field(rest.substr(name.size() + 1, eol - name.size() - 1),
+                     field);
+    if (ok) rest.remove_prefix(eol + 1);
+  });
+  if (!ok || !rest.empty()) return std::nullopt;
   return m;
 }
 

@@ -5,18 +5,26 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
+#include "core/metric_fields.hpp"
 #include "obs/regress/json.hpp"
 
 namespace arinoc::obs::regress {
 
 namespace {
 
-/// Tracked-metric comparison policies. Tolerances are "noise-aware": exact
-/// for integer-derived counts (the simulator is deterministic), tight for
-/// means, and progressively looser toward the tail percentiles — a p99.9
-/// moves on far fewer samples than a p50, so an equal tolerance would either
-/// mask mean regressions or cry wolf on tails.
+/// Attribution stage shares are fractions of a whole: any drift beyond
+/// tolerance (either direction) means the latency structure moved.
+constexpr double kAttrShareTol = 0.10;
+
+/// The tracked metrics, in snapshot order, with their comparison policies;
+/// values are read through the Metrics field table (core/metric_fields).
+/// Tolerances are "noise-aware": exact for integer-derived counts (the
+/// simulator is deterministic), tight for means, and progressively looser
+/// toward the tail percentiles — a p99.9 moves on far fewer samples than a
+/// p50, so an equal tolerance would either mask mean regressions or cry wolf
+/// on tails.
 constexpr MetricPolicy kPolicies[] = {
     {"cycles", MetricDirection::kNeutral, 0.0},
     {"warp_instructions", MetricDirection::kHigherBetter, 0.0},
@@ -39,6 +47,19 @@ constexpr MetricPolicy kPolicies[] = {
     {"goodput", MetricDirection::kHigherBetter, 0.01},
     {"offered_rate", MetricDirection::kNeutral, 0.01},
     {"recovery_rate", MetricDirection::kHigherBetter, 0.005},
+    // Attribution stage shares, present only when attribution ran.
+    {"attr_request_ni_queue", MetricDirection::kNeutral, kAttrShareTol},
+    {"attr_request_vc_wait", MetricDirection::kNeutral, kAttrShareTol},
+    {"attr_request_sw_wait", MetricDirection::kNeutral, kAttrShareTol},
+    {"attr_request_link", MetricDirection::kNeutral, kAttrShareTol},
+    {"attr_request_eject", MetricDirection::kNeutral, kAttrShareTol},
+    {"attr_request_retx", MetricDirection::kNeutral, kAttrShareTol},
+    {"attr_reply_ni_queue", MetricDirection::kNeutral, kAttrShareTol},
+    {"attr_reply_vc_wait", MetricDirection::kNeutral, kAttrShareTol},
+    {"attr_reply_sw_wait", MetricDirection::kNeutral, kAttrShareTol},
+    {"attr_reply_link", MetricDirection::kNeutral, kAttrShareTol},
+    {"attr_reply_eject", MetricDirection::kNeutral, kAttrShareTol},
+    {"attr_reply_retx", MetricDirection::kNeutral, kAttrShareTol},
 };
 
 std::string fmt_metric(double v) {
@@ -68,59 +89,21 @@ MetricPolicy metric_policy(const std::string& name) {
   for (const MetricPolicy& p : kPolicies) {
     if (name == p.name) return p;
   }
-  // Attribution stage shares are fractions of a whole: any drift beyond
-  // tolerance (either direction) means the latency structure moved.
-  if (name.rfind("attr_", 0) == 0) {
-    return {"attr_*", MetricDirection::kNeutral, 0.10};
-  }
   return {"unknown", MetricDirection::kNeutral, 0.02};
 }
 
 std::vector<std::pair<std::string, double>> snapshot_metrics(
     const Metrics& m) {
   std::vector<std::pair<std::string, double>> out;
-  auto add = [&out](const char* name, double v) {
-    out.emplace_back(name, v);
-  };
-  add("cycles", static_cast<double>(m.cycles));
-  add("warp_instructions", static_cast<double>(m.warp_instructions));
-  add("ipc", m.ipc);
-  add("request_latency", m.request_latency);
-  add("reply_latency", m.reply_latency);
-  add("request_latency_p50", m.request_latency_p50);
-  add("request_latency_p95", m.request_latency_p95);
-  add("request_latency_p99", m.request_latency_p99);
-  add("request_latency_p999", m.request_latency_p999);
-  add("reply_latency_p50", m.reply_latency_p50);
-  add("reply_latency_p95", m.reply_latency_p95);
-  add("reply_latency_p99", m.reply_latency_p99);
-  add("reply_latency_p999", m.reply_latency_p999);
-  add("e2e_latency_p50", m.e2e_latency_p50);
-  add("e2e_latency_p99", m.e2e_latency_p99);
-  add("e2e_latency_p999", m.e2e_latency_p999);
-  add("mc_stall_cycles", static_cast<double>(m.mc_stall_cycles));
-  add("energy_total_nj", m.energy.total_nj());
-  add("goodput", m.goodput);
-  add("offered_rate", m.offered_rate);
-  // Recovery rate: fraction of retransmitted packets that made it. 1.0 when
-  // no faults fired — "nothing to recover" is a perfect record, and keeping
-  // the metric present means a fault-campaign cell can't silently drop it.
-  add("recovery_rate",
-      m.packets_retransmitted > 0
-          ? static_cast<double>(m.packets_recovered) /
-                static_cast<double>(m.packets_retransmitted)
-          : 1.0);
-  if (m.attr_enabled) {
-    static const char* kStageKeys[6] = {"ni_queue", "vc_wait", "sw_wait",
-                                        "link",     "eject",   "retx"};
-    for (int i = 0; i < 6; ++i) {
-      out.emplace_back(std::string("attr_request_") + kStageKeys[i],
-                       m.request_stage_share[static_cast<std::size_t>(i)]);
-    }
-    for (int i = 0; i < 6; ++i) {
-      out.emplace_back(std::string("attr_reply_") + kStageKeys[i],
-                       m.reply_stage_share[static_cast<std::size_t>(i)]);
-    }
+  for (const MetricPolicy& p : kPolicies) {
+    visit_metric(m, p.name, [&](const auto& value, unsigned flags) {
+      using T = std::remove_cvref_t<decltype(value)>;
+      if constexpr (std::is_arithmetic_v<T>) {
+        if (!(flags & kMetricAttr) || m.attr_enabled) {
+          out.emplace_back(p.name, static_cast<double>(value));
+        }
+      }
+    });
   }
   return out;
 }

@@ -22,19 +22,18 @@
 #include "core/report.hpp"
 #include "core/sweep.hpp"
 #include "obs/attr.hpp"
+#include "obs/regress/json.hpp"
 #include "obs/selfprof.hpp"
 #include "topo/graph.hpp"
 #include "topo/layout.hpp"
 #include "workloads/benchmark.hpp"
-
-#include "json_checker.hpp"
 
 namespace arinoc {
 namespace {
 
 using obs::AttrStage;
 using obs::LatencyAttributor;
-using testutil::valid_json;
+using obs::regress::json_parse;
 
 Config tiny_config() {
   Config cfg;
@@ -258,7 +257,7 @@ TEST(Attr, ToJsonIsValidAndCarriesSchema) {
   run_attributed(cfg, "hotspot", attr);
 
   const std::string json = attr.to_json();
-  EXPECT_TRUE(valid_json(json)) << json.substr(0, 200);
+  EXPECT_TRUE(json_parse(json).ok) << json.substr(0, 200);
   EXPECT_NE(json.find("\"arinoc-attr-v1\""), std::string::npos);
   EXPECT_NE(json.find("\"conservation\""), std::string::npos);
   EXPECT_NE(json.find("\"bottlenecks\""), std::string::npos);
@@ -348,7 +347,7 @@ TEST(SelfProfiler, EpochsTileRunAndJsonlIsValid) {
   std::string line;
   std::size_t n = 0;
   while (std::getline(lines, line)) {
-    EXPECT_TRUE(valid_json(line)) << line.substr(0, 200);
+    EXPECT_TRUE(json_parse(line).ok) << line.substr(0, 200);
     EXPECT_NE(line.find("\"arinoc-selfprof-v1\""), std::string::npos);
     ++n;
   }
@@ -404,7 +403,7 @@ TEST(SweepAttribution, WritesPerCellReportsAndBypassesCache) {
   ASSERT_TRUE(in.good()) << first[0].attr_path;
   std::ostringstream body;
   body << in.rdbuf();
-  EXPECT_TRUE(valid_json(body.str()));
+  EXPECT_TRUE(json_parse(body.str()).ok);
   EXPECT_NE(body.str().find("\"arinoc-attr-v1\""), std::string::npos);
 
   // The Metrics summary feeds the CSV bottleneck column.

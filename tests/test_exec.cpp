@@ -8,9 +8,12 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/metric_fields.hpp"
+#include "core/report.hpp"
 #include "core/sweep.hpp"
 #include "exec/job_pool.hpp"
 #include "exec/result_cache.hpp"
@@ -231,23 +234,52 @@ TEST(ExecIsolation, SweepRendersCellErrorsInCsv) {
 }
 
 TEST(ResultCache, MetricsSerializationRoundTripsLosslessly) {
-  Metrics m{};
-  m.cycles = 12345;
-  m.ipc = 0.1;                // Not exactly representable in binary.
-  m.request_latency = 1e-9;
-  m.reply_latency = 987.654321;
-  m.flits_by_type[2] = 42;
+  // Every stored row of the field table gets a distinct value: doubles not
+  // exact in binary, counts past 2^53, attribution on and a label with a
+  // space and a quote.
+  Metrics m;
+  std::uint64_t k = 0;
+  for_each_metric(m, [&k](std::string_view, auto&& field, unsigned flags) {
+    if (!(flags & kMetricStored)) return;
+    using T = std::remove_cvref_t<decltype(field)>;
+    ++k;
+    if constexpr (std::is_same_v<T, double>) {
+      field = static_cast<double>(k) + 0.1;
+    } else if constexpr (std::is_same_v<T, bool>) {
+      field = true;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      field = "reply \"ni_queue\" at mc21 61.0%";
+    } else {
+      field = (std::uint64_t{1} << 60) + k;
+    }
+  });
   const std::string text = exec::serialize_metrics(m);
   const auto back = exec::deserialize_metrics(text);
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->cycles, 12345u);
-  EXPECT_EQ(back->ipc, 0.1);  // Exact: hexfloat round-trip.
-  EXPECT_EQ(back->request_latency, 1e-9);
-  EXPECT_EQ(back->flits_by_type[2], 42u);
   EXPECT_EQ(exec::serialize_metrics(*back), text);
+  EXPECT_EQ(metrics_to_json(*back), metrics_to_json(m));
 
-  EXPECT_FALSE(exec::deserialize_metrics("not a metrics record").has_value());
-  EXPECT_FALSE(exec::deserialize_metrics("").has_value());
+  // Malformed records miss instead of loading with a wrong value.
+  const auto line = [&text](const std::string& name) {
+    const std::size_t at = ("\n" + text).find("\n" + name + ' ');
+    return text.substr(at, text.find('\n', at) + 1 - at);
+  };
+  const auto with_line = [&](const std::string& name, const std::string& l) {
+    std::string out = text;
+    return out.replace(out.find(line(name)), line(name).size(), l);
+  };
+  for (const std::string& bad : {
+           std::string("not a metrics record"),
+           std::string(),
+           with_line("ipc", line("cycles")),  // Repeated field, ipc missing.
+           with_line("ipc", ""),              // Missing field.
+           with_line("cycles", "cycles 1x9\n"),
+           with_line("cycles", "cycles -5\n"),
+           with_line("attr_enabled", "attr_enabled 2\n"),
+           text + line("bottleneck"),
+       }) {
+    EXPECT_FALSE(exec::deserialize_metrics(bad).has_value()) << bad;
+  }
 }
 
 TEST(ResultCache, KeyStringCoversSchemeBenchmarkFabricAndConfig) {

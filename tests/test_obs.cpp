@@ -14,16 +14,15 @@
 #include "core/report.hpp"
 #include "exec/result_cache.hpp"
 #include "obs/registry.hpp"
+#include "obs/regress/json.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "workloads/benchmark.hpp"
 
-#include "json_checker.hpp"
-
 namespace arinoc {
 namespace {
 
-using testutil::valid_json;
+using obs::regress::json_parse;
 
 Config tiny_config() {
   Config cfg;
@@ -33,12 +32,12 @@ Config tiny_config() {
 }
 
 TEST(JsonChecker, SanityOnKnownGoodAndBadInputs) {
-  EXPECT_TRUE(valid_json(R"({"a":1,"b":[1,2.5e-3,"x"],"c":{"d":true}})"));
-  EXPECT_TRUE(valid_json("[]"));
-  EXPECT_FALSE(valid_json(R"({"a":1,})"));
-  EXPECT_FALSE(valid_json(R"({"a":})"));
-  EXPECT_FALSE(valid_json(R"({"a":1)"));
-  EXPECT_FALSE(valid_json("{'a':1}"));
+  EXPECT_TRUE(json_parse(R"({"a":1,"b":[1,2.5e-3,"x"],"c":{"d":true}})").ok);
+  EXPECT_TRUE(json_parse("[]").ok);
+  EXPECT_FALSE(json_parse(R"({"a":1,})").ok);
+  EXPECT_FALSE(json_parse(R"({"a":})").ok);
+  EXPECT_FALSE(json_parse(R"({"a":1)").ok);
+  EXPECT_FALSE(json_parse("{'a':1}").ok);
 }
 
 // ---------------------------------------------------------------------------
@@ -207,7 +206,7 @@ TEST(PacketTracer, ChromeJsonIsValidAndCarriesSpansAndInstants) {
   tracer.record(obs::TraceEventKind::kDeliver, 1, 35, 5,
                 PacketType::kReadReply, 9, -1);
   const std::string json = tracer.to_chrome_json();
-  EXPECT_TRUE(valid_json(json)) << json;
+  EXPECT_TRUE(json_parse(json).ok) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);  // Complete span.
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);  // Instant (hop).
@@ -276,7 +275,7 @@ TEST(TracerSim, MetricsJsonCarriesTailLatencyPercentiles) {
   EXPECT_LE(m.reply_latency_p50, m.reply_latency_p95);
   EXPECT_LE(m.reply_latency_p95, m.reply_latency_p99);
   const std::string json = metrics_to_json(m);
-  EXPECT_TRUE(valid_json(json));
+  EXPECT_TRUE(json_parse(json).ok);
   EXPECT_NE(json.find("\"reply_latency_p99\""), std::string::npos);
   EXPECT_NE(json.find("\"latency_p99_read_reply\""), std::string::npos);
 }
@@ -345,7 +344,7 @@ TEST(TelemetrySampler, JsonlAndCsvExportersAreWellFormed) {
     const std::string line = jsonl.substr(start, end - start);
     if (!line.empty()) {
       ++lines;
-      EXPECT_TRUE(valid_json(line)) << line;
+      EXPECT_TRUE(json_parse(line).ok) << line;
       EXPECT_NE(line.find("\"ipc\":"), std::string::npos);
     }
     start = end + 1;
@@ -381,7 +380,7 @@ TEST(CounterRegistry, ProbesReadLiveValuesAndDumpSortedJson) {
   EXPECT_EQ(reg.counter_value("no.such.probe"), 0u);
 
   const std::string json = reg.to_json();
-  EXPECT_TRUE(valid_json(json)) << json;
+  EXPECT_TRUE(json_parse(json).ok) << json;
   const std::size_t a = json.find("\"a.depth\"");
   const std::size_t b = json.find("\"b.hits\"");
   const std::size_t c = json.find("\"c.latency\"");
@@ -410,7 +409,7 @@ TEST(CounterRegistry, SimRegistersProbesForEveryComponent) {
   EXPECT_GT(reg.size(), 20u);
   EXPECT_EQ(reg.counter_value("sim.cycles"), 300u);
   EXPECT_GT(reg.counter_value("reply.packets_delivered"), 0u);
-  EXPECT_TRUE(valid_json(reg.to_json()));
+  EXPECT_TRUE(json_parse(reg.to_json()).ok);
 }
 
 // ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ TEST(RegressJson, PreservesNumberSourceText) {
 TEST(RegressJson, RejectsMalformedWithLocation) {
   for (const char* bad :
        {"{", "{\"a\" 1}", "[1,]", "{\"a\": 1,}", "tru", "\"open",
-        "{\"a\": 01}", "{} trailing"}) {
+        "{\"a\": 01}", "{} trailing", "{\"a\":}", "{'a':1}"}) {
     const JsonParseResult r = json_parse(bad);
     EXPECT_FALSE(r.ok) << "accepted: " << bad;
     EXPECT_NE(r.error.find("line "), std::string::npos) << r.error;
