@@ -13,12 +13,13 @@
 // < 5% budget (a warning, not a gate: shared CI machines are too noisy for
 // a hard wall-clock threshold).
 //
-// A third section sweeps the domain-decomposition thread matrix: every cell
-// at 1/2/4/8 network threads, byte-comparing each run's metrics against the
-// cell's 1-thread run (a hard gate) and reporting cycles/sec per point plus
-// the host's hardware concurrency (speedup is reported, not gated — a
-// 1-core CI runner cannot scale wall-clock no matter how correct the
-// decomposition is).
+// A third section sweeps the domain-decomposition thread matrix: every cell,
+// plus a 144-node 2x2 chiplet cell with and without epoch-slack
+// synchronization, at 1/2/4/8 network threads, byte-comparing each run's
+// metrics against the cell's 1-thread run (a hard gate) and reporting
+// cycles/sec per point plus the host's hardware concurrency (speedup is
+// reported, not gated — a 1-core CI runner cannot scale wall-clock no
+// matter how correct the decomposition is).
 //
 // Usage:
 //   perf_harness [--quick] [--out <file>]
@@ -57,6 +58,8 @@ struct Cell {
   Scheme scheme;
   bool da2mesh = false;
   bool fault = false;
+  bool chiplet = false;  ///< 2x2 chiplet of 6x6 meshes (144 nodes).
+  bool epoch = false;    ///< Epoch-slack domain synchronization.
 };
 
 struct CellResult {
@@ -81,6 +84,11 @@ Config cell_config(const Cell& cell, bool quick) {
     // throughput cell.
     cfg.fault_corrupt_rate = 1e-3;
   }
+  if (cell.chiplet) {
+    cfg.fabric = "chiplet";
+    cfg.chiplets_x = cfg.chiplets_y = 2;
+  }
+  cfg.domain_epoch = cell.epoch;
   return cfg;
 }
 
@@ -113,8 +121,11 @@ CellResult run_cell(const Cell& cell, bool quick) {
 }
 
 std::string json_escape_name(const Cell& c) {
-  std::string fabric = c.da2mesh ? "da2mesh" : "mesh";
+  std::string fabric = c.da2mesh   ? "da2mesh"
+                       : c.chiplet ? "chiplet2x2"
+                                   : "mesh";
   if (c.fault) fabric += "+fault";
+  if (c.epoch) fabric += "+epoch";
   return fabric;
 }
 
@@ -253,13 +264,21 @@ int main(int argc, char** argv) {
   // wall-clock scaling needs real cores, so hw_concurrency rides along and
   // numbers from a 1-core CI runner honestly show ~1.0x (barrier overhead
   // included). The overlay cell always steps serially (its endpoint
-  // coupling is not decomposable), so its rows are a serial control.
+  // coupling is not decomposable), so its rows are a serial control. The
+  // 144-node chiplet cells are where splitting should pay: four dies, one
+  // per domain at 4 threads, joined only by serdes links.
+  std::vector<Cell> matrix_cells = cells;
+  matrix_cells.push_back({"saturated-bfs-chiplet", "bfs", Scheme::kAdaARI,
+                          false, false, /*chiplet=*/true});
+  matrix_cells.push_back({"saturated-bfs-chiplet-epoch", "bfs",
+                          Scheme::kAdaARI, false, false, /*chiplet=*/true,
+                          /*epoch=*/true});
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::printf("\ndomain decomposition (threads x cells, hw_concurrency=%u):\n",
               hw);
   std::vector<ThreadResult> thread_results;
   bool threads_identical = true;
-  for (const Cell& cell : cells) {
+  for (const Cell& cell : matrix_cells) {
     std::string base_json;
     double base_cps = 0.0;
     for (const unsigned t : {1u, 2u, 4u, 8u}) {
@@ -277,7 +296,7 @@ int main(int argc, char** argv) {
       r.speedup = run.second / std::max(base_cps, 1e-9);
       r.identical = run.first == base_json;
       threads_identical = threads_identical && r.identical;
-      std::printf("%-20s threads=%u %9.0f cyc/s  (%.2fx)%s\n",
+      std::printf("%-28s threads=%u %9.0f cyc/s  (%.2fx)%s\n",
                   cell.name.c_str(), t, r.cps, r.speedup,
                   r.identical ? "" : "  ** METRICS DIVERGED **");
       thread_results.push_back(r);

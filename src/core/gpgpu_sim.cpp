@@ -90,6 +90,7 @@ namespace {
 NetworkParams request_params(const Config& cfg) {
   NetworkParams p;
   p.activity_driven = cfg.activity_driven;
+  p.domain_epoch = cfg.domain_epoch;
   p.name = "request";
   p.link_width_bits = cfg.link_width_bits_request;
   p.num_vcs = cfg.num_vcs;
@@ -109,6 +110,7 @@ NetworkParams request_params(const Config& cfg) {
 NetworkParams reply_params(const Config& cfg) {
   NetworkParams p;
   p.activity_driven = cfg.activity_driven;
+  p.domain_epoch = cfg.domain_epoch;
   p.name = "reply";
   p.link_width_bits = cfg.link_width_bits_reply;
   p.num_vcs = cfg.num_vcs;
@@ -294,7 +296,7 @@ void GpgpuSim::build(bool use_da2mesh, InstrSource* source) {
 
   // Domain-parallel network stepping: partition the fabric into one spatial
   // domain per thread and spin up the persistent team. threads == 1 (the
-  // default) builds none of this and the serial path is untouched.
+  // default) keeps both networks on their one-domain partition.
   // threads == 0 auto-sizes to the host, clamped to the node count; an
   // explicit count larger than the node count is a configuration error
   // (partition_fabric throws). The DA2mesh overlay's same-cycle endpoint
@@ -309,68 +311,53 @@ void GpgpuSim::build(bool use_da2mesh, InstrSource* source) {
     part_ = std::make_unique<topo::DomainPartition>(
         topo::partition_fabric(fabric_, threads));
     team_ = std::make_unique<exec::ThreadTeam>(threads);
-    request_net_->configure_domains(part_.get(), cfg.domain_epoch);
-    reply_net_->configure_domains(part_.get(), cfg.domain_epoch);
+    request_net_->set_partition(*part_);
+    reply_net_->set_partition(*part_);
   }
 
-  // Activity-driven stepping: register every sleepable component in its
-  // subsystem's active set and wire the wake edges (reply delivery -> core,
-  // request delivery -> MC, packet accept -> injection NI, ejection-buffer
-  // push -> ejection NI; router wake edges live inside Network). Everything
-  // starts awake; idle components fall asleep after their first step.
-  activity_ = cfg.activity_driven;
-  if (activity_) {
-    core_act_.resize(cores_.size());
-    req_inj_act_.resize(request_inject_.size());
-    rep_ej_act_.resize(reply_eject_.size());
-    for (std::size_t i = 0; i < cc_nodes.size(); ++i) {
-      // Open-loop clients have no sleep state (the pace schedule ticks
-      // every cycle), so only real cores register in the active set.
-      if (i < cores_.size()) cores_[i]->set_activity_hook(&core_act_, i);
-      request_inject_[i]->set_activity_hook(&req_inj_act_, i);
-      // Domain-parallel runs install no ejection hooks: routers would fire
-      // them from worker threads into the shared active sets. step() scans
-      // ejection buffers after the network phase instead, which produces
-      // the identical wake set (see the scan's comment).
-      if (!overlay_ && !team_) {
-        reply_net_->set_eject_hook(cc_nodes[i], &rep_ej_act_, i);
-      }
-    }
-    mc_act_.resize(mcs_.size());
-    rep_inj_act_.resize(reply_inject_.size());
-    req_ej_act_.resize(request_eject_.size());
-    for (std::size_t i = 0; i < mcs_.size(); ++i) {
-      mcs_[i]->set_activity_hook(&mc_act_, i);
-      if (reply_inject_[i]) {
-        reply_inject_[i]->set_activity_hook(&rep_inj_act_, i);
-      }
-      if (!team_) request_net_->set_eject_hook(mc_nodes[i], &req_ej_act_, i);
-    }
-    core_act_.wake_all();
-    mc_act_.wake_all();
-    req_inj_act_.wake_all();
-    rep_inj_act_.wake_all();
-    req_ej_act_.wake_all();
-    rep_ej_act_.wake_all();
+  // Activity hooks: register every sleepable component in its subsystem's
+  // active set and wire the wake edges (reply delivery -> core, request
+  // delivery -> MC, packet accept -> injection NI; router wake edges live
+  // inside Network, ejection NIs are woken by the post-network scan in
+  // step()). Everything starts awake; idle components fall asleep after
+  // their first step. Always-on stepping wakes every set every cycle.
+  core_act_.resize(cores_.size());
+  req_inj_act_.resize(request_inject_.size());
+  rep_ej_act_.resize(reply_eject_.size());
+  for (std::size_t i = 0; i < cc_nodes.size(); ++i) {
+    // Open-loop clients have no sleep state (the pace schedule ticks every
+    // cycle), so only real cores register in the active set.
+    if (i < cores_.size()) cores_[i]->set_activity_hook(&core_act_, i);
+    request_inject_[i]->set_activity_hook(&req_inj_act_, i);
   }
+  mc_act_.resize(mcs_.size());
+  rep_inj_act_.resize(reply_inject_.size());
+  req_ej_act_.resize(request_eject_.size());
+  for (std::size_t i = 0; i < mcs_.size(); ++i) {
+    mcs_[i]->set_activity_hook(&mc_act_, i);
+    if (reply_inject_[i]) {
+      reply_inject_[i]->set_activity_hook(&rep_inj_act_, i);
+    }
+  }
+  wake_all();
+}
+
+void GpgpuSim::wake_all() {
+  core_act_.wake_all();
+  mc_act_.wake_all();
+  req_inj_act_.wake_all();
+  rep_inj_act_.wake_all();
+  req_ej_act_.wake_all();
+  rep_ej_act_.wake_all();
 }
 
 GpgpuSim::~GpgpuSim() = default;
 
 void GpgpuSim::step() {
   const Cycle now = cycle_;
-  // Domain mode can toggle per cycle: per-event observers (tracer,
-  // attributor) require the globally-ordered serial path; everything else
-  // steps the networks in parallel. set_domain_mode migrates in-flight
-  // ring and activity state both ways, so attaching or detaching an
-  // observer mid-run stays bit-identical with a pure serial run.
-  if (team_) {
-    const bool want = !tracer_ && !attr_;
-    if (want != request_net_->domains_enabled()) {
-      request_net_->set_domain_mode(want);
-      reply_net_->set_domain_mode(want);
-    }
-  }
+  // Always-on stepping is activity-driven stepping with every member woken:
+  // the drains below then step everything, in the same ascending order.
+  if (!cfg_.activity_driven) wake_all();
   if (prof_) prof_->begin(obs::ProfPhase::kFrontend);
   // 0) Degradation FSM: one update per cycle from the reply-side pressure
   // signal (mean reply-NI queue occupancy as a fraction of capacity, plus
@@ -390,162 +377,101 @@ void GpgpuSim::step() {
   for (auto& cl : clients_) cl->cycle(now);
   if (prof_) {
     prof_->end(obs::ProfPhase::kFrontend);
-    // Components that will be stepped this cycle vs the always-on capacity
-    // (in always-on mode every component steps).
-    const std::uint64_t routers_total =
-        static_cast<std::uint64_t>(fabric_.nodes()) * (overlay_ ? 1 : 2);
-    if (activity_) {
-      prof_->record_wakes(obs::ProfGroup::kCores, core_act_.pending(),
-                          cores_.size());
-      prof_->record_wakes(obs::ProfGroup::kMcs, mc_act_.pending(),
-                          mcs_.size());
-      prof_->record_wakes(
-          obs::ProfGroup::kInjectNis,
-          req_inj_act_.pending() + (overlay_ ? 0 : rep_inj_act_.pending()),
-          request_inject_.size() + (overlay_ ? 0 : reply_inject_.size()));
-      prof_->record_wakes(
-          obs::ProfGroup::kEjectNis,
-          req_ej_act_.pending() + rep_ej_act_.pending(),
-          request_eject_.size() + reply_eject_.size());
-      prof_->record_wakes(
-          obs::ProfGroup::kRouters,
-          request_net_->routers_pending() +
-              (overlay_ ? 0 : reply_net_->routers_pending()),
-          routers_total);
-    } else {
-      prof_->record_wakes(obs::ProfGroup::kCores, cores_.size(),
-                          cores_.size());
-      prof_->record_wakes(obs::ProfGroup::kMcs, mcs_.size(), mcs_.size());
-      prof_->record_wakes(
-          obs::ProfGroup::kInjectNis,
-          request_inject_.size() + (overlay_ ? 0 : reply_inject_.size()),
-          request_inject_.size() + (overlay_ ? 0 : reply_inject_.size()));
-      prof_->record_wakes(obs::ProfGroup::kEjectNis,
-                          request_eject_.size() + reply_eject_.size(),
-                          request_eject_.size() + reply_eject_.size());
-      prof_->record_wakes(obs::ProfGroup::kRouters, routers_total,
-                          routers_total);
+    // Components that will be stepped this cycle vs the always-on capacity.
+    prof_->record_wakes(obs::ProfGroup::kCores, core_act_.pending(),
+                        cores_.size());
+    prof_->record_wakes(obs::ProfGroup::kMcs, mc_act_.pending(), mcs_.size());
+    prof_->record_wakes(
+        obs::ProfGroup::kInjectNis,
+        req_inj_act_.pending() + (overlay_ ? 0 : rep_inj_act_.pending()),
+        request_inject_.size() + (overlay_ ? 0 : reply_inject_.size()));
+    prof_->record_wakes(obs::ProfGroup::kEjectNis,
+                        req_ej_act_.pending() + rep_ej_act_.pending(),
+                        request_eject_.size() + reply_eject_.size());
+    prof_->record_wakes(
+        obs::ProfGroup::kRouters,
+        request_net_->routers_pending() +
+            (overlay_ ? 0 : reply_net_->routers_pending()),
+        static_cast<std::uint64_t>(fabric_.nodes()) * (overlay_ ? 1 : 2));
+  }
+  // Each phase drains its active set in ascending index order — the order
+  // of a full loop — so every side effect (arena allocation, trace events,
+  // RNG draws) lands in the identical sequence. A component re-wakes itself
+  // when its own sleep predicate fails after stepping; external wake edges
+  // (deliver, finish_accept, the ejection scan) cover everything else.
+  // 1) Cores generate and emit traffic (into request NIs via their ports).
+  if (prof_) prof_->begin(obs::ProfPhase::kCores);
+  core_act_.drain_sorted([&](std::size_t i) {
+    cores_[i]->cycle(now);
+    if (!cores_[i]->can_sleep()) core_act_.wake(i);
+  });
+  if (prof_) {
+    prof_->end(obs::ProfPhase::kCores);
+    prof_->begin(obs::ProfPhase::kMcs);
+  }
+  // 2) MCs service requests, tick DRAM, forward replies into reply NIs.
+  mc_act_.drain_sorted([&](std::size_t i) {
+    mcs_[i]->cycle(now);
+    if (!mcs_[i]->can_sleep()) mc_act_.wake(i);
+  });
+  if (prof_) {
+    prof_->end(obs::ProfPhase::kMcs);
+    prof_->begin(obs::ProfPhase::kInjectNi);
+  }
+  // 3) Injection NIs move flits into the routers. Accepts from phases 1-2
+  //    woke these sets before this drain, so same-cycle supply matches the
+  //    always-on schedule; retransmission re-injections (phase 4) wake the
+  //    NI for the next cycle, which is also when always-on would move them.
+  req_inj_act_.drain_sorted([&](std::size_t i) {
+    request_inject_[i]->cycle(now);
+    if (!request_inject_[i]->idle()) req_inj_act_.wake(i);
+  });
+  if (!overlay_) {
+    rep_inj_act_.drain_sorted([&](std::size_t i) {
+      reply_inject_[i]->cycle(now);
+      if (!reply_inject_[i]->idle()) rep_inj_act_.wake(i);
+    });
+  }
+  if (prof_) {
+    prof_->end(obs::ProfPhase::kInjectNi);
+    prof_->begin(obs::ProfPhase::kNetworks);
+  }
+  // 4) Networks advance one cycle (router active sets live inside).
+  step_networks(now);
+  // Wake the ejection NIs whose router buffer holds a flit: a push in phase
+  // 4 leaves the buffer non-empty here, and a buffer left non-empty by a
+  // backlogged NI was already re-woken by the phase-5 predicate below.
+  // wake() is idempotent, so overlap is harmless.
+  for (std::size_t i = 0; i < request_eject_.size(); ++i) {
+    if (request_net_->router(fabric_.mc_nodes()[i]).has_ejected_flit()) {
+      req_ej_act_.wake(i);
     }
   }
-  if (activity_) {
-    // Activity-driven stepping: each phase drains its active set in
-    // ascending index order — the same order as the always-on loops — so
-    // every side effect (arena allocation, trace events, RNG draws) lands
-    // in the identical sequence. A component re-wakes itself when its own
-    // sleep predicate fails after stepping; external wake edges (deliver,
-    // finish_accept, ejection-buffer push) cover everything else.
-    // 1) Cores generate and emit traffic (into request NIs via their ports).
-    if (prof_) prof_->begin(obs::ProfPhase::kCores);
-    core_act_.drain_sorted([&](std::size_t i) {
-      cores_[i]->cycle(now);
-      if (!cores_[i]->can_sleep()) core_act_.wake(i);
-    });
-    if (prof_) {
-      prof_->end(obs::ProfPhase::kCores);
-      prof_->begin(obs::ProfPhase::kMcs);
+  for (std::size_t i = 0; i < reply_eject_.size(); ++i) {
+    if (reply_net_->router(fabric_.cc_nodes()[i]).has_ejected_flit()) {
+      rep_ej_act_.wake(i);
     }
-    // 2) MCs service requests, tick DRAM, forward replies into reply NIs.
-    mc_act_.drain_sorted([&](std::size_t i) {
-      mcs_[i]->cycle(now);
-      if (!mcs_[i]->can_sleep()) mc_act_.wake(i);
-    });
-    if (prof_) {
-      prof_->end(obs::ProfPhase::kMcs);
-      prof_->begin(obs::ProfPhase::kInjectNi);
-    }
-    // 3) Injection NIs move flits into the routers. Accepts from phases 1-2
-    //    woke these sets before this drain, so same-cycle supply matches the
-    //    always-on schedule; retransmission re-injections (phase 4) wake the
-    //    NI for the next cycle, which is also when always-on would move them.
-    req_inj_act_.drain_sorted([&](std::size_t i) {
-      request_inject_[i]->cycle(now);
-      if (!request_inject_[i]->idle()) req_inj_act_.wake(i);
-    });
-    if (!overlay_) {
-      rep_inj_act_.drain_sorted([&](std::size_t i) {
-        reply_inject_[i]->cycle(now);
-        if (!reply_inject_[i]->idle()) rep_inj_act_.wake(i);
-      });
-    }
-    if (prof_) {
-      prof_->end(obs::ProfPhase::kInjectNi);
-      prof_->begin(obs::ProfPhase::kNetworks);
-    }
-    // 4) Networks advance one cycle (router active sets live inside).
-    step_networks(now);
-    if (team_) {
-      // No ejection hooks are installed in domain-parallel builds (routers
-      // would fire them from worker threads); scan the ejection buffers
-      // instead. The wake set is identical to the hook scheme's: a push in
-      // phase 4 leaves the buffer non-empty here, and a buffer left
-      // non-empty by a backlogged NI was already re-woken by the phase-5
-      // predicate below. wake() is idempotent, so overlap is harmless.
-      for (std::size_t i = 0; i < request_eject_.size(); ++i) {
-        if (request_net_->router(fabric_.mc_nodes()[i]).has_ejected_flit()) {
-          req_ej_act_.wake(i);
-        }
-      }
-      for (std::size_t i = 0; i < reply_eject_.size(); ++i) {
-        if (reply_net_->router(fabric_.cc_nodes()[i]).has_ejected_flit()) {
-          rep_ej_act_.wake(i);
-        }
-      }
-    }
-    if (prof_) {
-      prof_->end(obs::ProfPhase::kNetworks);
-      prof_->begin(obs::ProfPhase::kEjectNi);
-    }
-    // 5) Ejection NIs drain router ejection buffers into the sinks. The
-    //    routers woke these sets when ejecting (phase 4, same cycle); a
-    //    backlog the NI could not clear (drain rate, sink backpressure)
-    //    keeps it awake.
-    req_ej_act_.drain_sorted([&](std::size_t i) {
-      request_eject_[i]->cycle(now);
-      if (request_net_->router(fabric_.mc_nodes()[i]).has_ejected_flit()) {
-        req_ej_act_.wake(i);
-      }
-    });
-    rep_ej_act_.drain_sorted([&](std::size_t i) {
-      reply_eject_[i]->cycle(now);
-      if (reply_net_->router(fabric_.cc_nodes()[i]).has_ejected_flit()) {
-        rep_ej_act_.wake(i);
-      }
-    });
-    if (prof_) prof_->end(obs::ProfPhase::kEjectNi);
-  } else {
-    // 1) Cores generate and emit traffic (into request NIs via their ports).
-    if (prof_) prof_->begin(obs::ProfPhase::kCores);
-    for (auto& core : cores_) core->cycle(now);
-    if (prof_) {
-      prof_->end(obs::ProfPhase::kCores);
-      prof_->begin(obs::ProfPhase::kMcs);
-    }
-    // 2) MCs service requests, tick DRAM, forward replies into reply NIs.
-    for (auto& mc : mcs_) mc->cycle(now);
-    if (prof_) {
-      prof_->end(obs::ProfPhase::kMcs);
-      prof_->begin(obs::ProfPhase::kInjectNi);
-    }
-    // 3) Injection NIs move flits into the routers.
-    for (auto& ni : request_inject_) ni->cycle(now);
-    if (!overlay_) {
-      for (auto& ni : reply_inject_) ni->cycle(now);
-    }
-    if (prof_) {
-      prof_->end(obs::ProfPhase::kInjectNi);
-      prof_->begin(obs::ProfPhase::kNetworks);
-    }
-    // 4) Networks advance one cycle.
-    step_networks(now);
-    if (prof_) {
-      prof_->end(obs::ProfPhase::kNetworks);
-      prof_->begin(obs::ProfPhase::kEjectNi);
-    }
-    // 5) Ejection NIs drain router ejection buffers into the sinks.
-    for (auto& ni : request_eject_) ni->cycle(now);
-    for (auto& ni : reply_eject_) ni->cycle(now);
-    if (prof_) prof_->end(obs::ProfPhase::kEjectNi);
   }
+  if (prof_) {
+    prof_->end(obs::ProfPhase::kNetworks);
+    prof_->begin(obs::ProfPhase::kEjectNi);
+  }
+  // 5) Ejection NIs drain router ejection buffers into the sinks. A backlog
+  //    the NI could not clear (drain rate, sink backpressure) keeps it
+  //    awake.
+  req_ej_act_.drain_sorted([&](std::size_t i) {
+    request_eject_[i]->cycle(now);
+    if (request_net_->router(fabric_.mc_nodes()[i]).has_ejected_flit()) {
+      req_ej_act_.wake(i);
+    }
+  });
+  rep_ej_act_.drain_sorted([&](std::size_t i) {
+    reply_eject_[i]->cycle(now);
+    if (reply_net_->router(fabric_.cc_nodes()[i]).has_ejected_flit()) {
+      rep_ej_act_.wake(i);
+    }
+  });
+  if (prof_) prof_->end(obs::ProfPhase::kEjectNi);
   // 6) Sampling.
   if (prof_) prof_->begin(obs::ProfPhase::kSampling);
   if (!overlay_) {
@@ -610,7 +536,7 @@ void GpgpuSim::step() {
 }
 
 void GpgpuSim::step_networks(Cycle now) {
-  if (team_ && request_net_->domains_enabled()) {
+  if (team_ && request_net_->num_domains() > 1) {
     // Fork-join over 2K tasks: K request-net domains + K reply-net domains,
     // all independent (domains own disjoint routers; the two networks share
     // nothing but the fabric graph, which is read-only). The serial
@@ -630,6 +556,7 @@ void GpgpuSim::step_networks(Cycle now) {
     reply_net_->step_finish(now);
     return;
   }
+  // No team, or an observer holds the networks on one domain: step inline.
   request_net_->step(now);
   if (overlay_) {
     overlay_->step(now);
@@ -652,7 +579,6 @@ void GpgpuSim::run_with_warmup() {
 }
 
 void GpgpuSim::sync_activity() {
-  if (!activity_) return;
   for (auto& c : cores_) c->sync_idle(cycle_);
   for (auto& m : mcs_) m->sync_idle(cycle_);
 }
@@ -692,6 +618,7 @@ void GpgpuSim::attach_tracer(obs::PacketTracer* t) {
   tracer_ = t;
   request_net_->set_tracer(t, 0);
   reply_net_->set_tracer(t, 1);
+  select_partition();
 }
 
 void GpgpuSim::attach_attributor(obs::LatencyAttributor* a) {
@@ -699,6 +626,18 @@ void GpgpuSim::attach_attributor(obs::LatencyAttributor* a) {
   request_net_->set_attributor(a, 0);
   reply_net_->set_attributor(a, 1);
   if (a) a->set_topology(&fabric_.graph());
+  select_partition();
+}
+
+void GpgpuSim::select_partition() {
+  if (!part_) return;
+  // Per-event observers need the globally ordered one-domain schedule;
+  // set_partition migrates in-flight state exactly in both directions, so
+  // attaching or detaching mid-run stays bit-identical with a serial run.
+  const bool serial = tracer_ || attr_;
+  for (Network* net : {request_net_.get(), reply_net_.get()}) {
+    net->set_partition(serial ? net->serial_partition() : *part_);
+  }
 }
 
 void GpgpuSim::enable_sampling(Cycle interval) {

@@ -150,7 +150,7 @@ class GpgpuSim {
   /// occupancy samples of sleeping cores/MCs) up to the current cycle, so
   /// every observer reads the same state always-on stepping would produce.
   /// Called automatically at the end of run(), before reset_stats(), and on
-  /// a watchdog trip; a no-op in always-on mode. Idempotent.
+  /// a watchdog trip; replays nothing in always-on mode. Idempotent.
   void sync_activity();
 
   /// Structured diagnostic snapshot: live packets, router VC occupancy, MC
@@ -231,8 +231,13 @@ class GpgpuSim {
   void build(bool use_da2mesh, InstrSource* source);
   /// Phase 4 of step(): advances both networks one cycle — in parallel
   /// across spatial domains when the thread team is active and no
-  /// per-event observer (tracer/attributor) forces the serial path.
+  /// per-event observer (tracer/attributor) holds them on one domain.
   void step_networks(Cycle now);
+  /// Puts both networks on the one-domain partition while a per-event
+  /// observer is attached, and on the thread partition otherwise.
+  void select_partition();
+  /// Marks every member of every active set pending.
+  void wake_all();
 
   Config cfg_;
   BenchmarkTraits traits_;
@@ -272,15 +277,15 @@ class GpgpuSim {
   /// overlay is not active (the overlay's single-cycle endpoint coupling is
   /// not decomposable, so it always runs serial). The same partition drives
   /// both networks: they share the fabric, so domain d owns the same router
-  /// set in each.
+  /// set in each. Otherwise each network steps its one-domain partition.
   std::unique_ptr<topo::DomainPartition> part_;
   std::unique_ptr<exec::ThreadTeam> team_;
 
-  // ---- Activity-driven stepping (cfg.activity_driven) ----
+  // ---- Active sets: the one loop body of step() ----
   /// One active set per stepped subsystem; each is drained once per cycle
-  /// in ascending index order (== the order of the always-on loops).
-  /// Network-internal router sets live inside the Network objects.
-  bool activity_ = false;
+  /// in ascending index order. Always-on stepping (!cfg.activity_driven)
+  /// wakes every member at the start of each cycle. Network-internal router
+  /// sets live inside the Network objects.
   ActiveSet core_act_;      // Index: core i.
   ActiveSet mc_act_;        // Index: MC i.
   ActiveSet req_inj_act_;   // Index: CC i (request_inject_[i]).

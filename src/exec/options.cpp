@@ -1,8 +1,11 @@
 #include "exec/options.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #ifdef _WIN32
@@ -15,21 +18,47 @@
 
 namespace arinoc::exec {
 
+namespace {
+
+/// Stores `text` in `*out` when it is a plain non-negative decimal integer
+/// that fits the field: a sign, leading blanks, trailing text or overflow
+/// print a message naming `what` and return false instead.
+template <typename T>
+bool parse_count(const char* what, const char* text, T* out) {
+  unsigned long long n = 0;
+  char* end = nullptr;
+  errno = 0;
+  if (std::isdigit(static_cast<unsigned char>(text[0]))) {
+    n = std::strtoull(text, &end, 10);
+  }
+  if (end == nullptr || *end != '\0' || errno == ERANGE ||
+      n > std::numeric_limits<T>::max()) {
+    std::fprintf(stderr, "%s expects a non-negative integer, got '%s'\n",
+                 what, text);
+    return false;
+  }
+  *out = static_cast<T>(n);
+  return true;
+}
+
+/// Reads count variable `name` into `*out` when set; a malformed value
+/// exits 2.
+template <typename T>
+void count_from_env(const char* name, T* out) {
+  const char* text = std::getenv(name);
+  if (text != nullptr && !parse_count(name, text, out)) std::exit(2);
+}
+
+}  // namespace
+
 ExecOptions options_from_env(bool default_cache) {
   ExecOptions opts;
-  if (const char* jobs = std::getenv("ARINOC_JOBS")) {
-    opts.jobs = static_cast<unsigned>(std::strtoul(jobs, nullptr, 10));
-  }
-  if (const char* threads = std::getenv("ARINOC_THREADS")) {
-    opts.threads = static_cast<unsigned>(std::strtoul(threads, nullptr, 10));
-  }
+  count_from_env("ARINOC_JOBS", &opts.jobs);
+  count_from_env("ARINOC_THREADS", &opts.threads);
   opts.cache_enabled = default_cache;
   if (std::getenv("ARINOC_NO_CACHE") != nullptr) opts.cache_enabled = false;
   if (const char* dir = std::getenv("ARINOC_CACHE_DIR")) opts.cache_dir = dir;
-  if (const char* iv = std::getenv("ARINOC_SAMPLE_INTERVAL")) {
-    opts.sample_interval =
-        static_cast<Cycle>(std::strtoull(iv, nullptr, 10));
-  }
+  count_from_env("ARINOC_SAMPLE_INTERVAL", &opts.sample_interval);
   if (const char* dir = std::getenv("ARINOC_TELEMETRY_DIR")) {
     opts.telemetry_dir = dir;
   }
@@ -49,26 +78,14 @@ bool parse_exec_flags(int& argc, char** argv, ExecOptions& opts) {
       }
       return argv[++i];
     };
+    auto count = [&](const char* flag, auto* dst) {
+      const char* v = value(flag);
+      return v != nullptr && parse_count(flag, v, dst);
+    };
     if (std::strcmp(arg, "--jobs") == 0) {
-      const char* v = value("--jobs");
-      if (v == nullptr) return false;
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(v, &end, 10);
-      if (end == v || *end != '\0') {
-        std::fprintf(stderr, "--jobs expects a number, got '%s'\n", v);
-        return false;
-      }
-      opts.jobs = static_cast<unsigned>(n);
+      if (!count("--jobs", &opts.jobs)) return false;
     } else if (std::strcmp(arg, "--threads") == 0) {
-      const char* v = value("--threads");
-      if (v == nullptr) return false;
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(v, &end, 10);
-      if (end == v || *end != '\0') {
-        std::fprintf(stderr, "--threads expects a number, got '%s'\n", v);
-        return false;
-      }
-      opts.threads = static_cast<unsigned>(n);
+      if (!count("--threads", &opts.threads)) return false;
     } else if (std::strcmp(arg, "--no-cache") == 0) {
       opts.cache_enabled = false;
     } else if (std::strcmp(arg, "--cache-dir") == 0) {
@@ -77,16 +94,7 @@ bool parse_exec_flags(int& argc, char** argv, ExecOptions& opts) {
       opts.cache_dir = v;
       opts.cache_enabled = true;
     } else if (std::strcmp(arg, "--sample-interval") == 0) {
-      const char* v = value("--sample-interval");
-      if (v == nullptr) return false;
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0') {
-        std::fprintf(stderr, "--sample-interval expects a number, got '%s'\n",
-                     v);
-        return false;
-      }
-      opts.sample_interval = static_cast<Cycle>(n);
+      if (!count("--sample-interval", &opts.sample_interval)) return false;
     } else if (std::strcmp(arg, "--telemetry-dir") == 0) {
       const char* v = value("--telemetry-dir");
       if (v == nullptr) return false;

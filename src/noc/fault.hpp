@@ -116,17 +116,11 @@ class FaultInjector {
     return link(src, dir).corrupt_now;
   }
   /// Consumes the pending single-credit-loss event on link (src, dir); at
-  /// most one credit per link per cycle is dropped.
-  bool take_credit_drop(NodeId src, int dir) {
-    if (!take_credit_drop_uncounted(src, dir)) return false;
-    ++counters_.credits_dropped;
-    return true;
-  }
-  /// take_credit_drop without touching the shared counter. Domain-parallel
-  /// stepping calls this concurrently — each link's state is written only by
-  /// the domain owning its downstream router, but the counter would be a
-  /// shared write — and folds the per-domain tallies back in at the cycle
-  /// barrier via note_credits_dropped().
+  /// most one credit per link per cycle is dropped. Leaves the shared
+  /// counter alone: domain stepping calls this concurrently — each link's
+  /// state is written only by the domain owning its downstream router, but
+  /// the counter would be a shared write — and folds the per-domain tallies
+  /// back in at the cycle barrier via note_credits_dropped().
   bool take_credit_drop_uncounted(NodeId src, int dir) {
     LinkState& l = link(src, dir);
     if (!l.drop_credit_now) return false;

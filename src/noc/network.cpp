@@ -47,19 +47,11 @@ Network::Network(const NetworkParams& params, const topo::Fabric* fabric)
   }
   // Ring size covers the slowest link (base + worst serdes extra); uniform
   // fabrics keep the original max(1, link_latency) size and slot math.
-  const std::size_t slots = base_link_latency_ + fabric->max_extra_latency();
-  flit_ring_.resize(slots);
-  credit_ring_.resize(slots);
-
-  if (params.activity_driven) {
-    router_act_.resize(static_cast<std::size_t>(nodes));
-    for (NodeId n = 0; n < static_cast<NodeId>(nodes); ++n) {
-      routers_[static_cast<std::size_t>(n)]->set_activity_hook(
-          &router_act_, static_cast<std::size_t>(n));
-    }
-    // All routers run the first cycle; empty ones go straight to sleep.
-    router_act_.wake_all();
-  }
+  ring_slots_ = base_link_latency_ + fabric->max_extra_latency();
+  // Every network starts on one domain, with all routers running the first
+  // cycle; empty ones go straight to sleep.
+  serial_ = topo::partition_fabric(*fabric, 1);
+  set_partition(serial_);
 
   if (params.fault.any_enabled()) {
     fault_ = std::make_unique<FaultInjector>(params.fault, fabric);
@@ -110,154 +102,56 @@ void Network::finish_packet(PacketId id, Cycle now) {
   arena_.retire(id);
 }
 
-void Network::step_router(NodeId n, Cycle now, std::size_t send_slot) {
-  scratch_flits_.clear();
-  scratch_credits_.clear();
-  routers_[static_cast<std::size_t>(n)]->step(now, &scratch_flits_,
-                                              &scratch_credits_);
-  for (const OutboundFlit& of : scratch_flits_) {
-    const NodeId dst = fabric_->neighbor(n, of.out_dir);
-    assert(dst != kInvalidNode);
-    FlitEvent ev{dst, fabric_->peer_port(n, of.out_dir), of.out_vc, of.flit};
-    const bool corrupted = fault_ && fault_->corrupt_link(n, of.out_dir);
-    if (corrupted) {
-      ev.flit.corrupted = true;
-      ++stats_.flits_corrupted;
-    }
-    if (tracer_) {
-      const PacketType type = arena_.at(ev.flit.pkt).type;
-      if (corrupted) {
-        tracer_->record(obs::TraceEventKind::kCorrupt, tracer_net_, now,
-                        ev.flit.pkt, type, n, of.out_dir);
-      }
-      if (ev.flit.head) {
-        tracer_->record(obs::TraceEventKind::kLinkHop, tracer_net_, now,
-                        ev.flit.pkt, type, n, of.out_dir);
-      }
-    }
-    if (attr_ && ev.flit.head) {
-      attr_->on_link_depart(attr_net_, ev.flit.pkt, n, of.out_dir, now);
-    }
-    // Serdes (chiplet-boundary) links deliver extra cycles later; uniform
-    // links land in send_slot itself, exactly as before.
-    flit_ring_[slot_after(send_slot,
-                          base_link_latency_ +
-                              fabric_->link_extra_latency(n, of.out_dir))]
-        .push_back(ev);
+void Network::set_partition(const topo::DomainPartition& part) {
+  if (&part == part_) return;
+  assert(part.domain_of.size() == static_cast<std::size_t>(fabric_->nodes()));
+  // Merging ahead of schedule is exact: events sit in the destination ring
+  // until their slot fires.
+  merge_outboxes();
+  std::vector<Domain> old = std::move(dom_);
+  dom_.assign(part.num_domains, Domain{});
+  for (std::uint32_t d = 0; d < part.num_domains; ++d) {
+    dom_[d].flit_ring.resize(ring_slots_);
+    dom_[d].credit_ring.resize(ring_slots_);
+    dom_[d].act.resize(part.members[d].size());
   }
-  for (const OutboundCredit& oc : scratch_credits_) {
-    const NodeId up = fabric_->neighbor(n, oc.in_dir);
-    assert(up != kInvalidNode);
-    const int up_dir = fabric_->peer_port(n, oc.in_dir);
-    if (fault_ && fault_->take_credit_drop(up, up_dir)) {
-      // The credit vanishes in flight: the upstream (up, up_dir, vc)
-      // counter permanently shrinks. Recorded so the invariant audit can
-      // tell intentional loss from a protocol bug.
-      if (!credits_lost_.empty()) {
-        ++credits_lost_[(static_cast<std::size_t>(up) *
-                             static_cast<std::size_t>(fabric_->max_ports()) +
-                         static_cast<std::size_t>(up_dir)) *
-                            params_.num_vcs +
-                        static_cast<std::size_t>(oc.vc)];
+  // Re-bucket in-flight events by destination domain. The scan visits the
+  // old domains in ascending order and is stable, so per-(dst, port)
+  // arrival order is preserved.
+  for (std::size_t s = 0; s < ring_slots_; ++s) {
+    for (const Domain& od : old) {
+      for (const FlitEvent& e : od.flit_ring[s]) {
+        dom_[part.domain_of[static_cast<std::size_t>(e.dst)]]
+            .flit_ring[s]
+            .push_back(e);
       }
-      continue;
+      for (const CreditEvent& e : od.credit_ring[s]) {
+        dom_[part.domain_of[static_cast<std::size_t>(e.dst)]]
+            .credit_ring[s]
+            .push_back(e);
+      }
     }
-    // Credits cross the same physical channel, so they take the same
-    // latency (link attributes are symmetric by validation).
-    credit_ring_[slot_after(send_slot,
-                            base_link_latency_ +
-                                fabric_->link_extra_latency(n, oc.in_dir))]
-        .push_back({up, up_dir, oc.vc});
   }
-}
-
-void Network::configure_domains(const topo::DomainPartition* part,
-                                bool epoch_slack) {
-  assert(part && part->domain_of.size() ==
-                     static_cast<std::size_t>(fabric_->nodes()));
-  part_ = part;
-  dom_.clear();
-  dom_.resize(part->num_domains);
-  const std::size_t slots = flit_ring_.size();
-  for (std::uint32_t d = 0; d < part->num_domains; ++d) {
-    Domain& dom = dom_[d];
-    dom.members = part->members[d];
-    dom.flit_ring.resize(slots);
-    dom.credit_ring.resize(slots);
-    if (params_.activity_driven) dom.act.resize(dom.members.size());
+  // Move every router's wake hook and pending wake (all pending at
+  // construction).
+  for (NodeId n = 0; n < static_cast<NodeId>(fabric_->nodes()); ++n) {
+    const std::size_t sn = static_cast<std::size_t>(n);
+    const bool awake =
+        !part_ || old[part_->domain_of[sn]].act.contains(part_->local_of[sn]);
+    Domain& dom = dom_[part.domain_of[sn]];
+    routers_[sn]->set_activity_hook(&dom.act, part.local_of[sn]);
+    if (awake) dom.act.wake(part.local_of[sn]);
   }
+  part_ = &part;
   // Epoch-slack merge period: the fastest boundary link still takes E
   // cycles, so deferring merges to cycles c with c % E == E-1 always lands
   // before the earliest staged delivery (staged at t, merged by t+E-1,
   // delivered at t+lat >= t+E).
   epoch_ = 1;
-  if (epoch_slack) {
+  if (params_.domain_epoch) {
     epoch_ = base_link_latency_ +
-             (part->boundary.empty() ? 0 : part->min_boundary_extra);
+             (part.boundary.empty() ? 0 : part.min_boundary_extra);
   }
-}
-
-void Network::set_domain_mode(bool enabled) {
-  if (enabled == domains_on_) return;
-  assert(part_ && "configure_domains first");
-  if (enabled) {
-    // Observer hook order is defined by the serial router schedule; the
-    // caller must detach (or fall back to serial stepping) first.
-    assert(!tracer_ && !attr_);
-    // Distribute in-flight ring state by destination domain. The per-slot
-    // scan is stable, so per-(dst, port) arrival order is preserved.
-    for (std::size_t s = 0; s < flit_ring_.size(); ++s) {
-      for (const FlitEvent& e : flit_ring_[s]) {
-        dom_[part_->domain_of[static_cast<std::size_t>(e.dst)]]
-            .flit_ring[s]
-            .push_back(e);
-      }
-      flit_ring_[s].clear();
-      for (const CreditEvent& e : credit_ring_[s]) {
-        dom_[part_->domain_of[static_cast<std::size_t>(e.dst)]]
-            .credit_ring[s]
-            .push_back(e);
-      }
-      credit_ring_[s].clear();
-    }
-    if (params_.activity_driven) {
-      for (NodeId n = 0; n < static_cast<NodeId>(fabric_->nodes()); ++n) {
-        const std::size_t sn = static_cast<std::size_t>(n);
-        routers_[sn]->set_activity_hook(&dom_[part_->domain_of[sn]].act,
-                                        part_->local_of[sn]);
-        if (router_act_.contains(sn)) {
-          dom_[part_->domain_of[sn]].act.wake(part_->local_of[sn]);
-        }
-      }
-      router_act_.clear();
-    }
-  } else {
-    // Merging ahead of schedule is exact: events sit in the destination
-    // ring until their slot fires.
-    merge_outboxes();
-    for (std::size_t s = 0; s < flit_ring_.size(); ++s) {
-      for (Domain& dom : dom_) {
-        flit_ring_[s].insert(flit_ring_[s].end(), dom.flit_ring[s].begin(),
-                             dom.flit_ring[s].end());
-        dom.flit_ring[s].clear();
-        credit_ring_[s].insert(credit_ring_[s].end(),
-                               dom.credit_ring[s].begin(),
-                               dom.credit_ring[s].end());
-        dom.credit_ring[s].clear();
-      }
-    }
-    if (params_.activity_driven) {
-      for (NodeId n = 0; n < static_cast<NodeId>(fabric_->nodes()); ++n) {
-        const std::size_t sn = static_cast<std::size_t>(n);
-        routers_[sn]->set_activity_hook(&router_act_, sn);
-        if (dom_[part_->domain_of[sn]].act.contains(part_->local_of[sn])) {
-          router_act_.wake(sn);
-        }
-      }
-      for (Domain& dom : dom_) dom.act.clear();
-    }
-  }
-  domains_on_ = enabled;
 }
 
 void Network::merge_outboxes() {
@@ -289,10 +183,27 @@ void Network::step_router_domain(NodeId n, Cycle now, std::size_t send_slot,
     FlitEvent ev{dst, fabric_->peer_port(n, of.out_dir), of.out_vc, of.flit};
     // corrupt_link is a const read of state drawn serially in step_begin;
     // the corruption tally is staged per-domain and folded at the barrier.
-    if (fault_ && fault_->corrupt_link(n, of.out_dir)) {
+    const bool corrupted = fault_ && fault_->corrupt_link(n, of.out_dir);
+    if (corrupted) {
       ev.flit.corrupted = true;
       ++dom.corrupted;
     }
+    if (tracer_) {
+      const PacketType type = arena_.at(ev.flit.pkt).type;
+      if (corrupted) {
+        tracer_->record(obs::TraceEventKind::kCorrupt, tracer_net_, now,
+                        ev.flit.pkt, type, n, of.out_dir);
+      }
+      if (ev.flit.head) {
+        tracer_->record(obs::TraceEventKind::kLinkHop, tracer_net_, now,
+                        ev.flit.pkt, type, n, of.out_dir);
+      }
+    }
+    if (attr_ && ev.flit.head) {
+      attr_->on_link_depart(attr_net_, ev.flit.pkt, n, of.out_dir, now);
+    }
+    // Serdes (chiplet-boundary) links deliver extra cycles later; uniform
+    // links land in send_slot itself.
     const std::size_t slot = slot_after(
         send_slot,
         base_link_latency_ + fabric_->link_extra_latency(n, of.out_dir));
@@ -311,6 +222,9 @@ void Network::step_router_domain(NodeId n, Cycle now, std::size_t send_slot,
     // domain owning the downstream router n — so the write is exclusive;
     // only the injector's shared counter must be staged.
     if (fault_ && fault_->take_credit_drop_uncounted(up, up_dir)) {
+      // The credit vanishes in flight: the upstream (up, up_dir, vc)
+      // counter permanently shrinks. Recorded so the invariant audit can
+      // tell intentional loss from a protocol bug.
       ++dom.credit_drops;
       if (!credits_lost_.empty()) {
         // Same exclusivity: this (up, up_dir, vc) entry belongs to link
@@ -323,6 +237,8 @@ void Network::step_router_domain(NodeId n, Cycle now, std::size_t send_slot,
       }
       continue;
     }
+    // Credits cross the same physical channel, so they take the same
+    // latency (link attributes are symmetric by validation).
     const std::size_t slot = slot_after(
         send_slot,
         base_link_latency_ + fabric_->link_extra_latency(n, oc.in_dir));
@@ -337,25 +253,37 @@ void Network::step_router_domain(NodeId n, Cycle now, std::size_t send_slot,
 }
 
 void Network::step_begin(Cycle now) {
+  // Draw this cycle's fault events and push blocked-link transitions into
+  // the affected upstream routers (fault-aware routing sees them during VA).
+  // begin_cycle runs unconditionally every cycle so the fault RNG stream is
+  // a pure function of the cycle number, independent of router activity.
   if (fault_) {
     fault_->begin_cycle(now);
     for (const auto& [src, dir] : fault_->changed_links()) {
       routers_[static_cast<std::size_t>(src)]->set_output_blocked(
           dir, fault_->link_blocked(src, dir));
-      if (params_.activity_driven) {
-        const std::size_t sn = static_cast<std::size_t>(src);
-        dom_[part_->domain_of[sn]].act.wake(part_->local_of[sn]);
-      }
+      // Defensive wake: a link transition can re-enable VC allocation at
+      // the upstream router. A router holding flits is awake anyway, and
+      // waking an empty router is always a no-op.
+      const std::size_t sn = static_cast<std::size_t>(src);
+      dom_[part_->domain_of[sn]].act.wake(part_->local_of[sn]);
     }
   }
 }
 
 void Network::step_domain(std::uint32_t d, Cycle now) {
   Domain& dom = dom_[d];
+  // 1) Deliver flits and credits that finished traversing their links.
+  // receive_flit wakes the destination router; credits never give an empty
+  // router work (every credit-consuming action needs a buffered flit), so
+  // credit delivery needs no wake.
   auto& due_flits = dom.flit_ring[ring_pos_];
   for (const FlitEvent& e : due_flits) {
     routers_[static_cast<std::size_t>(e.dst)]->receive_flit(e.in_dir, e.vc,
                                                             e.flit);
+    if (attr_ && e.flit.head) {
+      attr_->on_head_arrive(attr_net_, e.flit.pkt, e.dst, now);
+    }
   }
   due_flits.clear();
   auto& due_credits = dom.credit_ring[ring_pos_];
@@ -364,20 +292,25 @@ void Network::step_domain(std::uint32_t d, Cycle now) {
   }
   due_credits.clear();
 
+  // 2) Step the woken routers in ascending node order — the order of the
+  // full loop, so arena free-list recycling and trace-event order cannot
+  // diverge — and stage their outputs onto the link pipelines. Events
+  // pushed into the just-cleared slot resurface after exactly
+  // `link_latency` ring advances. A router sleeps only when it holds no
+  // flits at all; anything buffered (even unmovable under backpressure)
+  // keeps it stepping so fairness pointers rotate exactly as in always-on
+  // mode.
   const std::size_t send_slot = ring_pos_;
-  if (params_.activity_driven) {
-    dom.act.drain_sorted([&](std::size_t i) {
-      const NodeId n = dom.members[i];
-      step_router_domain(n, now, send_slot, dom);
-      if (routers_[static_cast<std::size_t>(n)]->buffered_flits_total() > 0) {
-        dom.act.wake(i);
-      }
-    });
-  } else {
-    for (const NodeId n : dom.members) {
-      step_router_domain(n, now, send_slot, dom);
+  const std::vector<NodeId>& members = part_->members[d];
+  dom.act.drain_sorted([&](std::size_t i) {
+    const NodeId n = members[i];
+    step_router_domain(n, now, send_slot, dom);
+    if (routers_[static_cast<std::size_t>(n)]->buffered_flits_total() > 0) {
+      dom.act.wake(i);
     }
-  }
+  });
+  // Always-on stepping is the same drain with every router pending.
+  if (!params_.activity_driven) dom.act.wake_all();
 }
 
 void Network::step_finish(Cycle now) {
@@ -392,85 +325,19 @@ void Network::step_finish(Cycle now) {
     }
   }
   if (epoch_ <= 1 || now % epoch_ == epoch_ - 1) merge_outboxes();
-  if (++ring_pos_ == flit_ring_.size()) ring_pos_ = 0;
+  // Advance the link pipeline (compare-and-wrap; the ring is tiny and a
+  // division per cycle is measurable in the hot loop).
+  if (++ring_pos_ == ring_slots_) ring_pos_ = 0;
+  // Recovery bookkeeping: retire acked retransmission entries and fire
+  // NACK/timeout-driven re-injections. Runs unconditionally: timer expiry
+  // must re-inject (and wake the injection NI) even when the fabric idles.
   if (rtx_) rtx_->step(now);
 }
 
 void Network::step(Cycle now) {
-  if (domains_on_) {
-    step_begin(now);
-    for (std::uint32_t d = 0; d < part_->num_domains; ++d) {
-      step_domain(d, now);
-    }
-    step_finish(now);
-    return;
-  }
-  // 0) Draw this cycle's fault events and push blocked-link transitions into
-  // the affected upstream routers (fault-aware routing sees them during VA).
-  // begin_cycle runs unconditionally every cycle so the fault RNG stream is
-  // a pure function of the cycle number, independent of router activity.
-  if (fault_) {
-    fault_->begin_cycle(now);
-    for (const auto& [src, dir] : fault_->changed_links()) {
-      routers_[static_cast<std::size_t>(src)]->set_output_blocked(
-          dir, fault_->link_blocked(src, dir));
-      // Defensive wake: a link transition can re-enable VC allocation at
-      // the upstream router. A router holding flits is awake anyway, and
-      // waking an empty router is always a no-op, so this is cheap
-      // insurance rather than a behaviour change.
-      if (params_.activity_driven) {
-        router_act_.wake(static_cast<std::size_t>(src));
-      }
-    }
-  }
-
-  // 1) Deliver flits and credits that finished traversing their links.
-  // receive_flit wakes the destination router; credits never give an empty
-  // router work (every credit-consuming action needs a buffered flit), so
-  // credit delivery needs no wake.
-  auto& due_flits = flit_ring_[ring_pos_];
-  for (const FlitEvent& e : due_flits) {
-    routers_[static_cast<std::size_t>(e.dst)]->receive_flit(e.in_dir, e.vc,
-                                                            e.flit);
-    if (attr_ && e.flit.head) {
-      attr_->on_head_arrive(attr_net_, e.flit.pkt, e.dst, now);
-    }
-  }
-  due_flits.clear();
-  auto& due_credits = credit_ring_[ring_pos_];
-  for (const CreditEvent& e : due_credits) {
-    routers_[static_cast<std::size_t>(e.dst)]->receive_credit(e.out_dir, e.vc);
-  }
-  due_credits.clear();
-
-  // 2) Step the routers; stage their outputs onto the link pipelines.
-  // Events pushed into the just-cleared slot resurface after exactly
-  // `link_latency` ring advances. Activity-driven mode steps only woken
-  // routers, in ascending node order — the same order as the full loop, so
-  // arena free-list recycling and trace-event order cannot diverge.
-  const std::size_t send_slot = ring_pos_;
-  if (params_.activity_driven) {
-    router_act_.drain_sorted([&](std::size_t i) {
-      step_router(static_cast<NodeId>(i), now, send_slot);
-      // A router sleeps only when it holds no flits at all; anything
-      // buffered (even unmovable under backpressure) keeps it stepping so
-      // fairness pointers rotate exactly as in always-on mode.
-      if (routers_[i]->buffered_flits_total() > 0) router_act_.wake(i);
-    });
-  } else {
-    for (NodeId n = 0; n < static_cast<NodeId>(fabric_->nodes()); ++n) {
-      step_router(n, now, send_slot);
-    }
-  }
-
-  // 3) Advance the link pipeline (compare-and-wrap; the ring is tiny and a
-  // division per cycle is measurable in the hot loop).
-  if (++ring_pos_ == flit_ring_.size()) ring_pos_ = 0;
-
-  // 4) Recovery bookkeeping: retire acked retransmission entries and fire
-  // NACK/timeout-driven re-injections. Runs unconditionally: timer expiry
-  // must re-inject (and wake the injection NI) even when the fabric idles.
-  if (rtx_) rtx_->step(now);
+  step_begin(now);
+  for (std::uint32_t d = 0; d < part_->num_domains; ++d) step_domain(d, now);
+  step_finish(now);
 }
 
 double Network::internal_link_utilization(Cycle elapsed) const {
@@ -583,10 +450,8 @@ std::string Network::validate_credit_invariants() const {
       const Router& down = *routers_[static_cast<std::size_t>(v)];
       const int in_dir = fabric_->peer_port(u, dir);
       for (std::uint32_t vc = 0; vc < params_.num_vcs; ++vc) {
-        // In-flight events live in the global rings (serial mode), the
-        // per-domain rings (domain mode), or a domain outbox awaiting its
-        // epoch merge; all three are scanned so the audit holds in every
-        // stepping mode.
+        // In-flight events live in the per-domain rings or in a domain
+        // outbox awaiting its epoch merge.
         std::uint32_t inflight_flits = 0;
         std::uint32_t inflight_credits = 0;
         const auto match_flit = [&](const FlitEvent& e) {
@@ -597,12 +462,6 @@ std::string Network::validate_credit_invariants() const {
           if (e.dst == u && e.out_dir == dir && e.vc == static_cast<int>(vc))
             ++inflight_credits;
         };
-        for (const auto& slot : flit_ring_) {
-          for (const FlitEvent& e : slot) match_flit(e);
-        }
-        for (const auto& slot : credit_ring_) {
-          for (const CreditEvent& e : slot) match_credit(e);
-        }
         for (const Domain& dom : dom_) {
           for (const auto& slot : dom.flit_ring) {
             for (const FlitEvent& e : slot) match_flit(e);

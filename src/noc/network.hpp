@@ -54,6 +54,11 @@ struct NetworkParams {
   /// work this cycle (woken by flit delivery/injection). Host-side execution
   /// strategy only — simulated behaviour is bit-identical either way.
   bool activity_driven = false;
+  /// Epoch-slack synchronization for multi-domain partitions: cross-domain
+  /// merges happen only every E-th cycle, E = base link latency + the
+  /// minimum boundary serdes latency. Exact, because an event staged at
+  /// cycle t is merged by t+E-1, before its delivery at t+lat >= t+E.
+  bool domain_epoch = false;
 };
 
 class Network {
@@ -64,16 +69,18 @@ class Network {
   /// (non-owning view) Fabric — behaviour is bit-identical to the fabric
   /// path for meshes.
   Network(const NetworkParams& params, const Mesh* mesh);
+  /// Routers and the current partition point into this object.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
-  /// Advances the network by one cycle: delivers in-flight flits/credits,
-  /// then steps every router. With domain mode enabled this runs the
-  /// decomposed sequence (step_begin / every step_domain / step_finish)
-  /// serially — same results, no threads.
+  /// Advances the network by one cycle: step_begin, every step_domain in
+  /// ascending order, then step_finish — serially, no threads.
   void step(Cycle now);
 
-  // ---- Domain-parallel stepping (spatial decomposition) ----
+  // ---- Domain stepping (spatial decomposition) ----
   //
-  // With a partition configured and domain mode enabled, one cycle becomes
+  // The network always steps through a DomainPartition; serial stepping is
+  // the one-domain partition. One cycle is
   //   step_begin(now);                    // serial: fault draw + blocked links
   //   step_domain(d, now) for every d;    // parallel: domains are disjoint
   //   step_finish(now);                   // serial: mailbox merge + barrier
@@ -83,24 +90,17 @@ class Network {
   // step_finish, in ascending domain order. Within one ring slot every
   // (router, input port) pair receives from exactly one upstream router, so
   // the slot-internal order shuffle this introduces is unobservable and the
-  // results stay bit-identical to serial stepping for ANY partition (see
-  // docs/performance.md "Domain decomposition").
+  // results stay bit-identical for ANY partition (see docs/performance.md
+  // "Domain decomposition").
 
-  /// Attaches a partition (not owned; must outlive the network). With
-  /// epoch_slack, cross-domain merges happen only every E-th cycle where E =
-  /// base link latency + the minimum boundary serdes latency — exact because
-  /// an event staged at cycle t is merged by t+E-1, before its delivery at
-  /// t+lat >= t+E.
-  void configure_domains(const topo::DomainPartition* part, bool epoch_slack);
-  /// Toggles between the classic global rings and per-domain stepping,
-  /// migrating all in-flight ring/activity state (both directions are
-  /// exact). Requires no tracer/attributor while enabled: observer hook
-  /// order is defined by the serial router schedule.
-  void set_domain_mode(bool enabled);
-  bool domains_enabled() const { return domains_on_; }
-  std::uint32_t num_domains() const {
-    return part_ ? part_->num_domains : 0;
-  }
+  /// Moves the network onto `part` (not owned; must outlive its use),
+  /// migrating every in-flight ring event and router wake. Exact in any
+  /// direction. Per-event observers (tracer, attributor) need the one-domain
+  /// partition: their hook order is the ascending-node router schedule.
+  void set_partition(const topo::DomainPartition& part);
+  /// The one-domain partition every network starts on.
+  const topo::DomainPartition& serial_partition() const { return serial_; }
+  std::uint32_t num_domains() const { return part_->num_domains; }
   void step_begin(Cycle now);
   /// Steps domain `d` for one cycle. Thread-safe against other domains of
   /// the same cycle; everything it mutates is owned by domain d.
@@ -172,12 +172,6 @@ class Network {
   void reset_stats();
 
   // ---- Observability ----
-  /// Routes ejection-buffer pushes at node `n` to a wake of member `idx` in
-  /// `set` (the ejection NI's active set; activity-driven mode only).
-  void set_eject_hook(NodeId n, ActiveSet* set, std::size_t idx) {
-    routers_[static_cast<std::size_t>(n)]->set_eject_hook(set, idx);
-  }
-
   /// Attaches a packet-lifecycle tracer to this network and all its routers
   /// (null detaches). `net` tags the emitted events (0 = request, 1 = reply).
   void set_tracer(obs::PacketTracer* t, std::uint8_t net);
@@ -190,10 +184,9 @@ class Network {
   obs::LatencyAttributor* attributor() const { return attr_; }
   std::uint8_t attr_net() const { return attr_net_; }
 
-  /// Routers pending a step next cycle (activity-driven mode; the
-  /// self-profiler's wake statistic).
+  /// Routers pending a step next cycle (the self-profiler's wake
+  /// statistic; every router in always-on mode).
   std::size_t routers_pending() const {
-    if (!domains_on_) return router_act_.pending();
     std::size_t sum = 0;
     for (const Domain& d : dom_) sum += d.act.pending();
     return sum;
@@ -229,12 +222,12 @@ class Network {
 
   /// One spatial domain's private stepping state. Everything here is
   /// touched only by the thread running step_domain for this domain within
-  /// a cycle; the outboxes are drained serially at step_finish.
-  struct Domain {
-    std::vector<NodeId> members;  ///< Owned nodes, ascending.
-    ActiveSet act;                ///< Local indices into members.
+  /// a cycle; the outboxes are drained serially at step_finish. Cache-line
+  /// aligned so neighbouring domains' threads never write one line.
+  struct alignas(64) Domain {
+    ActiveSet act;  ///< Local indices into the partition's members[d].
     /// This domain's slice of the link pipeline: events whose destination
-    /// router it owns. Same slot geometry as the global rings.
+    /// router it owns. Every domain has the same slot geometry.
     std::vector<std::vector<FlitEvent>> flit_ring;
     std::vector<std::vector<CreditEvent>> credit_ring;
     std::vector<OutboundFlit> scratch_flits;
@@ -252,9 +245,8 @@ class Network {
   /// Takes ownership of a fabric built for this network (mesh-compat path).
   Network(const NetworkParams& params, std::unique_ptr<topo::Fabric> owned);
 
-  void step_router(NodeId n, Cycle now, std::size_t send_slot);
-  /// step_router for domain mode: per-domain scratch, staged fault
-  /// counters, no observer hooks, cross-domain events go to the outbox.
+  /// Steps router `n` of domain `dom`: per-domain scratch, staged fault
+  /// counters, cross-domain events go to the outbox.
   void step_router_domain(NodeId n, Cycle now, std::size_t send_slot,
                           Domain& dom);
   /// Drains every domain's outboxes into the destination domains' rings,
@@ -264,7 +256,7 @@ class Network {
   /// [1, ring size]; lat == ring size lands back on send_slot itself, the
   /// uniform-latency fast path).
   std::size_t slot_after(std::size_t send_slot, std::size_t lat) const {
-    return (send_slot + (lat % flit_ring_.size())) % flit_ring_.size();
+    return (send_slot + (lat % ring_slots_)) % ring_slots_;
   }
 
   NetworkParams params_;
@@ -273,17 +265,12 @@ class Network {
   std::uint32_t base_link_latency_ = 1;  ///< max(1, params.link_latency).
   PacketArena arena_;
   std::vector<std::unique_ptr<Router>> routers_;
-  /// Routers that may do work next cycle (activity-driven mode only).
-  ActiveSet router_act_;
-  // Ring buffers implementing link pipeline latency.
-  std::vector<std::vector<FlitEvent>> flit_ring_;
-  std::vector<std::vector<CreditEvent>> credit_ring_;
+  /// Link-pipeline ring geometry (slots cover the slowest link) and the
+  /// slot delivering this cycle.
+  std::size_t ring_slots_ = 1;
   std::size_t ring_pos_ = 0;
   std::uint32_t num_internal_links_ = 0;
   NocStats stats_;
-  // Scratch buffers reused across cycles.
-  std::vector<OutboundFlit> scratch_flits_;
-  std::vector<OutboundCredit> scratch_credits_;
   // Fault subsystem (null unless some fault class is enabled).
   std::unique_ptr<FaultInjector> fault_;
   std::unique_ptr<RetransmitTracker> rtx_;
@@ -294,10 +281,10 @@ class Network {
   std::uint8_t tracer_net_ = 0;
   obs::LatencyAttributor* attr_ = nullptr;
   std::uint8_t attr_net_ = 0;
-  // Domain-parallel stepping (configure_domains / set_domain_mode).
+  // Domain stepping (set_partition).
+  topo::DomainPartition serial_;
   const topo::DomainPartition* part_ = nullptr;
   std::vector<Domain> dom_;
-  bool domains_on_ = false;
   std::size_t epoch_ = 1;  ///< Outbox-merge period in cycles (1 = every).
 };
 

@@ -319,7 +319,6 @@ void Router::switch_stage(Cycle now, std::vector<OutboundFlit>* out_flits,
     if (static_cast<int>(o) == num_dirs_) {
       assert(!ejection_buf_.full());
       ejection_buf_.push(f);
-      if (eject_set_) eject_set_->wake(eject_idx_);
       if (attr_ && f.head) {
         attr_->on_eject_start(attr_net_, f.pkt, params_.node, now);
       }

@@ -139,12 +139,6 @@ class Router {
     act_set_ = set;
     act_idx_ = idx;
   }
-  /// Wakes the ejection-side NI (member `idx` of `set`) whenever a flit is
-  /// pushed into the ejection buffer.
-  void set_eject_hook(ActiveSet* set, std::size_t idx) {
-    eject_set_ = set;
-    eject_idx_ = idx;
-  }
 
   /// Attaches a packet-lifecycle tracer (null detaches). The tracer is a
   /// pure observer: hooks fire next to existing bookkeeping and never alter
@@ -257,11 +251,10 @@ class Router {
   obs::LatencyAttributor* attr_ = nullptr;
   std::uint8_t attr_net_ = 0;
 
-  // Activity-driven stepping (null hooks = always-on mode).
+  // Wake hook into the owning network domain's active set (null for a
+  // router stepped on its own).
   ActiveSet* act_set_ = nullptr;
   std::size_t act_idx_ = 0;
-  ActiveSet* eject_set_ = nullptr;
-  std::size_t eject_idx_ = 0;
   /// Next cycle this router expects to step; the gap to `now` is the slept
   /// span whose idle round-robin rotations step() replays on wake.
   Cycle next_cycle_ = 0;

@@ -51,7 +51,7 @@ DomainPartition partition_fabric(const Fabric& fabric, std::uint32_t k) {
   if (k == 0) {
     throw std::invalid_argument("domain partition: domain count must be >= 1");
   }
-  if (static_cast<int>(k) > nodes) {
+  if (k > static_cast<std::uint32_t>(nodes)) {
     throw std::invalid_argument(
         "domain partition: " + std::to_string(k) + " domains exceed the " +
         std::to_string(nodes) + "-node fabric");

@@ -304,8 +304,9 @@ TEST(Attr, NodeLayoutCoversEveryNode) {
 }
 
 // ---------------------------------------------------------------------------
-// Self-profiler: epochs tile the run, wake counts never exceed capacity,
-// and the JSONL stream is schema-tagged valid JSON per line.
+// Self-profiler: epochs tile the run, wake counts never exceed capacity
+// (and reach it in every group under always-on stepping), and the JSONL
+// stream is schema-tagged valid JSON per line.
 // ---------------------------------------------------------------------------
 
 TEST(SelfProfiler, EpochsTileRunAndJsonlIsValid) {
@@ -341,6 +342,22 @@ TEST(SelfProfiler, EpochsTileRunAndJsonlIsValid) {
   }
   EXPECT_GT(capacity, 0u);
   EXPECT_LE(awake, capacity);
+
+  // Always-on stepping wakes every member of every active set each cycle,
+  // so the reference mode really steps every component.
+  Config always_on = cfg;
+  always_on.activity_driven = false;
+  GpgpuSim full(always_on, *traits);
+  obs::SelfProfiler full_prof(256);
+  full.attach_self_profiler(&full_prof);
+  full.run(600);
+  full_prof.finish(full.now());
+  for (const auto& e : full_prof.epochs()) {
+    for (std::size_t g = 0; g < obs::kNumProfGroups; ++g) {
+      EXPECT_GT(e.capacity[g], 0u) << "group " << g;
+      EXPECT_EQ(e.awake[g], e.capacity[g]) << "group " << g;
+    }
+  }
 
   const std::string jsonl = prof.to_jsonl();
   std::istringstream lines(jsonl);

@@ -12,7 +12,9 @@
 #include "common/config.hpp"
 #include "core/experiment.hpp"
 #include "core/gpgpu_sim.hpp"
+#include "core/report.hpp"
 #include "core/watchdog.hpp"
+#include "obs/attr.hpp"
 #include "obs/regress/baseline.hpp"
 #include "obs/regress/compare.hpp"
 #include "obs/regress/provenance.hpp"
@@ -58,6 +60,11 @@ TEST(DomainSim, BitIdenticalAcrossSchemesAndFabrics) {
         SCOPED_TRACE(std::string(fabric) + "/" + scheme_name(s) +
                      " threads=" + std::to_string(t));
         EXPECT_EQ(serial, run_snapshot(cfg, s, "bfs", t));
+        // Always-on stepping across domains: every router of every domain
+        // steps every cycle, and the bytes still match.
+        Config always_on = cfg;
+        always_on.activity_driven = false;
+        EXPECT_EQ(serial, run_snapshot(always_on, s, "bfs", t));
       }
     }
   }
@@ -142,6 +149,40 @@ TEST(DomainSim, TracerForcesIdenticalSerialFallback) {
   const std::string t4 = traced(4, &s4);
   EXPECT_EQ(s1, s4);
   EXPECT_EQ(t1, t4);
+}
+
+TEST(DomainSim, ObserverAttachAndDetachMidRunWithFlitsInFlight) {
+  // Attaching observers after warmup moves a loaded network (flits and
+  // credits on the links, outboxes pending, routers awake) onto one domain;
+  // detaching halfway through the measured run moves it back. Neither move
+  // may change a byte of the metrics, the trace or the attribution.
+  struct Outputs {
+    std::string metrics, trace, attr;
+  };
+  const auto observed = [](std::uint32_t threads) {
+    Config cfg = small_config();
+    cfg.threads = threads;
+    const Config resolved = resolve_cell_config(cfg, Scheme::kAdaARI, "bfs");
+    GpgpuSim sim(resolved, *find_benchmark("bfs"));
+    obs::PacketTracer tracer;
+    obs::LatencyAttributor attr;
+    sim.run(resolved.warmup_cycles);
+    sim.reset_stats();
+    EXPECT_GT(sim.reply_net().buffered_flits_total(), 0u);
+    sim.attach_tracer(&tracer);
+    sim.attach_attributor(&attr);
+    sim.run(resolved.run_cycles / 2);
+    sim.attach_tracer(nullptr);
+    sim.attach_attributor(nullptr);
+    sim.run(resolved.run_cycles - resolved.run_cycles / 2);
+    return Outputs{metrics_to_json(sim.collect()), tracer.to_chrome_json(),
+                   attr.to_json()};
+  };
+  const Outputs serial = observed(1);
+  const Outputs parallel = observed(4);
+  EXPECT_EQ(serial.metrics, parallel.metrics);
+  EXPECT_EQ(serial.trace, parallel.trace);
+  EXPECT_EQ(serial.attr, parallel.attr);
 }
 
 TEST(DomainSim, WatchdogTripDumpBitIdentical) {

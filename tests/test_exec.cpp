@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <chrono>
 #include <filesystem>
 #include <stdexcept>
@@ -16,6 +17,7 @@
 #include "core/report.hpp"
 #include "core/sweep.hpp"
 #include "exec/job_pool.hpp"
+#include "exec/options.hpp"
 #include "exec/result_cache.hpp"
 #include "exec/runner.hpp"
 
@@ -88,6 +90,54 @@ TEST(JobPool, RethrowsFirstEscapedExceptionFromWaitIdle) {
   pool.submit([&ran] { ran.fetch_add(1); });
   pool.wait_idle();
   EXPECT_EQ(ran.load(), 9);
+}
+
+TEST(ExecOptions, CountsAreStrictNonNegativeIntegers) {
+  // Flags: a sign, trailing text, leading blanks and overflow are all
+  // rejected instead of wrapping or truncating.
+  const auto parse = [](std::vector<std::string> args, exec::ExecOptions* o) {
+    args.insert(args.begin(), "prog");
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    int argc = static_cast<int>(argv.size());
+    return exec::parse_exec_flags(argc, argv.data(), *o);
+  };
+  exec::ExecOptions o;
+  EXPECT_TRUE(parse({"--threads", "4", "--jobs", "0",
+                     "--sample-interval", "250"}, &o));
+  EXPECT_EQ(o.threads, 4u);
+  EXPECT_EQ(o.jobs, 0u);
+  EXPECT_EQ(o.sample_interval, 250u);
+  for (const char* bad : {"-1", "4x", "abc", "", " 4", "+4", "4294967296"}) {
+    SCOPED_TRACE(std::string("value '") + bad + "'");
+    EXPECT_FALSE(parse({"--threads", bad}, &o));
+    EXPECT_FALSE(parse({"--jobs", bad}, &o));
+  }
+  EXPECT_FALSE(parse({"--sample-interval", "-5"}, &o));
+
+  // Environment: the same check, and a bad value exits 2 naming the
+  // variable.
+  ::setenv("ARINOC_THREADS", "3", 1);
+  EXPECT_EQ(exec::options_from_env(false).threads, 3u);
+  ::unsetenv("ARINOC_THREADS");
+  EXPECT_EXIT(
+      {
+        ::setenv("ARINOC_THREADS", "abc", 1);
+        exec::options_from_env(false);
+      },
+      ::testing::ExitedWithCode(2), "ARINOC_THREADS");
+  EXPECT_EXIT(
+      {
+        ::setenv("ARINOC_JOBS", "4x", 1);
+        exec::options_from_env(false);
+      },
+      ::testing::ExitedWithCode(2), "ARINOC_JOBS");
+  EXPECT_EXIT(
+      {
+        ::setenv("ARINOC_SAMPLE_INTERVAL", "-5", 1);
+        exec::options_from_env(false);
+      },
+      ::testing::ExitedWithCode(2), "ARINOC_SAMPLE_INTERVAL");
 }
 
 TEST(ExecSeed, DerivationIsDeterministicAndBenchmarkSensitive) {

@@ -175,6 +175,10 @@ TEST(Partition, RejectsImpossibleDomainCounts) {
       topo::partition_fabric(fab,
                              static_cast<std::uint32_t>(fab.nodes()) + 1),
       std::invalid_argument);
+  // A count that reads negative as a signed int ("--threads -1" wrapped by
+  // strtoul) is still far too many domains.
+  EXPECT_THROW(topo::partition_fabric(fab, 0xFFFFFFFFu),
+               std::invalid_argument);
 }
 
 TEST(Partition, SimRejectsMoreThreadsThanNodes) {
