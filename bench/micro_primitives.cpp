@@ -13,6 +13,7 @@
 #include "noc/network.hpp"
 #include "noc/ni.hpp"
 #include "obs/trace.hpp"
+#include "topo/generators.hpp"
 #include "workloads/tracegen.hpp"
 
 namespace {
@@ -76,7 +77,7 @@ BENCHMARK(BM_TraceGenNext);
 
 /// A saturated 6x6 reply network cycle (router pipeline + links).
 void BM_NetworkStep(benchmark::State& state) {
-  Mesh mesh(6, 6, 8);
+  const topo::Fabric mesh(topo::make_mesh_graph(6, 6, 8));
   NetworkParams np;
   np.routing = RoutingAlgo::kMinAdaptive;
   Network net(np, &mesh);

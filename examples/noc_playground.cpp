@@ -15,7 +15,7 @@
 #include "core/report.hpp"
 #include "noc/network.hpp"
 #include "noc/ni.hpp"
-#include "noc/topology.hpp"
+#include "topo/generators.hpp"
 
 using namespace arinoc;
 
@@ -33,7 +33,7 @@ struct Result {
 };
 
 Result run(NiArch arch, double offered_load, std::uint32_t speedup) {
-  Mesh mesh(6, 6, 8);
+  const topo::Fabric mesh(topo::make_mesh_graph(6, 6, 8));
   NetworkParams np;
   np.routing = RoutingAlgo::kMinAdaptive;
   np.treat_mcs_specially = true;

@@ -339,6 +339,15 @@ Config apply_scheme(Config base, Scheme scheme) {
   return base;
 }
 
+const char* placement_name(McPlacement p) {
+  switch (p) {
+    case McPlacement::kDiamond: return "diamond";
+    case McPlacement::kTopBottom: return "top-bottom";
+    case McPlacement::kColumn: return "column";
+  }
+  return "?";
+}
+
 const char* scheme_name(Scheme scheme) {
   switch (scheme) {
     case Scheme::kXYBaseline: return "XY-Baseline";

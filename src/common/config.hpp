@@ -41,10 +41,10 @@ struct Config {
   std::uint32_t mesh_height = 6;
   std::uint32_t num_mcs = 8;
   McPlacement mc_placement = McPlacement::kDiamond;  ///< Table I: diamond.
-  /// Interconnect fabric (docs/fabrics.md): "mesh" (default, the native 2D
-  /// mesh), "torus" / "cmesh" / "chiplet" (built-in generators over the
-  /// mesh_* dimensions above), or "file" (load topology_file). Non-mesh
-  /// fabrics route via compiled up*/down* tables.
+  /// Interconnect fabric (docs/fabrics.md): "mesh" (default, the 2D mesh
+  /// routed by dimension order), "torus" / "cmesh" / "chiplet" (built-in
+  /// generators over the mesh_* dimensions above), or "file" (load
+  /// topology_file). Non-mesh fabrics route via compiled up*/down* tables.
   std::string fabric = "mesh";
   std::string topology_file;  ///< Topology path; consulted iff fabric=="file".
   std::uint32_t cmesh_concentration = 4;  ///< Endpoints per cmesh hub router.

@@ -152,15 +152,6 @@ GpgpuSim::GpgpuSim(const Config& cfg, InstrSource* source, bool use_da2mesh)
   build(use_da2mesh, source);
 }
 
-const Mesh& GpgpuSim::mesh() const {
-  const Mesh* m = fabric_.mesh_view();
-  if (!m) {
-    throw std::logic_error("GpgpuSim::mesh(): fabric '" + fabric_.kind() +
-                           "' has no mesh geometry");
-  }
-  return *m;
-}
-
 void GpgpuSim::build(bool use_da2mesh, InstrSource* source) {
   const Config& cfg = cfg_;
   const std::string err = cfg.validate();
@@ -177,7 +168,7 @@ void GpgpuSim::build(bool use_da2mesh, InstrSource* source) {
         "open-loop serving and admission control read mesh reply-NI queue "
         "state and are not supported with the DA2mesh overlay");
   }
-  if (use_da2mesh && !fabric_.mesh_view()) {
+  if (use_da2mesh && !fabric_.is_mesh()) {
     throw std::invalid_argument(
         "the DA2mesh overlay is a mesh-geometry bypass and is not supported "
         "on fabric '" + fabric_.kind() + "'");
@@ -194,7 +185,7 @@ void GpgpuSim::build(bool use_da2mesh, InstrSource* source) {
     op.lanes = cfg.split_queues;
     op.data_payload_bits = cfg.data_payload_bits;
     op.link_width_bits = cfg.link_width_bits_reply;
-    overlay_ = std::make_unique<Da2MeshOverlay>(op, fabric_.mesh_view());
+    overlay_ = std::make_unique<Da2MeshOverlay>(op, fabric_);
   }
 
   const auto& mc_nodes = fabric_.mc_nodes();

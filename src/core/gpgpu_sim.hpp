@@ -21,7 +21,6 @@
 #include "noc/network.hpp"
 #include "noc/ni.hpp"
 #include "noc/overlay.hpp"
-#include "noc/topology.hpp"
 #include "obs/sampler.hpp"
 #include "topo/fabric.hpp"
 #include "workloads/benchmark.hpp"
@@ -164,9 +163,6 @@ class GpgpuSim {
   Cycle now() const { return cycle_; }
   /// The fabric both networks are built over (any topology).
   const topo::Fabric& fabric() const { return fabric_; }
-  /// Mesh view of the fabric; throws std::logic_error on non-mesh fabrics
-  /// (heatmaps and other geometry-aware probes — fabric() is generic).
-  const Mesh& mesh() const;
   const Config& config() const { return cfg_; }
 
   // ---- Component access (tests, probes) ----

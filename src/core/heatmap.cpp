@@ -20,29 +20,29 @@ char shade(double value, double max) {
 namespace {
 
 std::string render(const Network& net, Cycle elapsed,
-                   double (*value_of)(const Router&, Cycle),
+                   double (*value_of)(const Router&, int ports, Cycle),
                    const char* title) {
-  const Mesh* mesh_view = net.fabric().mesh_view();
-  if (!mesh_view) {
+  const topo::Fabric& fabric = net.fabric();
+  if (!fabric.is_mesh()) {
     // ASCII heatmaps are 2D-grid renderings; non-mesh fabrics have no such
     // embedding, so degrade gracefully instead of guessing a layout.
-    return std::string(title) + ": unavailable (fabric '" +
-           net.fabric().kind() + "' has no mesh geometry)\n";
+    return std::string(title) + ": unavailable (fabric '" + fabric.kind() +
+           "' has no mesh geometry)\n";
   }
-  const Mesh& mesh = *mesh_view;
   double max = 0.0;
-  std::vector<double> values(mesh.nodes());
-  for (NodeId n = 0; n < static_cast<NodeId>(mesh.nodes()); ++n) {
-    values[static_cast<std::size_t>(n)] = value_of(net.router(n), elapsed);
+  std::vector<double> values(static_cast<std::size_t>(fabric.nodes()));
+  for (NodeId n = 0; n < fabric.nodes(); ++n) {
+    values[static_cast<std::size_t>(n)] =
+        value_of(net.router(n), fabric.max_ports(), elapsed);
     max = std::max(max, values[static_cast<std::size_t>(n)]);
   }
   std::ostringstream os;
   os << title << " (peak " << max << " flit/cycle; M = MC)\n";
-  for (std::uint32_t y = 0; y < mesh.height(); ++y) {
+  for (std::uint32_t y = 0; y < fabric.graph().mesh_height; ++y) {
     os << "  ";
-    for (std::uint32_t x = 0; x < mesh.width(); ++x) {
-      const NodeId n = mesh.node_at(x, y);
-      os << (mesh.is_mc(n) ? 'M' : 'c')
+    for (std::uint32_t x = 0; x < fabric.graph().mesh_width; ++x) {
+      const NodeId n = fabric.node_at(x, y);
+      os << (fabric.is_mc(n) ? 'M' : 'c')
          << detail::shade(values[static_cast<std::size_t>(n)], max) << ' ';
     }
     os << '\n';
@@ -50,14 +50,14 @@ std::string render(const Network& net, Cycle elapsed,
   return os.str();
 }
 
-double link_value(const Router& r, Cycle elapsed) {
+double link_value(const Router& r, int ports, Cycle elapsed) {
   std::uint64_t flits = 0;
-  for (int d = 0; d < kNumDirections; ++d) flits += r.flits_sent(d);
+  for (int port = 0; port < ports; ++port) flits += r.flits_sent(port);
   return elapsed ? static_cast<double>(flits) / static_cast<double>(elapsed)
                  : 0.0;
 }
 
-double injection_value(const Router& r, Cycle elapsed) {
+double injection_value(const Router& r, int /*ports*/, Cycle elapsed) {
   return elapsed ? static_cast<double>(r.flits_injected()) /
                        static_cast<double>(elapsed)
                  : 0.0;

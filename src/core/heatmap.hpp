@@ -8,11 +8,10 @@
 #include <string>
 
 #include "noc/network.hpp"
-#include "noc/topology.hpp"
 
 namespace arinoc {
 
-/// Flits forwarded per router per cycle (all direction outputs).
+/// Flits forwarded per router per cycle (every fabric output port).
 std::string link_heatmap(const Network& net, Cycle elapsed);
 
 /// Flits injected per router per cycle (the injection hot spots).

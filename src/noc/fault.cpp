@@ -48,15 +48,6 @@ FaultInjector::FaultInjector(const FaultParams& params,
   }
 }
 
-FaultInjector::FaultInjector(const FaultParams& params,
-                             std::unique_ptr<topo::Fabric> owned)
-    : FaultInjector(params, owned.get()) {
-  fabric_owned_ = std::move(owned);
-}
-
-FaultInjector::FaultInjector(const FaultParams& params, const Mesh* mesh)
-    : FaultInjector(params, std::make_unique<topo::Fabric>(mesh)) {}
-
 void FaultInjector::mix_digest(std::uint32_t kind, Cycle cycle,
                                std::size_t link_index) {
   auto mix = [this](std::uint64_t v) {

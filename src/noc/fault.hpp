@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -38,7 +37,6 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "noc/packet.hpp"
-#include "noc/topology.hpp"
 #include "topo/fabric.hpp"
 
 namespace arinoc {
@@ -101,9 +99,6 @@ struct FaultCounters {
 class FaultInjector {
  public:
   FaultInjector(const FaultParams& params, const topo::Fabric* fabric);
-  /// Compatibility: campaigns over a bare Mesh (owns a non-owning fabric
-  /// view of it; the schedule is identical to the fabric path).
-  FaultInjector(const FaultParams& params, const Mesh* mesh);
 
   /// Draws this cycle's fault events; call exactly once per network cycle,
   /// before routers step. Fills changed_links() with links whose blocked
@@ -171,11 +166,7 @@ class FaultInjector {
                   static_cast<std::size_t>(dir)];
   }
   void mix_digest(std::uint32_t kind, Cycle cycle, std::size_t link_index);
-  /// Takes ownership of a fabric built for this injector (mesh-compat path).
-  FaultInjector(const FaultParams& params, std::unique_ptr<topo::Fabric> owned);
-
   FaultParams p_;
-  std::unique_ptr<topo::Fabric> fabric_owned_;  ///< Mesh-compat ctor only.
   const topo::Fabric* fabric_;
   std::size_t max_ports_;
   Xoshiro256 rng_;

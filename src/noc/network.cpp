@@ -68,15 +68,6 @@ Network::Network(const NetworkParams& params, const topo::Fabric* fabric)
   }
 }
 
-Network::Network(const NetworkParams& params,
-                 std::unique_ptr<topo::Fabric> owned)
-    : Network(params, owned.get()) {
-  fabric_owned_ = std::move(owned);
-}
-
-Network::Network(const NetworkParams& params, const Mesh* mesh)
-    : Network(params, std::make_unique<topo::Fabric>(mesh)) {}
-
 std::uint16_t Network::flits_for(PacketType type) const {
   if (!is_long_packet(type)) return 1;
   return static_cast<std::uint16_t>(

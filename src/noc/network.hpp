@@ -14,7 +14,6 @@
 #include "noc/noc_stats.hpp"
 #include "noc/packet.hpp"
 #include "noc/router.hpp"
-#include "noc/topology.hpp"
 #include "topo/fabric.hpp"
 #include "topo/partition.hpp"
 
@@ -65,10 +64,6 @@ class Network {
  public:
   /// Builds the network over an externally owned fabric (any topology).
   Network(const NetworkParams& params, const topo::Fabric* fabric);
-  /// Compatibility: builds over a bare Mesh by wrapping it in an owned
-  /// (non-owning view) Fabric — behaviour is bit-identical to the fabric
-  /// path for meshes.
-  Network(const NetworkParams& params, const Mesh* mesh);
   /// Routers and the current partition point into this object.
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -115,9 +110,6 @@ class Network {
   PacketArena& arena() { return arena_; }
   const PacketArena& arena() const { return arena_; }
   const topo::Fabric& fabric() const { return *fabric_; }
-  /// Mesh view of the fabric; only valid for mesh fabrics (heatmaps and
-  /// other geometry-aware probes — fabric() is the generic interface).
-  const Mesh& mesh() const { return *fabric_->mesh_view(); }
   const NetworkParams& params() const { return params_; }
 
   /// Creates a packet sized for this network's link width.
@@ -242,9 +234,6 @@ class Network {
     std::uint64_t credit_drops = 0;
   };
 
-  /// Takes ownership of a fabric built for this network (mesh-compat path).
-  Network(const NetworkParams& params, std::unique_ptr<topo::Fabric> owned);
-
   /// Steps router `n` of domain `dom`: per-domain scratch, staged fault
   /// counters, cross-domain events go to the outbox.
   void step_router_domain(NodeId n, Cycle now, std::size_t send_slot,
@@ -260,7 +249,6 @@ class Network {
   }
 
   NetworkParams params_;
-  std::unique_ptr<topo::Fabric> fabric_owned_;  ///< Mesh-compat ctor only.
   const topo::Fabric* fabric_;
   std::uint32_t base_link_latency_ = 1;  ///< max(1, params.link_latency).
   PacketArena arena_;

@@ -5,12 +5,12 @@
 
 namespace arinoc {
 
-Da2MeshOverlay::Da2MeshOverlay(const OverlayParams& params, const Mesh* mesh)
+Da2MeshOverlay::Da2MeshOverlay(const OverlayParams& params,
+                               const topo::Fabric& fabric)
     : params_(params),
-      mesh_(mesh),
-      mc_index_(mesh->nodes(), -1),
-      sinks_(mesh->nodes(), nullptr) {
-  const auto& mcs = mesh->mc_nodes();
+      mc_index_(static_cast<std::size_t>(fabric.nodes()), -1),
+      sinks_(static_cast<std::size_t>(fabric.nodes()), nullptr) {
+  const auto& mcs = fabric.mc_nodes();
   endpoints_.resize(mcs.size());
   for (std::size_t i = 0; i < mcs.size(); ++i) {
     mc_index_[static_cast<std::size_t>(mcs[i])] = static_cast<int>(i);

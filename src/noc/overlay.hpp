@@ -24,7 +24,7 @@
 #include "noc/ni.hpp"
 #include "noc/noc_stats.hpp"
 #include "noc/packet.hpp"
-#include "noc/topology.hpp"
+#include "topo/fabric.hpp"
 
 namespace arinoc {
 
@@ -41,7 +41,8 @@ struct OverlayParams {
 
 class Da2MeshOverlay {
  public:
-  Da2MeshOverlay(const OverlayParams& params, const Mesh* mesh);
+  /// One endpoint per MC node of `fabric` (read at construction only).
+  Da2MeshOverlay(const OverlayParams& params, const topo::Fabric& fabric);
 
   /// Registers the packet consumer for a CC node.
   void set_sink(NodeId cc, PacketSink* sink);
@@ -93,7 +94,6 @@ class Da2MeshOverlay {
   McEndpoint& endpoint(NodeId mc);
 
   OverlayParams params_;
-  const Mesh* mesh_;
   PacketArena arena_;
   std::vector<int> mc_index_;  ///< node -> endpoint index or -1.
   std::vector<McEndpoint> endpoints_;

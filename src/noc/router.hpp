@@ -23,7 +23,6 @@
 #include "noc/buffer.hpp"
 #include "noc/packet.hpp"
 #include "noc/routing.hpp"
-#include "noc/topology.hpp"
 
 namespace arinoc {
 
@@ -229,8 +228,8 @@ class Router {
   RouterParams params_;
   const topo::Fabric* fabric_;
   /// Direction-port count (= fabric radix). The ejection output is port
-  /// num_dirs_, injection inputs start at num_dirs_ — the mesh's kLocal
-  /// convention generalized. Declared before the containers sized off it.
+  /// num_dirs_ (the fabric's local port), injection inputs start at
+  /// num_dirs_. Declared before the containers sized off it.
   int num_dirs_;
   PacketArena* arena_;
 

@@ -1,45 +1,33 @@
 #include "noc/routing.hpp"
 
+#include "topo/generators.hpp"
+
 namespace arinoc {
-
-RouteCandidates compute_route(const Mesh& mesh, NodeId here, NodeId dest,
-                              RoutingAlgo algo) {
-  RouteCandidates rc;
-  if (here == dest) {
-    rc.minimal.push_back(kLocal);
-    rc.xy = kLocal;
-    return rc;
-  }
-  const int hx = static_cast<int>(mesh.x_of(here));
-  const int hy = static_cast<int>(mesh.y_of(here));
-  const int dx = static_cast<int>(mesh.x_of(dest));
-  const int dy = static_cast<int>(mesh.y_of(dest));
-
-  const int x_dir = dx > hx ? kEast : (dx < hx ? kWest : -1);
-  const int y_dir = dy > hy ? kSouth : (dy < hy ? kNorth : -1);
-
-  // XY dimension order: exhaust X first.
-  rc.xy = x_dir != -1 ? x_dir : y_dir;
-
-  if (algo == RoutingAlgo::kXY) {
-    rc.minimal.push_back(rc.xy);
-  } else {
-    if (x_dir != -1) rc.minimal.push_back(x_dir);
-    if (y_dir != -1) rc.minimal.push_back(y_dir);
-  }
-  return rc;
-}
 
 RouteCandidates compute_route(const topo::Fabric& fabric, NodeId here,
                               int in_port, NodeId dest, RoutingAlgo algo) {
-  if (const Mesh* mesh = fabric.mesh_view()) {
-    return compute_route(*mesh, here, dest, algo);
-  }
   RouteCandidates rc;
   const int local = fabric.local_port();
   if (here == dest) {
     rc.minimal.push_back(local);
     rc.xy = local;
+    return rc;
+  }
+  if (fabric.is_mesh()) {
+    const int hx = static_cast<int>(fabric.x_of(here));
+    const int hy = static_cast<int>(fabric.y_of(here));
+    const int dx = static_cast<int>(fabric.x_of(dest));
+    const int dy = static_cast<int>(fabric.y_of(dest));
+    const int x_dir = dx > hx ? topo::kEast : (dx < hx ? topo::kWest : -1);
+    const int y_dir = dy > hy ? topo::kSouth : (dy < hy ? topo::kNorth : -1);
+    // XY dimension order: exhaust X first.
+    rc.xy = x_dir != -1 ? x_dir : y_dir;
+    if (algo == RoutingAlgo::kXY) {
+      rc.minimal.push_back(rc.xy);
+    } else {
+      if (x_dir != -1) rc.minimal.push_back(x_dir);
+      if (y_dir != -1) rc.minimal.push_back(y_dir);
+    }
     return rc;
   }
   const topo::RoutingTable& table = *fabric.table();

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "noc/topology.hpp"
 #include "topo/fabric.hpp"
 
 namespace arinoc {
@@ -23,18 +22,13 @@ struct RouteCandidates {
   /// The escape port (always a member of `minimal`): the XY dimension-order
   /// direction on meshes, the lowest-numbered minimal legal port on
   /// table-routed fabrics.
-  int xy = kLocal;
+  int xy = -1;
 };
 
 /// Computes the candidate output ports for a packet at `here` going to
-/// `dest`. `algo` selects whether the full minimal set or only the XY
-/// direction is productive for adaptive VCs.
-RouteCandidates compute_route(const Mesh& mesh, NodeId here, NodeId dest,
-                              RoutingAlgo algo);
-
-/// Fabric-generic route computation. Dispatches to the mesh overload above
-/// when the fabric has a native mesh view (bit-identical to the pre-fabric
-/// path); otherwise consults the compiled up*/down* routing table.
+/// `dest`. `algo` selects whether the full minimal set or only the escape
+/// port is productive for adaptive VCs. Meshes route by dimension order
+/// (X first); every other fabric consults its up*/down* routing table.
 /// `in_port` is the input port the packet occupies at `here` (injection
 /// ports or -1 mean "freshly injected") — it determines the up*/down*
 /// routing phase and is ignored on meshes.

@@ -1,12 +1,12 @@
 #include "topo/fabric.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cstdlib>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "common/config.hpp"
-#include "noc/topology.hpp"
 #include "topo/file.hpp"
 #include "topo/generators.hpp"
 
@@ -26,163 +26,135 @@ McPlacement placement_from(const std::string& s) {
        "' (expected diamond, top-bottom, or column)");
 }
 
-/// Verifies that a kind=="mesh" graph is exactly the Mesh its geometry line
-/// declares: same roles and the full N/E/S/W adjacency, nothing more.
-void cross_check_mesh(const FabricGraph& g, const Mesh& m) {
-  if (g.num_nodes() != static_cast<int>(m.nodes())) {
+/// Verifies that a kind=="mesh" graph is exactly the mesh its geometry line
+/// declares: regenerates that mesh and requires the same roles and the full
+/// N/E/S/W adjacency, nothing more.
+void cross_check_mesh(const FabricGraph& g) {
+  const McPlacement placement = placement_from(g.mesh_placement);
+  const std::uint32_t w = g.mesh_width;
+  const std::uint32_t h = g.mesh_height;
+  if (g.num_nodes() != static_cast<int>(w * h)) {
     fail("topology declares " + std::to_string(g.num_nodes()) +
-         " nodes but geometry mesh " + std::to_string(m.width()) + "x" +
-         std::to_string(m.height()) + " has " + std::to_string(m.nodes()));
+         " nodes but geometry mesh " + std::to_string(w) + "x" +
+         std::to_string(h) + " has " + std::to_string(w * h));
   }
+  const FabricGraph want =
+      make_mesh_graph(w, h, g.count_role(NodeRole::kMC), placement);
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
     const NodeRole r = g.roles[static_cast<std::size_t>(n)];
+    const bool want_mc =
+        want.roles[static_cast<std::size_t>(n)] == NodeRole::kMC;
     if (r == NodeRole::kRouter) {
       fail("mesh geometry cannot contain rtr nodes (node " +
            std::to_string(n) + "); every mesh node is an endpoint");
     }
-    if ((r == NodeRole::kMC) != m.is_mc(n)) {
+    if ((r == NodeRole::kMC) != want_mc) {
       fail("MC placement mismatch at node " + std::to_string(n) +
            ": the declared geometry places an " +
-           (m.is_mc(n) ? std::string("mc") : std::string("cc")) +
+           (want_mc ? std::string("mc") : std::string("cc")) +
            " there but the file says " + role_name(r));
     }
   }
-  std::map<std::pair<NodeId, int>, const GraphLink*> by_out;
-  for (const GraphLink& l : g.links) by_out.emplace(std::make_pair(l.src, l.src_port), &l);
-  std::size_t expected = 0;
+  // Declared links by (node, direction); links on other ports only show in
+  // the link count below. The regenerated links come in the same
+  // (node, direction) order, so one cursor walks them.
+  std::vector<const GraphLink*> have(
+      static_cast<std::size_t>(g.num_nodes()) * kNumDirections, nullptr);
+  for (const GraphLink& l : g.links) {
+    if (l.src < 0 || l.src >= g.num_nodes() || l.src_port < 0 ||
+        l.src_port >= kNumDirections) {
+      continue;
+    }
+    const GraphLink*& slot =
+        have[static_cast<std::size_t>(l.src) * kNumDirections +
+             static_cast<std::size_t>(l.src_port)];
+    if (!slot) slot = &l;
+  }
+  auto port = [](NodeId n, int p) {
+    return std::to_string(n) + "." + std::to_string(p);
+  };
+  auto next = want.links.begin();
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
     for (int dir = 0; dir < kNumDirections; ++dir) {
-      const NodeId nbr = m.neighbor(n, dir);
-      const auto it = by_out.find({n, dir});
-      if (nbr == kInvalidNode) {
-        if (it != by_out.end()) {
-          fail("link " + std::to_string(n) + "." + std::to_string(dir) +
+      const GraphLink* l = have[static_cast<std::size_t>(n) * kNumDirections +
+                                static_cast<std::size_t>(dir)];
+      if (next == want.links.end() || next->src != n ||
+          next->src_port != dir) {
+        if (l) {
+          fail("link " + port(n, dir) +
                " points off the mesh edge declared by the geometry");
         }
         continue;
       }
-      ++expected;
-      if (it == by_out.end()) {
-        fail("missing mesh link " + std::to_string(n) + "." +
-             std::to_string(dir) + " -> " + std::to_string(nbr) + "." +
-             std::to_string(opposite(dir)));
+      const GraphLink& e = *next++;
+      if (!l) {
+        fail("missing mesh link " + port(n, dir) + " -> " +
+             port(e.dst, e.dst_port));
       }
-      const GraphLink& l = *it->second;
-      if (l.dst != nbr || l.dst_port != opposite(dir)) {
-        fail("link " + std::to_string(n) + "." + std::to_string(dir) +
-             " -> " + std::to_string(l.dst) + "." +
-             std::to_string(l.dst_port) +
+      if (l->dst != e.dst || l->dst_port != e.dst_port) {
+        fail("link " + port(n, dir) + " -> " + port(l->dst, l->dst_port) +
              " does not match the declared mesh geometry (expected " +
-             std::to_string(nbr) + "." + std::to_string(opposite(dir)) +
-             ")");
+             port(e.dst, e.dst_port) + ")");
       }
-      if (l.extra_latency != 0) {
+      if (l->extra_latency != 0) {
         fail("mesh geometry links cannot carry extra latency (link " +
-             std::to_string(n) + "." + std::to_string(dir) +
-             "); use a non-mesh kind for serdes links");
+             port(n, dir) + "); use a non-mesh kind for serdes links");
       }
     }
   }
-  if (g.links.size() != expected) {
+  if (g.links.size() != want.links.size()) {
     fail("topology declares " + std::to_string(g.links.size()) +
          " directed links but the mesh geometry has " +
-         std::to_string(expected));
+         std::to_string(want.links.size()));
   }
 }
 
 }  // namespace
 
 Fabric::Fabric(FabricGraph graph) : graph_(std::move(graph)) {
-  if (graph_.kind == "mesh") {
+  const bool mesh = graph_.kind == "mesh";
+  if (mesh) {
     if (graph_.mesh_width == 0 || graph_.mesh_height == 0 ||
         graph_.mesh_placement.empty()) {
       fail("mesh topology requires a 'geometry mesh <W> <H> <placement>' "
            "line so the native mesh routing can be used");
     }
-    mesh_owned_ = std::make_unique<Mesh>(
-        graph_.mesh_width, graph_.mesh_height,
-        graph_.count_role(NodeRole::kMC),
-        placement_from(graph_.mesh_placement));
-    cross_check_mesh(graph_, *mesh_owned_);
-    init_from_mesh(mesh_owned_.get());
-  } else {
-    init_from_table(graph_);
+    cross_check_mesh(graph_);
   }
-}
-
-Fabric::Fabric(const Mesh* mesh) {
-  graph_.kind = "mesh";
-  graph_.mesh_width = mesh->width();
-  graph_.mesh_height = mesh->height();
-  graph_.roles.resize(mesh->nodes());
-  for (NodeId n = 0; n < static_cast<NodeId>(mesh->nodes()); ++n) {
-    graph_.roles[static_cast<std::size_t>(n)] =
-        mesh->is_mc(n) ? NodeRole::kMC : NodeRole::kCC;
-    for (int dir = 0; dir < kNumDirections; ++dir) {
-      const NodeId m = mesh->neighbor(n, dir);
-      if (m != kInvalidNode) {
-        graph_.links.push_back(GraphLink{n, dir, m, opposite(dir), 0, 0});
-      }
-    }
-  }
-  init_from_mesh(mesh);
-}
-
-void Fabric::init_from_mesh(const Mesh* mesh) {
-  mesh_ = mesh;
-  max_ports_ = kNumDirections;
-  max_extra_ = 0;
-  const std::size_t n = mesh->nodes();
-  roles_.resize(n);
-  neighbor_.assign(n * kNumDirections, kInvalidNode);
-  peer_port_.assign(n * kNumDirections, -1);
-  extra_.assign(n * kNumDirections, 0);
-  for (NodeId node = 0; node < static_cast<NodeId>(n); ++node) {
-    roles_[static_cast<std::size_t>(node)] =
-        mesh->is_mc(node) ? NodeRole::kMC : NodeRole::kCC;
-    for (int dir = 0; dir < kNumDirections; ++dir) {
-      const NodeId m = mesh->neighbor(node, dir);
-      if (m != kInvalidNode) {
-        neighbor_[idx(node, dir)] = m;
-        peer_port_[idx(node, dir)] = opposite(dir);
-      }
-    }
-  }
-  mc_nodes_ = mesh->mc_nodes();
-  cc_nodes_ = mesh->cc_nodes();
-}
-
-void Fabric::init_from_table(const FabricGraph& g) {
-  max_ports_ = g.num_ports();
-  const std::size_t n = static_cast<std::size_t>(g.num_nodes());
-  roles_ = g.roles;
-  neighbor_.assign(n * static_cast<std::size_t>(max_ports_), kInvalidNode);
-  peer_port_.assign(n * static_cast<std::size_t>(max_ports_), -1);
-  extra_.assign(n * static_cast<std::size_t>(max_ports_), 0);
-  max_extra_ = 0;
-  for (const GraphLink& l : g.links) {
+  // A mesh router keeps all four directions even where the grid wires
+  // fewer (a 1-wide mesh has no E/W link, so num_ports() would say 3).
+  max_ports_ = mesh ? kNumDirections : graph_.num_ports();
+  const std::size_t slots = static_cast<std::size_t>(nodes()) *
+                            static_cast<std::size_t>(max_ports_);
+  neighbor_.assign(slots, kInvalidNode);
+  peer_port_.assign(slots, -1);
+  extra_.assign(slots, 0);
+  for (const GraphLink& l : graph_.links) {
     neighbor_[idx(l.src, l.src_port)] = l.dst;
     peer_port_[idx(l.src, l.src_port)] = l.dst_port;
     extra_[idx(l.src, l.src_port)] = l.extra_latency;
     max_extra_ = std::max(max_extra_, l.extra_latency);
   }
-  for (NodeId node = 0; node < static_cast<NodeId>(n); ++node) {
-    if (roles_[static_cast<std::size_t>(node)] == NodeRole::kMC) {
-      mc_nodes_.push_back(node);
-    } else if (roles_[static_cast<std::size_t>(node)] == NodeRole::kCC) {
-      cc_nodes_.push_back(node);
+  for (NodeId n = 0; n < nodes(); ++n) {
+    if (role(n) == NodeRole::kMC) {
+      mc_nodes_.push_back(n);
+    } else if (role(n) == NodeRole::kCC) {
+      cc_nodes_.push_back(n);
     }
   }
-  table_ = std::make_unique<RoutingTable>(g);
+  if (!mesh) table_ = std::make_unique<RoutingTable>(graph_);
 }
 
 std::uint32_t Fabric::hops(NodeId a, NodeId b) const {
-  return mesh_ ? mesh_->hops(a, b) : table_->hops(a, b);
+  if (!is_mesh()) return table_->hops(a, b);
+  const int dx = static_cast<int>(x_of(a)) - static_cast<int>(x_of(b));
+  const int dy = static_cast<int>(y_of(a)) - static_cast<int>(y_of(b));
+  return static_cast<std::uint32_t>(std::abs(dx) + std::abs(dy));
 }
 
 std::string Fabric::port_name(int port) const {
   if (port == max_ports_) return "L";
-  if (mesh_) return direction_name(port);
+  if (is_mesh()) return std::string(1, "NESW"[port]);
   return "p" + std::to_string(port);
 }
 

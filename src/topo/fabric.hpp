@@ -5,14 +5,13 @@
 // hop distances — behind one interface, so Router/Network/NI construction
 // is topology-agnostic. Two routing backends hide behind it:
 //
-//   - mesh_view() != nullptr: the fabric is a 2D mesh (built-in, or a
-//     topology file declaring `geometry mesh`). Routing dispatches to the
-//     original XY/minimal-adaptive math, bit-identical to the pre-fabric
-//     code path.
+//   - is_mesh(): the graph declares `geometry mesh` (make_mesh_graph, or a
+//     topology file carrying that line). Routing is dimension order (XY /
+//     minimal adaptive) over the grid coordinates x_of()/y_of().
 //   - table() != nullptr: anything else routes via the compiled up*/down*
 //     tables (topo/table.hpp), deadlock-free on all VCs.
 //
-// Exactly one backend is non-null.
+// Exactly one of the two holds.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +24,6 @@
 #include "topo/table.hpp"
 
 namespace arinoc {
-class Mesh;
 struct Config;
 }  // namespace arinoc
 
@@ -34,15 +32,11 @@ namespace arinoc::topo {
 class Fabric {
  public:
   /// Compiles a validated graph. Graphs with kind "mesh" must declare the
-  /// `geometry mesh` line; the native Mesh is reconstructed from it and
-  /// cross-checked against the declared roles and links (fail-fast on any
-  /// mismatch), then used for routing. All other kinds get up*/down*
+  /// `geometry mesh` line; the mesh it names is regenerated and compared
+  /// with the declared roles and links (fail-fast on any mismatch), and the
+  /// fabric routes by dimension order. All other kinds get up*/down*
   /// tables.
   explicit Fabric(FabricGraph graph);
-
-  /// Non-owning view of an existing Mesh — the compatibility path for
-  /// code (mostly tests) that builds Network/Router directly from a Mesh.
-  explicit Fabric(const Mesh* mesh);
 
   Fabric(Fabric&&) = default;
   Fabric& operator=(Fabric&&) = default;
@@ -50,9 +44,10 @@ class Fabric {
   const std::string& kind() const { return graph_.kind; }
   const FabricGraph& graph() const { return graph_; }
 
-  int nodes() const { return static_cast<int>(roles_.size()); }
-  /// Router radix. Injection/ejection ("local") uses port index
-  /// max_ports(), generalizing the mesh's kLocal == kNumDirections.
+  int nodes() const { return graph_.num_nodes(); }
+  /// Router radix: 4 on meshes (even a 1-wide one), the highest wired port
+  /// plus one elsewhere. Injection/ejection ("local") uses port index
+  /// max_ports().
   int max_ports() const { return max_ports_; }
   int local_port() const { return max_ports_; }
 
@@ -63,7 +58,7 @@ class Fabric {
   }
   /// Port at the other end of the link attached to (n, port): flits sent
   /// out of (n, port) arrive there, and credits for our input (n, port)
-  /// return to it. Generalizes the mesh's opposite().
+  /// return to it (the opposite direction on meshes).
   int peer_port(NodeId n, int port) const { return peer_port_[idx(n, port)]; }
   /// Serdes cycles on top of the base per-hop latency for the link leaving
   /// (n, port) (chiplet boundary links; 0 elsewhere).
@@ -72,7 +67,9 @@ class Fabric {
   }
   std::uint32_t max_extra_latency() const { return max_extra_; }
 
-  NodeRole role(NodeId n) const { return roles_[static_cast<std::size_t>(n)]; }
+  NodeRole role(NodeId n) const {
+    return graph_.roles[static_cast<std::size_t>(n)];
+  }
   bool is_mc(NodeId n) const { return role(n) == NodeRole::kMC; }
   /// Endpoints source/sink traffic; kRouter nodes (cmesh hubs) do not.
   bool is_endpoint(NodeId n) const { return role(n) != NodeRole::kRouter; }
@@ -83,7 +80,19 @@ class Fabric {
   /// elsewhere — both count router-to-router hops).
   std::uint32_t hops(NodeId a, NodeId b) const;
 
-  const Mesh* mesh_view() const { return mesh_; }
+  /// True iff the fabric routes by dimension order (kind "mesh"); then
+  /// nodes sit on a row-major grid of width graph().mesh_width.
+  bool is_mesh() const { return !table_; }
+  std::uint32_t x_of(NodeId n) const {
+    return static_cast<std::uint32_t>(n) % graph_.mesh_width;
+  }
+  std::uint32_t y_of(NodeId n) const {
+    return static_cast<std::uint32_t>(n) / graph_.mesh_width;
+  }
+  NodeId node_at(std::uint32_t x, std::uint32_t y) const {
+    return static_cast<NodeId>(y * graph_.mesh_width + x);
+  }
+  /// The up*/down* routing table; null on meshes.
   const RoutingTable* table() const { return table_.get(); }
 
   /// Human-readable port label for diagnostics: N/E/S/W/L on meshes,
@@ -95,11 +104,8 @@ class Fabric {
     return static_cast<std::size_t>(n) * static_cast<std::size_t>(max_ports_) +
            static_cast<std::size_t>(port);
   }
-  void init_from_mesh(const Mesh* mesh);
-  void init_from_table(const FabricGraph& g);
 
   FabricGraph graph_;
-  std::vector<NodeRole> roles_;
   std::vector<NodeId> mc_nodes_;
   std::vector<NodeId> cc_nodes_;
   int max_ports_ = 0;
@@ -107,9 +113,6 @@ class Fabric {
   std::vector<NodeId> neighbor_;
   std::vector<int> peer_port_;
   std::vector<std::uint32_t> extra_;
-
-  std::unique_ptr<Mesh> mesh_owned_;
-  const Mesh* mesh_ = nullptr;  ///< Non-null iff native mesh routing.
   std::unique_ptr<RoutingTable> table_;  ///< Non-null iff table routing.
 };
 

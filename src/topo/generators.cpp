@@ -1,9 +1,9 @@
 #include "topo/generators.hpp"
 
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
-
-#include "noc/topology.hpp"
+#include <vector>
 
 namespace arinoc::topo {
 
@@ -21,6 +21,126 @@ void add_channel(FabricGraph* g, NodeId a, int ap, NodeId b, int bp,
   g->links.push_back(GraphLink{b, bp, a, ap, 0, extra});
 }
 
+int opposite(int dir) { return (dir + 2) % kNumDirections; }
+
+/// Row-major id of grid node (x, y) on a grid `width` nodes wide.
+NodeId node_at(std::uint32_t width, std::uint32_t x, std::uint32_t y) {
+  return static_cast<NodeId>(y * width + x);
+}
+
+/// Neighbour of grid node n in direction dir on a width x height mesh, or
+/// kInvalidNode at the mesh edge.
+NodeId mesh_neighbor(std::uint32_t width, std::uint32_t height, NodeId n,
+                     int dir) {
+  const std::uint32_t x = static_cast<std::uint32_t>(n) % width;
+  const std::uint32_t y = static_cast<std::uint32_t>(n) / width;
+  switch (dir) {
+    case kNorth: return y > 0 ? n - static_cast<NodeId>(width) : kInvalidNode;
+    case kEast: return x + 1 < width ? n + 1 : kInvalidNode;
+    case kSouth:
+      return y + 1 < height ? n + static_cast<NodeId>(width) : kInvalidNode;
+    case kWest: return x > 0 ? n - 1 : kInvalidNode;
+  }
+  return kInvalidNode;
+}
+
+/// Endpoint roles of a row-major width x height grid, MCs placed by
+/// `placement`. Callers have checked 1 <= num_mcs < width*height; a
+/// placement whose own capacity on this grid is smaller throws.
+std::vector<NodeRole> place_mcs(std::uint32_t width, std::uint32_t height,
+                                std::uint32_t num_mcs, McPlacement placement) {
+  const std::uint32_t nodes = width * height;
+  auto at = [width](std::uint32_t x, std::uint32_t y) {
+    return static_cast<std::size_t>(node_at(width, x, y));
+  };
+  auto need = [&](std::uint32_t capacity, const char* slots) {
+    if (num_mcs <= capacity) return;
+    fail(std::string(placement_name(placement)) + " MC placement of " +
+         std::to_string(num_mcs) + " MCs does not fit a " +
+         std::to_string(width) + "x" + std::to_string(height) +
+         " grid (capacity " + std::to_string(capacity) + ": " + slots + ")");
+  };
+  std::vector<NodeRole> roles(nodes, NodeRole::kCC);
+  auto is_mc = [&](std::size_t n) { return roles[n] == NodeRole::kMC; };
+  switch (placement) {
+    case McPlacement::kDiamond: {
+      // Deterministic farthest-point placement biased toward interior nodes
+      // (the intent of the Abts et al. diamond): MCs spread apart so reply
+      // traffic is not concentrated on one region, and kept off corners
+      // (degree <= 2), which have fewer links to fan reply traffic out.
+      auto degree = [&](std::uint32_t n) {
+        std::uint32_t links = 0;
+        for (int dir = 0; dir < kNumDirections; ++dir) {
+          links += mesh_neighbor(width, height, static_cast<NodeId>(n), dir) !=
+                   kInvalidNode;
+        }
+        return links;
+      };
+      auto hops = [w = static_cast<int>(width)](std::uint32_t a,
+                                               std::uint32_t b) {
+        const int ia = static_cast<int>(a);
+        const int ib = static_cast<int>(b);
+        return static_cast<std::uint32_t>(std::abs(ia % w - ib % w) +
+                                          std::abs(ia / w - ib / w));
+      };
+      // Seed near the top-center: matches hand-drawn diamond layouts.
+      roles[at(width / 2, height > 2 ? 1 : 0)] = NodeRole::kMC;
+      // Corners rank below every other node while the grid has spare nodes
+      // to avoid them; 1-wide and 1-high grids fall back to them.
+      const bool avoid_corners = nodes > num_mcs + 4;
+      for (std::uint32_t placed = 1; placed < num_mcs; ++placed) {
+        std::size_t best = nodes;
+        bool best_off_corner = false;
+        std::uint32_t best_score = 0;
+        for (std::uint32_t n = 0; n < nodes; ++n) {
+          if (is_mc(n)) continue;
+          const bool off_corner = !avoid_corners || degree(n) > 2;
+          std::uint32_t min_dist = width + height;
+          for (std::uint32_t m = 0; m < nodes; ++m) {
+            if (is_mc(m) && hops(n, m) < min_dist) min_dist = hops(n, m);
+          }
+          const std::uint32_t score = 4 * min_dist + degree(n);
+          if (best == nodes || off_corner > best_off_corner ||
+              (off_corner == best_off_corner && score > best_score)) {
+            best = n;
+            best_off_corner = off_corner;
+            best_score = score;
+          }
+        }
+        roles[best] = NodeRole::kMC;
+      }
+      break;
+    }
+    case McPlacement::kTopBottom: {
+      // Half the MCs spread along row 0, half along the bottom row: the
+      // classic GPU floorplan the diamond placement improves upon.
+      need(height > 1 ? 2 * width : width, "the top and bottom rows");
+      const std::uint32_t top = (num_mcs + 1) / 2;
+      const std::uint32_t rows[2][2] = {{top, 0}, {num_mcs - top, height - 1}};
+      for (const auto& [count, y] : rows) {
+        for (std::uint32_t k = 0; k < count; ++k) {
+          std::uint32_t x = (k * width + width / 2) / count % width;
+          while (is_mc(at(x, y))) x = (x + 1) % width;
+          roles[at(x, y)] = NodeRole::kMC;
+        }
+      }
+      break;
+    }
+    case McPlacement::kColumn: {
+      // Stacked down the two center columns (clustered: worst-case reply
+      // injection concentration, used as an ablation reference).
+      need(width >= 2 ? 2 * height : 0,
+           width >= 2 ? "the two center columns"
+                      : "a 1-wide grid has no two center columns");
+      for (std::uint32_t placed = 0; placed < num_mcs; ++placed) {
+        roles[at(width / 2 - 1 + placed % 2, placed / 2)] = NodeRole::kMC;
+      }
+      break;
+    }
+  }
+  return roles;
+}
+
 }  // namespace
 
 FabricGraph make_mesh_graph(std::uint32_t width, std::uint32_t height,
@@ -31,20 +151,17 @@ FabricGraph make_mesh_graph(std::uint32_t width, std::uint32_t height,
          std::to_string(num_mcs) + " of " +
          std::to_string(width * height) + ")");
   }
-  const Mesh mesh(width, height, num_mcs, placement);
   FabricGraph g;
   g.kind = "mesh";
   g.mesh_width = width;
   g.mesh_height = height;
   g.mesh_placement = placement_name(placement);
-  g.roles.resize(mesh.nodes());
-  for (NodeId n = 0; n < static_cast<NodeId>(mesh.nodes()); ++n) {
-    g.roles[static_cast<std::size_t>(n)] =
-        mesh.is_mc(n) ? NodeRole::kMC : NodeRole::kCC;
-    // One directed link per valid (node, dir); the reverse direction is
-    // emitted when the neighbour's iteration reaches the opposite port.
+  g.roles = place_mcs(width, height, num_mcs, placement);
+  // One directed link per valid (node, dir); the reverse direction is
+  // emitted when the neighbour's iteration reaches the opposite port.
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
     for (int dir = 0; dir < kNumDirections; ++dir) {
-      const NodeId m = mesh.neighbor(n, dir);
+      const NodeId m = mesh_neighbor(width, height, n, dir);
       if (m != kInvalidNode) {
         g.links.push_back(GraphLink{n, dir, m, opposite(dir), 0, 0});
       }
@@ -65,29 +182,26 @@ FabricGraph make_torus_graph(std::uint32_t width, std::uint32_t height,
          std::to_string(num_mcs) + " of " +
          std::to_string(width * height) + ")");
   }
-  // Reuse the mesh MC placement so a torus is the matching mesh plus
-  // wraparound links.
-  const Mesh mesh(width, height, num_mcs, placement);
   FabricGraph g;
   g.kind = "torus";
   // Grid-layout hint for rendering; Fabric ignores geometry for non-mesh
   // kinds (they always go through the routing-table path).
   g.mesh_width = width;
   g.mesh_height = height;
-  g.roles.resize(mesh.nodes());
-  for (NodeId n = 0; n < static_cast<NodeId>(mesh.nodes()); ++n) {
-    g.roles[static_cast<std::size_t>(n)] =
-        mesh.is_mc(n) ? NodeRole::kMC : NodeRole::kCC;
-    const std::uint32_t x = mesh.x_of(n);
-    const std::uint32_t y = mesh.y_of(n);
-    const NodeId north = mesh.node_at(x, (y + height - 1) % height);
-    const NodeId east = mesh.node_at((x + 1) % width, y);
-    const NodeId south = mesh.node_at(x, (y + 1) % height);
-    const NodeId west = mesh.node_at((x + width - 1) % width, y);
-    g.links.push_back(GraphLink{n, kNorth, north, kSouth, 0, 0});
-    g.links.push_back(GraphLink{n, kEast, east, kWest, 0, 0});
-    g.links.push_back(GraphLink{n, kSouth, south, kNorth, 0, 0});
-    g.links.push_back(GraphLink{n, kWest, west, kEast, 0, 0});
+  // The mesh MC placement: a torus is the matching mesh plus wraparound
+  // links.
+  g.roles = place_mcs(width, height, num_mcs, placement);
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    const std::uint32_t x = static_cast<std::uint32_t>(n) % width;
+    const std::uint32_t y = static_cast<std::uint32_t>(n) / width;
+    const NodeId peer[kNumDirections] = {
+        node_at(width, x, (y + height - 1) % height),
+        node_at(width, (x + 1) % width, y),
+        node_at(width, x, (y + 1) % height),
+        node_at(width, (x + width - 1) % width, y)};
+    for (int dir = 0; dir < kNumDirections; ++dir) {
+      g.links.push_back(GraphLink{n, dir, peer[dir], opposite(dir), 0, 0});
+    }
   }
   validate_graph(g);
   return g;
@@ -108,9 +222,10 @@ FabricGraph make_cmesh_graph(std::uint32_t width, std::uint32_t height,
     fail("cmesh needs 1 <= num_mcs < width*height hub count (got " +
          std::to_string(num_mcs) + " of " + std::to_string(hubs) + ")");
   }
-  // The hub mesh doubles as the MC-placement oracle: an endpoint under an
-  // MC hub is close to where the mesh placement would put that MC.
-  const Mesh hub_mesh(width, height, num_mcs, placement);
+  // MC placement runs on the hub grid: an endpoint under an MC hub is close
+  // to where the mesh placement would put that MC.
+  const std::vector<NodeRole> hub_roles =
+      place_mcs(width, height, num_mcs, placement);
   FabricGraph g;
   g.kind = "cmesh";
   // Hub-grid layout hint for rendering (leaves cluster around their hub).
@@ -121,7 +236,7 @@ FabricGraph make_cmesh_graph(std::uint32_t width, std::uint32_t height,
     g.roles[static_cast<std::size_t>(hub)] = NodeRole::kRouter;
     // Hub mesh links on ports 0..3 (N/E/S/W, same convention as the mesh).
     for (int dir = 0; dir < kNumDirections; ++dir) {
-      const NodeId m = hub_mesh.neighbor(hub, dir);
+      const NodeId m = mesh_neighbor(width, height, hub, dir);
       if (m != kInvalidNode) {
         g.links.push_back(GraphLink{hub, dir, m, opposite(dir), 0, 0});
       }
@@ -132,7 +247,8 @@ FabricGraph make_cmesh_graph(std::uint32_t width, std::uint32_t height,
       const NodeId leaf = static_cast<NodeId>(
           hubs + static_cast<std::uint32_t>(hub) * concentration + k);
       add_channel(&g, hub, kNumDirections + static_cast<int>(k), leaf, 0);
-      if (hub_mesh.is_mc(hub) && k == 0) {
+      if (k == 0 &&
+          hub_roles[static_cast<std::size_t>(hub)] == NodeRole::kMC) {
         g.roles[static_cast<std::size_t>(leaf)] = NodeRole::kMC;
       }
     }
@@ -160,24 +276,22 @@ FabricGraph make_chiplet_graph(std::uint32_t chiplets_x,
     fail("chiplet fabric needs 1 <= num_mcs < total node count (got " +
          std::to_string(num_mcs) + " of " + std::to_string(gw * gh) + ")");
   }
-  // Roles come from the flattened global mesh so MC placement behaves like
-  // one big die; only link latencies know about the chiplet boundaries.
-  const Mesh mesh(gw, gh, num_mcs, placement);
   FabricGraph g;
   g.kind = "chiplet";
   // Global-grid layout hint for rendering.
   g.mesh_width = gw;
   g.mesh_height = gh;
-  g.roles.resize(mesh.nodes());
-  for (NodeId n = 0; n < static_cast<NodeId>(mesh.nodes()); ++n) {
-    g.roles[static_cast<std::size_t>(n)] =
-        mesh.is_mc(n) ? NodeRole::kMC : NodeRole::kCC;
+  // Roles come from the flattened global grid so MC placement behaves like
+  // one big die; only link latencies know about the chiplet boundaries.
+  g.roles = place_mcs(gw, gh, num_mcs, placement);
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
     for (int dir = 0; dir < kNumDirections; ++dir) {
-      const NodeId m = mesh.neighbor(n, dir);
+      const NodeId m = mesh_neighbor(gw, gh, n, dir);
       if (m == kInvalidNode) continue;
-      const bool crosses =
-          mesh.x_of(n) / width != mesh.x_of(m) / width ||
-          mesh.y_of(n) / height != mesh.y_of(m) / height;
+      const auto un = static_cast<std::uint32_t>(n);
+      const auto um = static_cast<std::uint32_t>(m);
+      const bool crosses = un % gw / width != um % gw / width ||
+                           un / gw / height != um / gw / height;
       g.links.push_back(GraphLink{n, dir, m, opposite(dir), 0,
                                   crosses ? serdes_latency : 0});
     }

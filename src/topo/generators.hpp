@@ -1,6 +1,9 @@
 // Built-in fabric generators. Each returns a validated FabricGraph; the
 // runtime Fabric (fabric.hpp) compiles routing for it. Parameters and the
-// resulting port conventions are documented in docs/fabrics.md.
+// resulting port conventions are documented in docs/fabrics.md. MC
+// placement is one grid function shared by every generator; a placement
+// that cannot hold num_mcs on its grid throws std::invalid_argument naming
+// the placement, the grid and its capacity.
 #pragma once
 
 #include <cstdint>
@@ -10,12 +13,24 @@
 
 namespace arinoc::topo {
 
-/// 2D mesh, ports 0..3 = N/E/S/W. Reproduces the native Mesh exactly
-/// (same node ids, adjacency, and MC placement order); the runtime detects
-/// the declared geometry and routes through the original XY/adaptive math,
-/// so this generator is bit-identical to the built-in Mesh path.
+/// Port numbering of every grid generator (mesh, torus, the cmesh hub grid,
+/// the chiplet global grid): ports 0..3 face N/E/S/W on a row-major grid,
+/// node id y*width + x with y growing southward. A mesh fabric routes by
+/// dimension order over these ports; its local port is kNumDirections.
+enum Direction : int {
+  kNorth = 0,
+  kEast = 1,
+  kSouth = 2,
+  kWest = 3,
+  kNumDirections = 4,
+};
+
+/// 2D mesh, ports 0..3 = N/E/S/W, declaring `geometry mesh` so the runtime
+/// routes it by dimension order (XY / minimal adaptive). A topology file
+/// holding this graph compiles to the identical fabric.
 FabricGraph make_mesh_graph(std::uint32_t width, std::uint32_t height,
-                            std::uint32_t num_mcs, McPlacement placement);
+                            std::uint32_t num_mcs,
+                            McPlacement placement = McPlacement::kDiamond);
 
 /// 2D torus: the mesh plus wraparound links (every router has all four
 /// neighbours). Requires width, height >= 2. XY would deadlock on the

@@ -49,15 +49,16 @@ struct GraphLink {
 };
 
 /// Declarative fabric description. `kind` names the generator family; when
-/// kind == "mesh" the mesh_* geometry fields let the runtime reconstruct the
-/// native Mesh object and dispatch to the existing XY/adaptive routing math,
-/// which keeps a generated-then-reloaded mesh bit-identical to the built-in
-/// path. All other kinds route via the compiled up*/down* tables.
+/// kind == "mesh" the mesh_* geometry fields give the grid the runtime
+/// routes by dimension order (XY/adaptive), which keeps a
+/// generated-then-reloaded mesh bit-identical to the generated one. All
+/// other kinds route via the compiled up*/down* tables.
 struct FabricGraph {
   std::string kind = "custom";  ///< mesh|torus|cmesh|chiplet|custom.
-  // Geometry declaration for kind=="mesh" (0/empty otherwise). The loader
-  // rebuilds Mesh(mesh_width, mesh_height, #mc-roles, mesh_placement) and
-  // cross-checks it against roles/links, failing fast on any mismatch.
+  // Geometry declaration for kind=="mesh" (torus/cmesh/chiplet set the
+  // width/height as a rendering hint). The runtime regenerates
+  // make_mesh_graph(mesh_width, mesh_height, #mc-roles, mesh_placement) and
+  // compares it with roles/links, failing fast on any mismatch.
   std::uint32_t mesh_width = 0;
   std::uint32_t mesh_height = 0;
   std::string mesh_placement;

@@ -139,9 +139,9 @@ TEST(Extensions, McPlacementChangesTopologyInsideSim) {
   Config cfg = apply_scheme(tiny_config(), Scheme::kAdaBaseline);
   cfg.mc_placement = McPlacement::kTopBottom;
   GpgpuSim sim(cfg, *find_benchmark("hotspot"));
-  for (NodeId mc : sim.mesh().mc_nodes()) {
-    EXPECT_TRUE(sim.mesh().y_of(mc) == 0 ||
-                sim.mesh().y_of(mc) == cfg.mesh_height - 1);
+  for (NodeId mc : sim.fabric().mc_nodes()) {
+    EXPECT_TRUE(sim.fabric().y_of(mc) == 0 ||
+                sim.fabric().y_of(mc) == cfg.mesh_height - 1);
   }
   sim.run_with_warmup();
   EXPECT_GT(sim.collect().ipc, 0.05);

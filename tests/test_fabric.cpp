@@ -1,14 +1,16 @@
 // Arbitrary-fabric subsystem (src/topo): topology-file parser error paths,
 // the mesh-as-topology-file bit-identity guard, end-to-end completion of
 // the generated fabrics under every scheme, up*/down* routing-table
-// properties, generator shape invariants, and the file-fabric cache-key
-// contract.
+// properties, generator shape invariants, the `geometry mesh` cross-check
+// rejection paths, and the file-fabric cache-key contract.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -181,9 +183,9 @@ TEST(TopologyParser, EmitParseRoundTripPreservesGraph) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 1: a mesh written out as a topology file must be bit-identical
-// to the native Mesh path — metrics, packet trace, and telemetry series are
-// byte-compared across all four headline schemes.
+// A mesh written out as a topology file and reloaded must be bit-identical
+// to the generated mesh fabric — metrics, packet trace, and telemetry
+// series are byte-compared across all four headline schemes.
 // ---------------------------------------------------------------------------
 
 struct RunArtifacts {
@@ -449,6 +451,92 @@ TEST(Generators, MakeFabricRejectsMcCountMismatch) {
 }
 
 // ---------------------------------------------------------------------------
+// `geometry mesh` cross-check: a kind-mesh graph must be exactly the mesh
+// its geometry line declares. One case per rejection path, each starting
+// from the valid 4x4/4-MC diamond mesh (MCs at 1, 6, 8, 11; 48 directed
+// links) and breaking one thing.
+// ---------------------------------------------------------------------------
+
+struct MeshMutation {
+  const char* name;
+  void (*mutate)(topo::FabricGraph&);
+  const char* message;
+};
+
+topo::GraphLink& link_from(topo::FabricGraph& g, NodeId src, int port) {
+  for (topo::GraphLink& l : g.links) {
+    if (l.src == src && l.src_port == port) return l;
+  }
+  throw std::logic_error("no such link");
+}
+
+void add_channel(topo::FabricGraph& g, NodeId a, int ap, NodeId b, int bp) {
+  g.links.push_back(topo::GraphLink{a, ap, b, bp, 0, 0});
+  g.links.push_back(topo::GraphLink{b, bp, a, ap, 0, 0});
+}
+
+const MeshMutation kMeshMutations[] = {
+    {"McRoleMismatch",
+     [](topo::FabricGraph& g) {
+       std::swap(g.roles[0], g.roles[1]);  // Same MC count, wrong node.
+     },
+     "MC placement mismatch at node 0: the declared geometry places an cc "
+     "there but the file says mc"},
+    {"RouterNode",
+     [](topo::FabricGraph& g) { g.roles[0] = topo::NodeRole::kRouter; },
+     "mesh geometry cannot contain rtr nodes (node 0)"},
+    {"MissingLink",
+     [](topo::FabricGraph& g) {
+       std::erase_if(g.links, [](const topo::GraphLink& l) {
+         return (l.src == 0 && l.src_port == 1) ||
+                (l.src == 1 && l.src_port == 3);
+       });
+     },
+     "missing mesh link 0.1 -> 1.3"},
+    {"LinkOffMeshEdge",
+     [](topo::FabricGraph& g) { add_channel(g, 0, 0, 12, 2); },
+     "link 0.0 points off the mesh edge declared by the geometry"},
+    {"WrongPeerPort",
+     [](topo::FabricGraph& g) { link_from(g, 0, 1).dst_port = 2; },
+     "link 0.1 -> 1.2 does not match the declared mesh geometry (expected "
+     "1.3)"},
+    {"ExtraLatency",
+     [](topo::FabricGraph& g) {
+       link_from(g, 0, 1).extra_latency = 3;
+       link_from(g, 1, 3).extra_latency = 3;
+     },
+     "mesh geometry links cannot carry extra latency (link 0.1)"},
+    {"ExtraLink", [](topo::FabricGraph& g) { add_channel(g, 0, 4, 5, 4); },
+     "topology declares 50 directed links but the mesh geometry has 48"},
+    {"NodeCount",
+     [](topo::FabricGraph& g) { g.roles.push_back(topo::NodeRole::kCC); },
+     "topology declares 17 nodes but geometry mesh 4x4 has 16"},
+    {"MissingGeometry", [](topo::FabricGraph& g) { g.mesh_width = 0; },
+     "mesh topology requires a 'geometry mesh <W> <H> <placement>' line"},
+};
+
+// Names the case in test listings (the default printer dumps raw bytes,
+// pointers included).
+void PrintTo(const MeshMutation& m, std::ostream* os) { *os << m.name; }
+
+class MeshCrossCheck : public ::testing::TestWithParam<MeshMutation> {};
+
+TEST_P(MeshCrossCheck, RejectsWithLocatedMessage) {
+  topo::FabricGraph g = topo::make_mesh_graph(4, 4, 4, McPlacement::kDiamond);
+  GetParam().mutate(g);
+  try {
+    topo::Fabric f(std::move(g));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_TRUE(contains(e.what(), GetParam().message)) << e.what();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RejectionPaths, MeshCrossCheck,
+                         ::testing::ValuesIn(kMeshMutations),
+                         [](const auto& info) { return info.param.name; });
+
+// ---------------------------------------------------------------------------
 // Satellite 2: the result cache keys file-driven fabrics by topology-file
 // *contents*, so editing the file invalidates cached results in place.
 // ---------------------------------------------------------------------------
@@ -528,6 +616,24 @@ TEST(FabricExec, MalformedTopologyFileIsConfigErrorExitTwo) {
   EXPECT_EQ(res[0].error_kind, "config");
   EXPECT_EQ(res[0].exit_status, 2);
   EXPECT_TRUE(contains(res[0].error, "duplicate node id")) << res[0].error;
+}
+
+TEST(FabricExec, UnsatisfiablePlacementIsConfigErrorExitTwo) {
+  Config base;
+  base.mesh_width = 4;
+  base.mesh_height = 4;
+  base.num_mcs = 10;  // Top-bottom holds at most 2 rows x 4 = 8.
+  base.mc_placement = McPlacement::kTopBottom;
+  base.warmup_cycles = 10;
+  base.run_cycles = 100;
+  exec::ExperimentRunner runner(base);
+  const auto res =
+      runner.run({{"p", Scheme::kXYBaseline, "bfs", nullptr, false}});
+  ASSERT_EQ(res.size(), 1u);
+  EXPECT_EQ(res[0].error_kind, "config");
+  EXPECT_EQ(res[0].exit_status, 2);
+  EXPECT_TRUE(contains(res[0].error, "top-bottom MC placement of 10 MCs"))
+      << res[0].error;
 }
 
 }  // namespace

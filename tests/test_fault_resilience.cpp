@@ -10,7 +10,7 @@
 #include "core/report.hpp"
 #include "core/watchdog.hpp"
 #include "noc/fault.hpp"
-#include "noc/topology.hpp"
+#include "topo/generators.hpp"
 
 namespace arinoc {
 namespace {
@@ -332,7 +332,7 @@ TEST(FaultConfig, EnableMaskGatesFaultClasses) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultInjection, StallWindowsUnblockAfterExpiry) {
-  Mesh mesh(4, 4, 4);
+  const topo::Fabric mesh(topo::make_mesh_graph(4, 4, 4));
   FaultParams p;
   p.link_stall_rate = 5e-3;
   p.link_stall_len = 20;

@@ -9,6 +9,7 @@
 #include "core/heatmap.hpp"
 #include "core/experiment.hpp"
 #include "noc/ni.hpp"
+#include "topo/generators.hpp"
 
 namespace arinoc {
 namespace {
@@ -56,14 +57,14 @@ TEST(Heatmap, RendersGridWithMcMarkers) {
 }
 
 TEST(CreditInvariant, HoldsOnIdleNetwork) {
-  Mesh mesh(4, 4, 2);
+  const topo::Fabric mesh(topo::make_mesh_graph(4, 4, 2));
   NetworkParams np;
   Network net(np, &mesh);
   EXPECT_EQ(net.validate_credit_invariants(), "");
 }
 
 TEST(CreditInvariant, HoldsDuringAndAfterTraffic) {
-  Mesh mesh(4, 4, 2);
+  const topo::Fabric mesh(topo::make_mesh_graph(4, 4, 2));
   NetworkParams np;
   np.routing = RoutingAlgo::kMinAdaptive;
   np.priority_levels = 2;
@@ -101,7 +102,7 @@ TEST(CreditInvariant, HoldsDuringAndAfterTraffic) {
 }
 
 TEST(CreditInvariant, HoldsWithMultiCycleLinks) {
-  Mesh mesh(4, 4, 2);
+  const topo::Fabric mesh(topo::make_mesh_graph(4, 4, 2));
   NetworkParams np;
   np.link_latency = 3;
   Network net(np, &mesh);

@@ -11,7 +11,7 @@
 #include "common/rng.hpp"
 #include "noc/network.hpp"
 #include "noc/ni.hpp"
-#include "noc/topology.hpp"
+#include "topo/generators.hpp"
 
 namespace arinoc {
 namespace {
@@ -41,7 +41,7 @@ class NetworkTraffic : public ::testing::TestWithParam<TrafficParams> {};
 
 TEST_P(NetworkTraffic, AllOfferedPacketsDelivered) {
   const TrafficParams tp = GetParam();
-  Mesh mesh(tp.mesh, tp.mesh, 1);
+  const topo::Fabric mesh(topo::make_mesh_graph(tp.mesh, tp.mesh, 1));
   NetworkParams np;
   np.num_vcs = tp.vcs;
   np.vc_depth_flits = 5;
@@ -99,7 +99,7 @@ INSTANTIATE_TEST_SUITE_P(
                       TrafficParams{RoutingAlgo::kXY, 8, 4, 0.1}));
 
 TEST(Network, LatencyMatchesHopDistanceAtLowLoad) {
-  Mesh mesh(6, 6, 1);
+  const topo::Fabric mesh(topo::make_mesh_graph(6, 6, 1));
   NetworkParams np;
   np.routing = RoutingAlgo::kXY;
   Network net(np, &mesh);
@@ -124,7 +124,7 @@ TEST(Network, LatencyMatchesHopDistanceAtLowLoad) {
 }
 
 TEST(Network, FlitWeightedStatsPerType) {
-  Mesh mesh(4, 4, 1);
+  const topo::Fabric mesh(topo::make_mesh_graph(4, 4, 1));
   NetworkParams np;
   Network net(np, &mesh);
   RecordingSink sink;
@@ -147,7 +147,7 @@ TEST(Network, FlitWeightedStatsPerType) {
 }
 
 TEST(Network, InjectionUtilizationProbe) {
-  Mesh mesh(4, 4, 1);
+  const topo::Fabric mesh(topo::make_mesh_graph(4, 4, 1));
   NetworkParams np;
   Network net(np, &mesh);
   RecordingSink sink;
@@ -170,7 +170,7 @@ TEST(Network, InjectionUtilizationProbe) {
 }
 
 TEST(Network, WiderLinksShrinkLongPackets) {
-  Mesh mesh(4, 4, 1);
+  const topo::Fabric mesh(topo::make_mesh_graph(4, 4, 1));
   NetworkParams np;
   np.link_width_bits = 256;
   Network net(np, &mesh);
@@ -180,7 +180,7 @@ TEST(Network, WiderLinksShrinkLongPackets) {
 }
 
 TEST(Network, ResetStatsClearsEverything) {
-  Mesh mesh(4, 4, 1);
+  const topo::Fabric mesh(topo::make_mesh_graph(4, 4, 1));
   NetworkParams np;
   Network net(np, &mesh);
   RecordingSink sink;
@@ -202,7 +202,7 @@ TEST(Network, ResetStatsClearsEverything) {
 // Deadlock-freedom soak: adaptive routing with WPF under sustained high
 // load in a mesh with hotspot destinations must keep making progress.
 TEST(Network, AdaptiveHotspotTrafficMakesProgress) {
-  Mesh mesh(6, 6, 8);
+  const topo::Fabric mesh(topo::make_mesh_graph(6, 6, 8));
   NetworkParams np;
   np.routing = RoutingAlgo::kMinAdaptive;
   Network net(np, &mesh);

@@ -7,13 +7,14 @@
 
 #include "noc/network.hpp"
 #include "noc/ni.hpp"
-#include "noc/topology.hpp"
+#include "topo/generators.hpp"
 
 namespace arinoc {
 namespace {
 
 struct NiHarness {
-  NiHarness() : mesh(2, 2, 1), net(params(), &mesh) {}
+  NiHarness()
+      : mesh(topo::make_mesh_graph(2, 2, 1)), net(params(), &mesh) {}
 
   static NetworkParams params() {
     NetworkParams p;
@@ -27,7 +28,7 @@ struct NiHarness {
     return net.make_packet(type, src, dst, 0, 0, now);
   }
 
-  Mesh mesh;
+  topo::Fabric mesh;
   Network net;
   Cycle now = 0;
 };
@@ -137,7 +138,7 @@ TEST(MultiPortNi, SingleQueueSupplyOneFlitPerCycle) {
   NetworkParams p = NiHarness::params();
   p.treat_mcs_specially = true;
   p.mc_injection_ports = 2;
-  Mesh mesh(2, 2, 1);
+  const topo::Fabric mesh(topo::make_mesh_graph(2, 2, 1));
   Network net(p, &mesh);
   const NodeId mc = mesh.mc_nodes()[0];
   MultiPortInjectNi ni(&net, mc, 20);
@@ -156,7 +157,7 @@ TEST(MultiPortNi, AlternatesPortsBetweenPackets) {
   NetworkParams p = NiHarness::params();
   p.treat_mcs_specially = true;
   p.mc_injection_ports = 2;
-  Mesh mesh(2, 2, 1);
+  const topo::Fabric mesh(topo::make_mesh_graph(2, 2, 1));
   Network net(p, &mesh);
   const NodeId mc = mesh.mc_nodes()[0];
   const NodeId dst = mc == 0 ? 3 : 0;

@@ -5,6 +5,8 @@
 #include "noc/buffer.hpp"
 #include "noc/packet.hpp"
 #include "noc/routing.hpp"
+#include "topo/fabric.hpp"
+#include "topo/generators.hpp"
 
 namespace arinoc {
 namespace {
@@ -162,34 +164,44 @@ TEST(PriorityArbiter, IgnoresKeysOfNonRequesters) {
 
 // ---------------------------------------------------------------- Routing
 
+using topo::kEast;
+using topo::kSouth;
+using topo::kWest;
+
+/// Route from a freshly injected packet (in_port -1) on a mesh fabric.
+RouteCandidates route(const topo::Fabric& m, NodeId here, NodeId dest,
+                      RoutingAlgo algo) {
+  return compute_route(m, here, -1, dest, algo);
+}
+
 TEST(Routing, XYGoesEastFirst) {
-  Mesh m(6, 6, 8);
-  const auto rc = compute_route(m, m.node_at(0, 0), m.node_at(3, 3),
-                                RoutingAlgo::kXY);
+  const topo::Fabric m(topo::make_mesh_graph(6, 6, 8));
+  const auto rc =
+      route(m, m.node_at(0, 0), m.node_at(3, 3), RoutingAlgo::kXY);
   ASSERT_EQ(rc.minimal.size(), 1u);
   EXPECT_EQ(rc.minimal[0], kEast);
   EXPECT_EQ(rc.xy, kEast);
 }
 
 TEST(Routing, XYGoesVerticalWhenAligned) {
-  Mesh m(6, 6, 8);
-  const auto rc = compute_route(m, m.node_at(3, 0), m.node_at(3, 4),
-                                RoutingAlgo::kXY);
+  const topo::Fabric m(topo::make_mesh_graph(6, 6, 8));
+  const auto rc =
+      route(m, m.node_at(3, 0), m.node_at(3, 4), RoutingAlgo::kXY);
   EXPECT_EQ(rc.xy, kSouth);
 }
 
 TEST(Routing, ArrivalIsLocal) {
-  Mesh m(6, 6, 8);
+  const topo::Fabric m(topo::make_mesh_graph(6, 6, 8));
   const auto rc =
-      compute_route(m, m.node_at(2, 2), m.node_at(2, 2), RoutingAlgo::kXY);
+      route(m, m.node_at(2, 2), m.node_at(2, 2), RoutingAlgo::kXY);
   ASSERT_EQ(rc.minimal.size(), 1u);
-  EXPECT_EQ(rc.minimal[0], kLocal);
+  EXPECT_EQ(rc.minimal[0], m.local_port());
 }
 
 TEST(Routing, AdaptiveOffersBothMinimalDirections) {
-  Mesh m(6, 6, 8);
-  const auto rc = compute_route(m, m.node_at(0, 0), m.node_at(3, 3),
-                                RoutingAlgo::kMinAdaptive);
+  const topo::Fabric m(topo::make_mesh_graph(6, 6, 8));
+  const auto rc =
+      route(m, m.node_at(0, 0), m.node_at(3, 3), RoutingAlgo::kMinAdaptive);
   ASSERT_EQ(rc.minimal.size(), 2u);
   EXPECT_EQ(rc.minimal[0], kEast);
   EXPECT_EQ(rc.minimal[1], kSouth);
@@ -197,9 +209,9 @@ TEST(Routing, AdaptiveOffersBothMinimalDirections) {
 }
 
 TEST(Routing, AdaptiveSingleDirectionWhenAligned) {
-  Mesh m(6, 6, 8);
-  const auto rc = compute_route(m, m.node_at(5, 2), m.node_at(1, 2),
-                                RoutingAlgo::kMinAdaptive);
+  const topo::Fabric m(topo::make_mesh_graph(6, 6, 8));
+  const auto rc =
+      route(m, m.node_at(5, 2), m.node_at(1, 2), RoutingAlgo::kMinAdaptive);
   ASSERT_EQ(rc.minimal.size(), 1u);
   EXPECT_EQ(rc.minimal[0], kWest);
 }
@@ -207,14 +219,14 @@ TEST(Routing, AdaptiveSingleDirectionWhenAligned) {
 // Property: for every (src, dst) pair, repeatedly following the XY
 // direction reaches the destination in exactly hops(src, dst) steps.
 TEST(Routing, XYAlwaysReachesDestination) {
-  Mesh m(6, 6, 8);
+  const topo::Fabric m(topo::make_mesh_graph(6, 6, 8));
   for (NodeId s = 0; s < 36; ++s) {
     for (NodeId d = 0; d < 36; ++d) {
       NodeId cur = s;
       std::uint32_t steps = 0;
       while (cur != d) {
-        const auto rc = compute_route(m, cur, d, RoutingAlgo::kXY);
-        ASSERT_NE(rc.xy, kLocal);
+        const auto rc = route(m, cur, d, RoutingAlgo::kXY);
+        ASSERT_NE(rc.xy, m.local_port());
         cur = m.neighbor(cur, rc.xy);
         ASSERT_NE(cur, kInvalidNode);
         ASSERT_LE(++steps, 10u);
@@ -226,11 +238,11 @@ TEST(Routing, XYAlwaysReachesDestination) {
 
 // Property: every adaptive candidate strictly reduces distance (minimal).
 TEST(Routing, AdaptiveCandidatesAreAllMinimal) {
-  Mesh m(6, 6, 8);
+  const topo::Fabric m(topo::make_mesh_graph(6, 6, 8));
   for (NodeId s = 0; s < 36; ++s) {
     for (NodeId d = 0; d < 36; ++d) {
       if (s == d) continue;
-      const auto rc = compute_route(m, s, d, RoutingAlgo::kMinAdaptive);
+      const auto rc = route(m, s, d, RoutingAlgo::kMinAdaptive);
       for (int dir : rc.minimal) {
         const NodeId next = m.neighbor(s, dir);
         ASSERT_NE(next, kInvalidNode);

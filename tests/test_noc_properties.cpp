@@ -12,7 +12,7 @@
 #include "common/rng.hpp"
 #include "noc/network.hpp"
 #include "noc/ni.hpp"
-#include "noc/topology.hpp"
+#include "topo/generators.hpp"
 
 namespace arinoc {
 namespace {
@@ -41,7 +41,7 @@ class NocFuzz : public ::testing::TestWithParam<FuzzParams> {};
 
 TEST_P(NocFuzz, ConservationAndProgress) {
   const FuzzParams fp = GetParam();
-  Mesh mesh(5, 5, 4);
+  const topo::Fabric mesh(topo::make_mesh_graph(5, 5, 4));
   NetworkParams np;
   np.routing = fp.routing;
   np.num_vcs = fp.vcs;
@@ -137,7 +137,7 @@ INSTANTIATE_TEST_SUITE_P(
 // MultiPort routers (two injection input ports) under random traffic:
 // conservation must hold with the extra ports too.
 TEST(NocFuzzExtra, MultiPortInjectionConserves) {
-  Mesh mesh(4, 4, 2);
+  const topo::Fabric mesh(topo::make_mesh_graph(4, 4, 2));
   NetworkParams np;
   np.routing = RoutingAlgo::kMinAdaptive;
   np.treat_mcs_specially = true;
@@ -183,7 +183,7 @@ TEST(NocFuzzExtra, MultiPortInjectionConserves) {
 // Stress: sustained saturation with ARI features on; throughput must stay
 // near the ejection capacity and never collapse (livelock check).
 TEST(NocStress, SaturationThroughputStable) {
-  Mesh mesh(6, 6, 8);
+  const topo::Fabric mesh(topo::make_mesh_graph(6, 6, 8));
   NetworkParams np;
   np.routing = RoutingAlgo::kMinAdaptive;
   np.priority_levels = 2;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "noc/overlay.hpp"
+#include "topo/generators.hpp"
 
 namespace arinoc {
 namespace {
@@ -34,7 +35,7 @@ OverlayParams params(bool ari) {
 
 struct OverlayHarness {
   explicit OverlayHarness(bool ari)
-      : mesh(6, 6, 8), overlay(params(ari), &mesh) {
+      : mesh(topo::make_mesh_graph(6, 6, 8)), overlay(params(ari), mesh) {
     for (NodeId cc : mesh.cc_nodes()) overlay.set_sink(cc, &sink);
     mc = mesh.mc_nodes()[0];
     cc = mesh.cc_nodes()[0];
@@ -45,7 +46,7 @@ struct OverlayHarness {
     overlay.abandon_packet(id);
     return false;
   }
-  Mesh mesh;
+  topo::Fabric mesh;
   Da2MeshOverlay overlay;
   VecSink sink;
   NodeId mc = 0;

@@ -6,7 +6,7 @@
 #include "noc/network.hpp"
 #include "noc/packet.hpp"
 #include "noc/router.hpp"
-#include "noc/topology.hpp"
+#include "topo/generators.hpp"
 
 namespace arinoc {
 namespace {
@@ -15,7 +15,8 @@ namespace {
 class RouterHarness {
  public:
   explicit RouterHarness(NetworkParams params)
-      : mesh_(2, 2, 1), net_(patch(params), &mesh_) {}
+      : mesh_(topo::make_mesh_graph(2, 2, 1)),
+        net_(patch(params), &mesh_) {}
 
   static NetworkParams patch(NetworkParams p) {
     p.vc_depth_flits = 5;
@@ -51,7 +52,7 @@ class RouterHarness {
     return 0;
   }
 
-  Mesh mesh_;
+  topo::Fabric mesh_;
   Network net_;
   Cycle now_ = 0;
 };
@@ -147,7 +148,7 @@ TEST(Router, InjectionSpeedupConsumesVcsConcurrently) {
     NetworkParams p = base_params();
     p.treat_mcs_specially = true;
     p.mc_injection_speedup = speedup;
-    Mesh probe(2, 2, 1);
+    const topo::Fabric probe(topo::make_mesh_graph(2, 2, 1));
     const NodeId mc = probe.mc_nodes()[0];
     RouterHarness h(p);
     // Two 5-flit packets to different destinations from different VCs.
@@ -165,8 +166,8 @@ TEST(Router, InjectionSpeedupConsumesVcsConcurrently) {
     // Count cycles until the MC router has pushed out all 10 flits.
     Router& r = h.net_.router(mc);
     Cycle t = 0;
-    while (r.flits_sent(kNorth) + r.flits_sent(kEast) + r.flits_sent(kSouth) +
-               r.flits_sent(kWest) <
+    while (r.flits_sent(topo::kNorth) + r.flits_sent(topo::kEast) +
+               r.flits_sent(topo::kSouth) + r.flits_sent(topo::kWest) <
            10) {
       h.net_.step(h.now_++);
       if (++t >= 200) {
@@ -191,7 +192,7 @@ TEST(Router, PriorityPacketWinsSwitchArbitration) {
   p.treat_mcs_specially = true;
   p.mc_injection_speedup = 1;
   RouterHarness h(p);
-  Mesh& m = h.mesh_;
+  const topo::Fabric& m = h.mesh_;
   const NodeId mc = m.mc_nodes()[0];
 
   // Through traffic: a packet from a neighbour crossing `mc` toward the
@@ -239,7 +240,7 @@ TEST(Router, StatCountersAdvance) {
   Router& s = h.net_.router(src);
   Router& d = h.net_.router(dst);
   EXPECT_EQ(s.flits_injected(), 5u);
-  EXPECT_EQ(s.flits_sent(kEast), 5u);
+  EXPECT_EQ(s.flits_sent(topo::kEast), 5u);
   EXPECT_EQ(d.flits_ejected(), 5u);
   EXPECT_GE(s.crossbar_traversals(), 5u);
   s.reset_stats();
