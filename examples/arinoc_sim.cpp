@@ -355,9 +355,9 @@ bool write_file(const std::string& path, const std::string& body) {
 
 /// Runs an observed simulation: attaches the requested observers, runs, and
 /// writes every requested artifact — including after a watchdog trip.
-/// Returns the process exit status; fills `m` and `breakdown` on success.
+/// Returns the process exit status; fills `m` on success.
 int run_observed(GpgpuSim& sim, const ObsOptions& obs, Cycle sample_interval,
-                 Metrics& m, std::string& breakdown) {
+                 Metrics& m) {
   obs::PacketTracer tracer(obs.trace_capacity);
   if (obs.trace) sim.attach_tracer(&tracer);
   if (sample_interval > 0) sim.enable_sampling(sample_interval);
@@ -385,7 +385,6 @@ int run_observed(GpgpuSim& sim, const ObsOptions& obs, Cycle sample_interval,
                                  ? std::string("arinoc-trace.json")
                                  : obs.trace_out;
     if (!write_file(path, tracer.to_chrome_json()) && status == 0) status = 1;
-    breakdown = tracer.breakdown_report();
   }
   if (!obs.sample_out.empty() && sim.sampler() != nullptr) {
     if (!write_file(obs.sample_out, sim.sampler()->to_jsonl()) && status == 0)
@@ -672,7 +671,6 @@ int main(int argc, char** argv) {
   }
 
   Metrics m;
-  std::string breakdown;
   // Identity of the cell that actually ran — filled by every branch below,
   // consumed by the provenance block (--json) and the baseline store.
   Config resolved_cfg = cfg;
@@ -694,8 +692,7 @@ int main(int argc, char** argv) {
       TraceFileSource source(std::move(trace), replayed.num_ccs(),
                              replayed.warps_per_core, replayed.line_bytes);
       GpgpuSim sim(replayed, &source, da2mesh);
-      const int status =
-          run_observed(sim, obs, exec_opts.sample_interval, m, breakdown);
+      const int status = run_observed(sim, obs, exec_opts.sample_interval, m);
       if (status != 0) return status;
     } catch (const std::invalid_argument& e) {
       std::fprintf(stderr, "%s\n", e.what());
@@ -720,8 +717,7 @@ int main(int argc, char** argv) {
       resolved_cfg = resolved;
       fabric_tag = da2mesh ? "da2mesh" : exec::fabric_cache_tag(resolved);
       GpgpuSim sim(resolved, *traits, da2mesh);
-      const int status =
-          run_observed(sim, obs, exec_opts.sample_interval, m, breakdown);
+      const int status = run_observed(sim, obs, exec_opts.sample_interval, m);
       if (status != 0) return status;
     } catch (const std::invalid_argument& e) {
       std::fprintf(stderr, "%s\n", e.what());
@@ -819,7 +815,6 @@ int main(int argc, char** argv) {
     }
     print_human(m, cfg.fault_enabled(),
                 cfg.open_loop || cfg.admission_enabled);
-    if (!breakdown.empty()) std::printf("\n%s", breakdown.c_str());
   }
 
   // SLO gate: open-loop runs are judged on client end-to-end p99 (queueing

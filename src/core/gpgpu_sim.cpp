@@ -10,6 +10,7 @@
 #include "obs/attr.hpp"
 #include "obs/registry.hpp"
 #include "obs/selfprof.hpp"
+#include "obs/sink.hpp"
 #include "obs/trace.hpp"
 
 namespace arinoc {
@@ -607,20 +608,18 @@ void GpgpuSim::reset_stats() {
 
 void GpgpuSim::attach_tracer(obs::PacketTracer* t) {
   tracer_ = t;
-  request_net_->set_tracer(t, 0);
-  reply_net_->set_tracer(t, 1);
-  select_partition();
+  attach_observers();
 }
 
 void GpgpuSim::attach_attributor(obs::LatencyAttributor* a) {
   attr_ = a;
-  request_net_->set_attributor(a, 0);
-  reply_net_->set_attributor(a, 1);
   if (a) a->set_topology(&fabric_.graph());
-  select_partition();
+  attach_observers();
 }
 
-void GpgpuSim::select_partition() {
+void GpgpuSim::attach_observers() {
+  request_net_->set_observers({tracer_, attr_, 0});
+  reply_net_->set_observers({tracer_, attr_, 1});
   if (!part_) return;
   // Per-event observers need the globally ordered one-domain schedule;
   // set_partition migrates in-flight state exactly in both directions, so

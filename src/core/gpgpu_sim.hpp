@@ -229,9 +229,10 @@ class GpgpuSim {
   /// across spatial domains when the thread team is active and no
   /// per-event observer (tracer/attributor) holds them on one domain.
   void step_networks(Cycle now);
-  /// Puts both networks on the one-domain partition while a per-event
-  /// observer is attached, and on the thread partition otherwise.
-  void select_partition();
+  /// Hands the attached tracer/attributor to both networks' event sinks and
+  /// puts both networks on the one-domain partition while either observer
+  /// is attached, and on the thread partition otherwise.
+  void attach_observers();
   /// Marks every member of every active set pending.
   void wake_all();
 

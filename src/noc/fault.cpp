@@ -5,8 +5,7 @@
 
 #include "noc/network.hpp"
 #include "noc/ni.hpp"
-#include "obs/attr.hpp"
-#include "obs/trace.hpp"
+#include "obs/sink.hpp"
 
 namespace arinoc {
 
@@ -206,15 +205,12 @@ void RetransmitTracker::try_reinject(std::uint64_t key, Entry& e, Cycle now) {
     net_->abandon_packet(id);  // NI full; retry next cycle.
     return;
   }
-  if (obs::PacketTracer* t = net_->tracer()) {
-    t->record(obs::TraceEventKind::kRetransmit, net_->tracer_net(), now, id,
-              e.type, e.src, static_cast<int>(e.retries));
-  }
-  if (obs::LatencyAttributor* a = net_->attributor()) {
-    // finish_accept already created the new incarnation's span at `now`;
-    // re-base it to the first incarnation's accept and book the recovery
-    // gap as retransmission overhead.
-    a->on_retransmit(net_->attr_net(), id, e.created, now);
+  if (const obs::PacketSink* sink = net_->sink()) {
+    // finish_accept already opened the new incarnation's span at `now`; the
+    // attributor re-bases it to the first incarnation's accept and books the
+    // recovery gap as retransmission overhead.
+    sink->retransmit(id, e.type, e.src, static_cast<int>(e.retries),
+                     e.created, now);
   }
 }
 

@@ -3,8 +3,7 @@
 #include <cassert>
 #include <sstream>
 
-#include "obs/attr.hpp"
-#include "obs/trace.hpp"
+#include "obs/sink.hpp"
 
 namespace arinoc {
 
@@ -68,6 +67,8 @@ Network::Network(const NetworkParams& params, const topo::Fabric* fabric)
   }
 }
 
+Network::~Network() = default;
+
 std::uint16_t Network::flits_for(PacketType type) const {
   if (!is_long_packet(type)) return 1;
   return static_cast<std::uint16_t>(
@@ -85,11 +86,7 @@ void Network::finish_packet(PacketId id, Cycle now) {
   Packet& pkt = arena_.at(id);
   pkt.ejected = now;
   stats_.record_delivery(pkt, now);
-  if (tracer_) {
-    tracer_->record(obs::TraceEventKind::kDeliver, tracer_net_, now, id,
-                    pkt.type, pkt.dest, -1);
-  }
-  if (attr_) attr_->on_deliver(attr_net_, id, now);
+  if (sink_) sink_->deliver(id, pkt.type, pkt.dest, now);
   arena_.retire(id);
 }
 
@@ -179,19 +176,9 @@ void Network::step_router_domain(NodeId n, Cycle now, std::size_t send_slot,
       ev.flit.corrupted = true;
       ++dom.corrupted;
     }
-    if (tracer_) {
-      const PacketType type = arena_.at(ev.flit.pkt).type;
-      if (corrupted) {
-        tracer_->record(obs::TraceEventKind::kCorrupt, tracer_net_, now,
-                        ev.flit.pkt, type, n, of.out_dir);
-      }
-      if (ev.flit.head) {
-        tracer_->record(obs::TraceEventKind::kLinkHop, tracer_net_, now,
-                        ev.flit.pkt, type, n, of.out_dir);
-      }
-    }
-    if (attr_ && ev.flit.head) {
-      attr_->on_link_depart(attr_net_, ev.flit.pkt, n, of.out_dir, now);
+    if (sink_) {
+      sink_->link_depart(ev.flit.pkt, arena_.at(ev.flit.pkt).type, n,
+                         of.out_dir, ev.flit.head, corrupted, now);
     }
     // Serdes (chiplet-boundary) links deliver extra cycles later; uniform
     // links land in send_slot itself.
@@ -272,9 +259,7 @@ void Network::step_domain(std::uint32_t d, Cycle now) {
   for (const FlitEvent& e : due_flits) {
     routers_[static_cast<std::size_t>(e.dst)]->receive_flit(e.in_dir, e.vc,
                                                             e.flit);
-    if (attr_ && e.flit.head) {
-      attr_->on_head_arrive(attr_net_, e.flit.pkt, e.dst, now);
-    }
+    if (sink_ && e.flit.head) sink_->head_arrive(e.flit.pkt, e.dst, now);
   }
   due_flits.clear();
   auto& due_credits = dom.credit_ring[ring_pos_];
@@ -360,12 +345,10 @@ RxOutcome Network::classify_rx(PacketId id, bool corrupted, Cycle now) {
 }
 
 void Network::drop_packet(PacketId id, Cycle now, RxOutcome why) {
-  if (tracer_) {
+  if (sink_) {
     const Packet& pkt = arena_.at(id);
-    tracer_->record(obs::TraceEventKind::kDrop, tracer_net_, now, id, pkt.type,
-                    pkt.dest, static_cast<int>(why));
+    sink_->drop(id, pkt.type, pkt.dest, static_cast<int>(why), now);
   }
-  if (attr_) attr_->on_drop(attr_net_, id, now);
   switch (why) {
     case RxOutcome::kCorrupt:
       ++stats_.packets_corrupted;
@@ -389,16 +372,11 @@ std::uint64_t Network::credits_lost_total() const {
   return total;
 }
 
-void Network::set_tracer(obs::PacketTracer* t, std::uint8_t net) {
-  tracer_ = t;
-  tracer_net_ = net;
-  for (auto& r : routers_) r->set_tracer(t, net);
-}
-
-void Network::set_attributor(obs::LatencyAttributor* a, std::uint8_t net) {
-  attr_ = a;
-  attr_net_ = net;
-  for (auto& r : routers_) r->set_attributor(a, net);
+void Network::set_observers(const obs::PacketSink& observers) {
+  sink_ = observers.tracer || observers.attr
+              ? std::make_unique<obs::PacketSink>(observers)
+              : nullptr;
+  for (auto& r : routers_) r->set_sink(sink_.get());
 }
 
 std::uint64_t Network::internal_flits_total() const {

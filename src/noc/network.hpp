@@ -20,8 +20,7 @@
 namespace arinoc {
 
 namespace obs {
-class PacketTracer;
-class LatencyAttributor;
+struct PacketSink;
 }
 
 /// Per-network geometry/behaviour knobs derived from Config by the caller
@@ -64,6 +63,7 @@ class Network {
  public:
   /// Builds the network over an externally owned fabric (any topology).
   Network(const NetworkParams& params, const topo::Fabric* fabric);
+  ~Network();
   /// Routers and the current partition point into this object.
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -164,17 +164,13 @@ class Network {
   void reset_stats();
 
   // ---- Observability ----
-  /// Attaches a packet-lifecycle tracer to this network and all its routers
-  /// (null detaches). `net` tags the emitted events (0 = request, 1 = reply).
-  void set_tracer(obs::PacketTracer* t, std::uint8_t net);
-  obs::PacketTracer* tracer() const { return tracer_; }
-  std::uint8_t tracer_net() const { return tracer_net_; }
-
-  /// Attaches a latency attributor to this network and all its routers
-  /// (null detaches). Same observer contract as the tracer.
-  void set_attributor(obs::LatencyAttributor* a, std::uint8_t net);
-  obs::LatencyAttributor* attributor() const { return attr_; }
-  std::uint8_t attr_net() const { return attr_net_; }
+  /// Attaches the observers named in `observers` (tracer, attributor, and
+  /// the net tag of their events: 0 = request, 1 = reply) to this network
+  /// and all its routers. A sink naming neither observer detaches.
+  void set_observers(const obs::PacketSink& observers);
+  /// The event sink every hook point calls; null unless an observer is
+  /// attached.
+  const obs::PacketSink* sink() const { return sink_.get(); }
 
   /// Routers pending a step next cycle (the self-profiler's wake
   /// statistic; every router in always-on mode).
@@ -264,11 +260,8 @@ class Network {
   std::unique_ptr<RetransmitTracker> rtx_;
   // Credits destroyed per (node, dir, vc); sized only under credit loss.
   std::vector<std::uint32_t> credits_lost_;
-  // Observability (null unless attached; a pure observer).
-  obs::PacketTracer* tracer_ = nullptr;
-  std::uint8_t tracer_net_ = 0;
-  obs::LatencyAttributor* attr_ = nullptr;
-  std::uint8_t attr_net_ = 0;
+  // Observability (null unless an observer is attached).
+  std::unique_ptr<obs::PacketSink> sink_;
   // Domain stepping (set_partition).
   topo::DomainPartition serial_;
   const topo::DomainPartition* part_ = nullptr;

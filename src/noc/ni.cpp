@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/attr.hpp"
-#include "obs/trace.hpp"
+#include "obs/sink.hpp"
 
 namespace arinoc {
 
@@ -30,13 +29,8 @@ void InjectNi::finish_accept(PacketId id, Cycle now) {
   if (act_set_) act_set_->wake(act_idx_);
   net_->arena().at(id).created = now;
   if (RetransmitTracker* rtx = net_->retransmit()) rtx->on_accept(id, now);
-  if (obs::PacketTracer* t = net_->tracer()) {
-    t->record(obs::TraceEventKind::kNiEnqueue, net_->tracer_net(), now, id,
-              net_->arena().at(id).type, node_, -1);
-  }
-  if (obs::LatencyAttributor* a = net_->attributor()) {
-    a->on_ni_enqueue(net_->attr_net(), id, net_->arena().at(id).type, node_,
-                     now);
+  if (const obs::PacketSink* sink = net_->sink()) {
+    sink->ni_enqueue(id, net_->arena().at(id).type, node_, now);
   }
 }
 
@@ -296,9 +290,8 @@ void EjectNi::cycle(Cycle now) {
     if (part.have == pkt.num_flits) {
       const bool corrupted = part.corrupted;
       partial_.erase(f.pkt);
-      if (obs::PacketTracer* t = net_->tracer()) {
-        t->record(obs::TraceEventKind::kEject, net_->tracer_net(), now, f.pkt,
-                  pkt.type, node_, corrupted ? 1 : 0);
+      if (const obs::PacketSink* sink = net_->sink()) {
+        sink->eject(f.pkt, pkt.type, node_, corrupted, now);
       }
       // CRC check + duplicate suppression happen here, at reassembly.
       const RxOutcome outcome = net_->classify_rx(f.pkt, corrupted, now);

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/attr.hpp"
-#include "obs/trace.hpp"
+#include "obs/sink.hpp"
 
 namespace arinoc {
 
@@ -86,12 +85,10 @@ void Router::inject_flit(std::uint32_t ip, std::uint32_t vc, const Flit& flit,
   if (act_set_) act_set_->wake(act_idx_);
   if (flit.head) {
     arena_->at(flit.pkt).injected = now;
-    if (tracer_) {
-      tracer_->record(obs::TraceEventKind::kInject, tracer_net_, now, flit.pkt,
-                      arena_->at(flit.pkt).type, params_.node,
-                      static_cast<int>(vc));
+    if (sink_) {
+      sink_->inject(flit.pkt, arena_->at(flit.pkt).type, params_.node,
+                    static_cast<int>(vc), now);
     }
-    if (attr_) attr_->on_inject(attr_net_, flit.pkt, params_.node, now);
   }
   ++injected_flit_count_;
 }
@@ -253,13 +250,9 @@ void Router::vc_alloc_pass(Cycle now, std::uint32_t wanted_priority,
       v.out_vc = got_vc;
       v.latched_priority = pkt.priority;
       v.state = InputVC::State::kActive;
-      if (tracer_) {
-        tracer_->record(obs::TraceEventKind::kVcAlloc, tracer_net_, now,
-                        v.buf.front().pkt, pkt.type, params_.node, got_port);
-      }
-      if (attr_) {
-        attr_->on_vc_alloc(attr_net_, v.buf.front().pkt, params_.node,
-                           got_port, got_vc, now);
+      if (sink_) {
+        sink_->vc_alloc(v.buf.front().pkt, pkt.type, params_.node, got_port,
+                        got_vc, now);
       }
     }
   }
@@ -319,9 +312,7 @@ void Router::switch_stage(Cycle now, std::vector<OutboundFlit>* out_flits,
     if (static_cast<int>(o) == num_dirs_) {
       assert(!ejection_buf_.full());
       ejection_buf_.push(f);
-      if (attr_ && f.head) {
-        attr_->on_eject_start(attr_net_, f.pkt, params_.node, now);
-      }
+      if (sink_ && f.head) sink_->eject_start(f.pkt, params_.node, now);
       ++ejected_flit_count_;
       ++out_flit_count_[static_cast<std::size_t>(num_dirs_)];
     } else {

@@ -27,8 +27,7 @@
 namespace arinoc {
 
 namespace obs {
-class PacketTracer;
-class LatencyAttributor;
+struct PacketSink;
 }
 
 struct RouterParams {
@@ -139,20 +138,10 @@ class Router {
     act_idx_ = idx;
   }
 
-  /// Attaches a packet-lifecycle tracer (null detaches). The tracer is a
-  /// pure observer: hooks fire next to existing bookkeeping and never alter
-  /// router state. `net` tags events with the owning network (0 = request).
-  void set_tracer(obs::PacketTracer* t, std::uint8_t net) {
-    tracer_ = t;
-    tracer_net_ = net;
-  }
-
-  /// Attaches a latency attributor (null detaches). Same contract as the
-  /// tracer: pure observer, one null-pointer branch per hook when detached.
-  void set_attributor(obs::LatencyAttributor* a, std::uint8_t net) {
-    attr_ = a;
-    attr_net_ = net;
-  }
+  /// Attaches the owning network's per-packet event sink (null detaches).
+  /// Observers are pure: hooks fire next to existing bookkeeping and never
+  /// alter router state.
+  void set_sink(const obs::PacketSink* sink) { sink_ = sink; }
 
   // ---- Stats ----
   std::uint64_t flits_sent(int out_dir) const { return out_flit_count_[static_cast<std::size_t>(out_dir)]; }
@@ -245,10 +234,7 @@ class Router {
   std::vector<PriorityArbiter> output_arb_;      // per output port
   std::size_t va_rr_ = 0;                        // over all input VCs
 
-  obs::PacketTracer* tracer_ = nullptr;
-  std::uint8_t tracer_net_ = 0;
-  obs::LatencyAttributor* attr_ = nullptr;
-  std::uint8_t attr_net_ = 0;
+  const obs::PacketSink* sink_ = nullptr;
 
   // Wake hook into the owning network domain's active set (null for a
   // router stepped on its own).

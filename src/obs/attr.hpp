@@ -31,9 +31,10 @@
 //  * per-(link, vc, type) time-windowed congestion series for the heatmap
 //    dashboard (attr_html_document()).
 //
-// Like the PacketTracer, components hold a nullable attributor pointer; with
-// none attached every hook is one branch on a null pointer and results are
-// bit-identical to an unattributed run (guarded by tests and perf_harness).
+// The hooks arrive through the NoC's one per-packet event sink
+// (obs/sink.hpp), shared with the PacketTracer; with no observer attached
+// every hook is one branch on a null sink and results are bit-identical to
+// an unattributed run (guarded by tests and perf_harness).
 #pragma once
 
 #include <cstdint>

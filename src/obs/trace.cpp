@@ -26,15 +26,11 @@ namespace {
 
 const char* net_name(std::uint8_t net) { return net == 0 ? "request" : "reply"; }
 
-/// Per-(net, packet-id) span state while scanning the event stream. Packet
+/// Per-(net, packet-id) open span while scanning the event stream. Packet
 /// ids recycle, so a fresh kNiEnqueue restarts the span.
 struct Span {
   Cycle enqueue = 0;
-  Cycle inject = 0;
-  bool has_enqueue = false;
-  bool has_inject = false;
-  bool retx = false;  ///< Span is a recovery re-injection of a lost packet.
-  std::int16_t src = -1;
+  NodeId src = kInvalidNode;
 };
 
 std::uint64_t span_key(std::uint8_t net, PacketId pkt) {
@@ -86,27 +82,13 @@ std::string PacketTracer::to_chrome_json() const {
   for (const TraceEvent& e : evs) {
     const std::uint64_t key = span_key(e.net, e.pkt);
     switch (e.kind) {
-      case TraceEventKind::kNiEnqueue: {
-        Span s;
-        s.enqueue = e.cycle;
-        s.has_enqueue = true;
-        s.src = e.node;
-        spans[key] = s;
+      case TraceEventKind::kNiEnqueue:
+        spans[key] = Span{e.cycle, e.node};
         break;
-      }
-      case TraceEventKind::kInject: {
-        Span& s = spans[key];
-        if (!s.has_inject) {
-          s.inject = e.cycle;
-          s.has_inject = true;
-          if (s.src < 0) s.src = e.node;
-        }
-        break;
-      }
       case TraceEventKind::kDeliver:
       case TraceEventKind::kDrop: {
         auto it = spans.find(key);
-        if (it != spans.end() && it->second.has_enqueue) {
+        if (it != spans.end()) {
           const Span& s = it->second;
           std::snprintf(
               buf, sizeof(buf),
@@ -141,105 +123,13 @@ std::string PacketTracer::to_chrome_json() const {
         break;
       }
       case TraceEventKind::kVcAlloc:
+      case TraceEventKind::kInject:
       case TraceEventKind::kEject:
-        break;  // Span bookkeeping only; not worth a viewer row each.
+        break;  // Not worth a viewer row each.
     }
   }
   os << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{"
      << "\"recorded\":" << recorded_ << ",\"dropped\":" << dropped_ << "}}";
-  return os.str();
-}
-
-std::vector<PacketTracer::Breakdown> PacketTracer::breakdown() const {
-  std::vector<Breakdown> out(4);
-  std::vector<double> queue_sum(4, 0.0), transit_sum(4, 0.0),
-      retx_sum(4, 0.0);
-  std::unordered_map<std::uint64_t, Span> spans;
-  for (const TraceEvent& e : events()) {
-    const std::uint64_t key = span_key(e.net, e.pkt);
-    const auto t = static_cast<std::size_t>(e.type) & 3;
-    switch (e.kind) {
-      case TraceEventKind::kNiEnqueue: {
-        Span s;
-        s.enqueue = e.cycle;
-        s.has_enqueue = true;
-        spans[key] = s;
-        break;
-      }
-      case TraceEventKind::kInject: {
-        Span& s = spans[key];
-        if (!s.has_inject) {
-          s.inject = e.cycle;
-          s.has_inject = true;
-        }
-        break;
-      }
-      case TraceEventKind::kDeliver: {
-        auto it = spans.find(key);
-        if (it != spans.end() && it->second.has_enqueue &&
-            it->second.has_inject) {
-          const Span& s = it->second;
-          queue_sum[t] += static_cast<double>(s.inject - s.enqueue);
-          // A retransmitted span's entire transit is recovery overhead: the
-          // first incarnation already crossed the network once, so without
-          // the fault this time would not exist. Booking it under `retx`
-          // keeps plain `transit` comparable between faulty and fault-free
-          // runs.
-          (s.retx ? retx_sum : transit_sum)[t] +=
-              static_cast<double>(e.cycle - s.inject);
-          ++out[t].delivered;
-          spans.erase(it);
-        }
-        break;
-      }
-      case TraceEventKind::kDrop:
-        ++out[t].drops;
-        spans.erase(key);
-        break;
-      case TraceEventKind::kRetransmit:
-        // Recorded against the re-injected incarnation right after its
-        // kNiEnqueue, so the live span is the recovery copy.
-        spans[key].retx = true;
-        ++out[t].retransmits;
-        break;
-      default:
-        break;
-    }
-  }
-  for (std::size_t t = 0; t < 4; ++t) {
-    if (out[t].delivered > 0) {
-      out[t].mean_queue_cycles =
-          queue_sum[t] / static_cast<double>(out[t].delivered);
-      out[t].mean_transit_cycles =
-          transit_sum[t] / static_cast<double>(out[t].delivered);
-      out[t].mean_retx_cycles =
-          retx_sum[t] / static_cast<double>(out[t].delivered);
-    }
-  }
-  return out;
-}
-
-std::string PacketTracer::breakdown_report() const {
-  const auto rows = breakdown();
-  std::ostringstream os;
-  os << "packet latency breakdown (traced window; cycles)\n";
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "%-14s %10s %12s %12s %10s %8s %6s\n",
-                "type", "delivered", "queue(mean)", "transit(mean)",
-                "retx(mean)", "retx", "drops");
-  os << buf;
-  for (std::size_t t = 0; t < 4; ++t) {
-    const Breakdown& b = rows[t];
-    std::snprintf(buf, sizeof(buf),
-                  "%-14s %10llu %12.1f %12.1f %10.1f %8llu %6llu\n",
-                  packet_type_name(static_cast<PacketType>(t)),
-                  static_cast<unsigned long long>(b.delivered),
-                  b.mean_queue_cycles, b.mean_transit_cycles,
-                  b.mean_retx_cycles,
-                  static_cast<unsigned long long>(b.retransmits),
-                  static_cast<unsigned long long>(b.drops));
-    os << buf;
-  }
   return os.str();
 }
 

@@ -3,19 +3,18 @@
 // A PacketTracer is a fixed-capacity ring buffer of small binary events
 // covering the whole life of a packet: NI enqueue, VC allocation, router
 // injection, per-hop link traversal, ejection/reassembly, delivery or drop,
-// and the fault-recovery path (corruption, retransmission). Components hold
-// a nullable tracer pointer; with no tracer attached every hook is a single
-// branch on a null pointer, the simulation state is untouched, and results
-// are bit-identical to an untraced run (guarded by tests and a bench).
+// and the fault-recovery path (corruption, retransmission). The tracer is fed
+// by the NoC's one per-packet event sink (obs/sink.hpp), which it shares
+// with the LatencyAttributor; with no observer attached every hook is a
+// single branch on a null sink, the simulation state is untouched, and
+// results are bit-identical to an untraced run (guarded by tests and a
+// bench).
 //
 // Exporters:
 //  * to_chrome_json() — Chrome trace-event JSON ("traceEvents" array),
 //    loadable in Perfetto / chrome://tracing. Delivered packets become "X"
 //    complete events (pid = network, tid = source node, ts/dur in cycles);
 //    hops, corruption, retransmissions and drops become "i" instant events.
-//  * breakdown_report() — per-PacketType latency decomposition (NI queueing
-//    vs network transit vs retransmission overhead) plus retransmission
-//    counts, reconstructed from the event stream.
 //  * tail_text(n) — the last n events as text, appended to watchdog trip
 //    dumps so a deadlock diagnosis shows what last moved.
 #pragma once
@@ -44,17 +43,18 @@ inline constexpr std::size_t kNumTraceEventKinds = 9;
 
 const char* trace_event_kind_name(TraceEventKind k);
 
-/// One binary trace record. 16 bytes; everything needed to interpret it
+/// One binary trace record. 24 bytes; everything needed to interpret it
 /// without chasing the (recycled) packet arena slot afterwards.
 struct TraceEvent {
   Cycle cycle = 0;
   PacketId pkt = kInvalidPacket;
-  std::int16_t node = -1;
+  NodeId node = -1;
   std::int16_t aux = -1;
   TraceEventKind kind = TraceEventKind::kNiEnqueue;
   std::uint8_t type = 0;  ///< PacketType.
   std::uint8_t net = 0;   ///< 0 = request network, 1 = reply network.
 };
+static_assert(sizeof(TraceEvent) == 24);
 
 class PacketTracer {
  public:
@@ -68,7 +68,7 @@ class PacketTracer {
     TraceEvent& e = ring_[head_];
     e.cycle = cycle;
     e.pkt = pkt;
-    e.node = static_cast<std::int16_t>(node);
+    e.node = node;
     e.aux = static_cast<std::int16_t>(aux);
     e.kind = kind;
     e.type = static_cast<std::uint8_t>(type);
@@ -95,26 +95,6 @@ class PacketTracer {
 
   /// Chrome trace-event JSON (deterministic for a deterministic run).
   std::string to_chrome_json() const;
-
-  /// Per-PacketType decomposition over the buffered window.
-  struct Breakdown {
-    std::uint64_t delivered = 0;     ///< Packets with a full enqueue->deliver
-                                     ///< span inside the window.
-    double mean_queue_cycles = 0.0;  ///< NI enqueue -> router injection.
-    double mean_transit_cycles = 0.0;  ///< Injection -> delivery, first
-                                       ///< incarnations only.
-    double mean_retx_cycles = 0.0;  ///< Recovery re-injections' transit time
-                                    ///< (over all delivered packets of the
-                                    ///< type) — fault overhead, kept out of
-                                    ///< `transit` so faulty and fault-free
-                                    ///< runs stay comparable.
-    std::uint64_t retransmits = 0;
-    std::uint64_t drops = 0;
-  };
-  /// Indexed by PacketType (4 entries).
-  std::vector<Breakdown> breakdown() const;
-  /// The same decomposition as an aligned text table.
-  std::string breakdown_report() const;
 
   /// The last `n` buffered events as text lines (watchdog trip dumps).
   std::string tail_text(std::size_t n) const;
