@@ -5,8 +5,9 @@
 #include "bench_util.hpp"
 #include "workloads/suite.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace arinoc;
+  const exec::ExecOptions opts = exec::require_exec_flags(argc, argv);
   bench::banner("Ablation — MC placement (diamond / top-bottom / column)",
                 "diamond is the competitive baseline; ARI composes with "
                 "every placement");
@@ -15,18 +16,25 @@ int main() {
                                             "hotspot"};
   const McPlacement placements[] = {
       McPlacement::kDiamond, McPlacement::kTopBottom, McPlacement::kColumn};
+  std::vector<SweepPoint> points;
+  for (McPlacement p : placements) {
+    points.push_back(
+        {placement_name(p), [p](Config& c) { c.mc_placement = p; }});
+  }
+  const auto results = bench::run_grid(
+      base, grid(points, {Scheme::kAdaBaseline, Scheme::kAdaARI}, benches),
+      opts);
+  const bench::GridIndex at{2, benches.size()};
 
-  for (const auto& b : benches) {
+  for (std::size_t b = 0; b < benches.size(); ++b) {
     TextTable t({"placement", "Ada-Baseline IPC", "Ada-ARI IPC", "ARI gain"});
-    for (McPlacement p : placements) {
-      auto placed = [p](Config& c) { c.mc_placement = p; };
-      const double base_ipc =
-          run_scheme(base, Scheme::kAdaBaseline, b, placed).ipc;
-      const double ari_ipc = run_scheme(base, Scheme::kAdaARI, b, placed).ipc;
-      t.add_row({placement_name(p), fmt(base_ipc, 3), fmt(ari_ipc, 3),
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      const double base_ipc = results[at(p, 0, b)].metrics.ipc;
+      const double ari_ipc = results[at(p, 1, b)].metrics.ipc;
+      t.add_row({points[p].label, fmt(base_ipc, 3), fmt(ari_ipc, 3),
                  fmt(ari_ipc / base_ipc, 3) + "x"});
     }
-    std::printf("%s\n%s\n", b.c_str(), t.to_string().c_str());
+    std::printf("%s\n%s\n", benches[b].c_str(), t.to_string().c_str());
   }
-  return 0;
+  return bench::exit_status(results);
 }

@@ -7,8 +7,9 @@
 #include "bench_util.hpp"
 #include "workloads/suite.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace arinoc;
+  const exec::ExecOptions opts = exec::require_exec_flags(argc, argv);
   bench::banner("Negative control — ARI applied to the request side",
                 "request-side ARI alone ~1.0x; adds ~nothing on top of "
                 "reply-side ARI");
@@ -16,19 +17,23 @@ int main() {
   const std::vector<std::string> benches = {"bfs", "mummergpu", "srad",
                                             "kmeans", "hotspot", "nn"};
 
+  const auto results = bench::run_grid(
+      base,
+      grid({{"reply-side", nullptr},
+            {"request-side", [](Config& c) { c.request_side_ari = true; }}},
+           {Scheme::kAdaBaseline, Scheme::kAdaARI}, benches),
+      opts);
+  const bench::GridIndex at{2, benches.size()};
+
   TextTable t({"benchmark", "Ada-Baseline", "+req-side ARI only",
                "Ada-ARI (reply)", "Ada-ARI + req-side"});
   std::vector<double> req_only, reply_only, both;
-  for (const auto& b : benches) {
-    const double v0 = run_scheme(base, Scheme::kAdaBaseline, b).ipc;
-    const double v1 = run_scheme(base, Scheme::kAdaBaseline, b,
-                                 [](Config& c) {
-                                   c.request_side_ari = true;
-                                 }).ipc;
-    const double v2 = run_scheme(base, Scheme::kAdaARI, b).ipc;
-    const double v3 = run_scheme(base, Scheme::kAdaARI, b, [](Config& c) {
-                        c.request_side_ari = true;
-                      }).ipc;
+  for (std::size_t i = 0; i < benches.size(); ++i) {
+    const std::string& b = benches[i];
+    const double v0 = results[at(0, 0, i)].metrics.ipc;
+    const double v1 = results[at(1, 0, i)].metrics.ipc;
+    const double v2 = results[at(0, 1, i)].metrics.ipc;
+    const double v3 = results[at(1, 1, i)].metrics.ipc;
     req_only.push_back(v1 / v0);
     reply_only.push_back(v2 / v0);
     both.push_back(v3 / v0);
@@ -40,5 +45,5 @@ int main() {
   std::printf("IPC normalized to Ada-Baseline\n%s\n", t.to_string().c_str());
   std::printf("shape check: column 2 ~ 1.0 and column 4 ~ column 3 — only\n"
               "the reply side matters, confirming the paper's diagnosis.\n");
-  return 0;
+  return bench::exit_status(results);
 }

@@ -6,30 +6,41 @@
 #include "bench_util.hpp"
 #include "workloads/suite.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace arinoc;
+  const exec::ExecOptions opts = exec::require_exec_flags(argc, argv);
   bench::banner("Ablation — VC depth (packets per VC)",
                 "buffering is not bandwidth: deeper VCs barely help the "
                 "baseline");
   const Config base = make_base_config();
   const std::vector<std::string> benches = {"bfs", "mummergpu", "srad"};
+  const std::vector<Scheme> schemes = {Scheme::kAdaBaseline,
+                                       Scheme::kAdaARI};
+
+  // Depth 1 is Table I's default, so Ada-Baseline at depth=1 is the
+  // reference every row is normalized to.
+  std::vector<SweepPoint> points;
+  for (std::uint32_t depth = 1; depth <= 3; ++depth) {
+    points.push_back({"depth=" + std::to_string(depth),
+                      [depth](Config& c) { c.vc_depth_pkts = depth; }});
+  }
+  const auto results =
+      bench::run_grid(base, grid(points, schemes, benches), opts);
+  const bench::GridIndex at{schemes.size(), benches.size()};
 
   TextTable t({"depth(pkts)", "scheme", "bfs", "mummergpu", "srad"});
-  for (std::uint32_t depth = 1; depth <= 3; ++depth) {
-    for (Scheme s : {Scheme::kAdaBaseline, Scheme::kAdaARI}) {
-      std::vector<std::string> row = {std::to_string(depth), scheme_name(s)};
-      for (const auto& b : benches) {
-        const double ref =
-            run_scheme(base, Scheme::kAdaBaseline, b).ipc;  // depth 1.
-        const double v = run_scheme(base, s, b, [&](Config& c) {
-                           c.vc_depth_pkts = depth;
-                         }).ipc;
-        row.push_back(fmt(v / ref, 3));
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    for (std::size_t s = 0; s < schemes.size(); ++s) {
+      std::vector<std::string> row = {std::to_string(p + 1),
+                                      scheme_name(schemes[s])};
+      for (std::size_t b = 0; b < benches.size(); ++b) {
+        const double ref = results[at(0, 0, b)].metrics.ipc;
+        row.push_back(fmt(results[at(p, s, b)].metrics.ipc / ref, 3));
       }
       t.add_row(row);
     }
   }
   std::printf("IPC normalized to Ada-Baseline at depth 1\n%s\n",
               t.to_string().c_str());
-  return 0;
+  return bench::exit_status(results);
 }

@@ -8,42 +8,39 @@
 
 namespace arinoc::bench {
 
-std::vector<Metrics> run_grid(const Config& base,
-                              const std::vector<Scheme>& schemes,
-                              const std::vector<std::string>& benchmarks,
-                              const exec::ExecOptions& opts) {
-  std::vector<exec::CellSpec> cells;
-  cells.reserve(schemes.size() * benchmarks.size());
-  for (const Scheme s : schemes) {
-    for (const auto& b : benchmarks) {
-      cells.push_back({"grid", s, b, nullptr, false});
-    }
-  }
-  exec::ExperimentRunner runner(base, opts);
-  const auto ran = runner.run(cells);
-
-  std::vector<Metrics> out;
-  out.reserve(ran.size());
-  for (const auto& r : ran) {
+std::vector<exec::CellResult> run_grid(const Config& base,
+                                       const std::vector<exec::CellSpec>& cells,
+                                       const exec::ExecOptions& opts) {
+  std::vector<exec::CellResult> results =
+      exec::ExperimentRunner(base, opts).run(cells);
+  for (const auto& r : results) {
     if (!r.ok()) {
       std::fprintf(stderr, "!! %s/%s failed (%s): %s\n", r.scheme.c_str(),
                    r.benchmark.c_str(), r.error_kind.c_str(),
                    r.error.c_str());
     }
-    out.push_back(r.metrics);
   }
-  return out;
+  return results;
 }
 
-std::vector<double> run_and_print_normalized(
-    const Config& base, const std::vector<Scheme>& schemes,
-    const std::vector<std::string>& benchmarks, MetricFn fn,
-    const char* metric_name, bool higher_is_better,
-    const exec::ExecOptions& opts) {
+int exit_status(const std::vector<exec::CellResult>& results) {
+  for (const auto& r : results) {
+    if (!r.ok()) return r.exit_status;
+  }
+  return 0;
+}
+
+Normalized run_and_print_normalized(const Config& base,
+                                    const std::vector<Scheme>& schemes,
+                                    const std::vector<std::string>& benchmarks,
+                                    MetricFn fn, const char* metric_name,
+                                    bool higher_is_better,
+                                    const exec::ExecOptions& opts) {
   // Run the whole grid up front (parallel, cache-aware), then render.
-  const std::vector<Metrics> grid = run_grid(base, schemes, benchmarks, opts);
+  const auto results = run_grid(base, grid({}, schemes, benchmarks), opts);
+  const GridIndex at{schemes.size(), benchmarks.size()};
   auto value_of = [&](std::size_t s, std::size_t b) {
-    return fn(grid[s * benchmarks.size() + b]);
+    return fn(results[at(0, s, b)].metrics);
   };
 
   std::vector<std::string> headers = {"benchmark"};
@@ -62,10 +59,10 @@ std::vector<double> run_and_print_normalized(
     table.add_row(row);
   }
   std::vector<std::string> geo_row = {"GEOMEAN"};
-  std::vector<double> geos;
+  Normalized out{{}, exit_status(results)};
   for (std::size_t s = 0; s < schemes.size(); ++s) {
     const double g = geomean_guarded(ratios[s]);  // Guards zeroed cells.
-    geos.push_back(g);
+    out.geomeans.push_back(g);
     geo_row.push_back(fmt(g, 3));
   }
   table.add_row(geo_row);
@@ -74,7 +71,7 @@ std::vector<double> run_and_print_normalized(
               scheme_name(schemes[0]),
               higher_is_better ? "higher is better" : "lower is better");
   std::printf("%s\n", table.to_string().c_str());
-  return geos;
+  return out;
 }
 
 std::vector<SweepPoint> fabric_axis_points() {

@@ -35,25 +35,44 @@ inline double mc_stall_of(const Metrics& m) {
   return static_cast<double>(m.mc_stall_cycles);
 }
 
-/// Runs `schemes` x `benchmarks` (in parallel on the exec pool, optionally
-/// cached) and prints a table of `fn` normalized to the first scheme, with
-/// a geomean row. Returns the per-scheme geomeans (same order as
-/// `schemes`). A cell that fails is reported on stderr and contributes a
-/// guarded (floor-clamped) ratio instead of aborting the bench.
-std::vector<double> run_and_print_normalized(
-    const Config& base, const std::vector<Scheme>& schemes,
-    const std::vector<std::string>& benchmarks, MetricFn fn,
-    const char* metric_name, bool higher_is_better = true,
-    const exec::ExecOptions& opts = exec::options_from_env(true));
+/// Runs `cells` on the exec pool (optionally cached) and returns their
+/// results in cell order. Failed cells are reported on stderr and come back
+/// with zeroed metrics.
+std::vector<exec::CellResult> run_grid(const Config& base,
+                                       const std::vector<exec::CellSpec>& cells,
+                                       const exec::ExecOptions& opts);
 
-/// Runs a (scheme x benchmark) grid on the exec pool and returns the
-/// metrics in grid order (scheme-major). Failed cells are reported on
-/// stderr and come back zeroed.
-std::vector<Metrics> run_grid(const Config& base,
-                              const std::vector<Scheme>& schemes,
-                              const std::vector<std::string>& benchmarks,
-                              const exec::ExecOptions& opts =
-                                  exec::options_from_env(true));
+/// A bench's exit status once it has printed its results: 0 when every
+/// cell ran, else the first failed cell's exit_status (the arinoc_sim
+/// contract: 2 config, 3/4/5 watchdog, 1 runtime).
+int exit_status(const std::vector<exec::CellResult>& results);
+
+/// Position of cell (point p, scheme s, benchmark b) in a result vector
+/// holding grid(points, schemes, benchmarks) from index `offset` on.
+struct GridIndex {
+  std::size_t schemes;
+  std::size_t benchmarks;
+  std::size_t offset = 0;
+  std::size_t operator()(std::size_t p, std::size_t s, std::size_t b) const {
+    return offset + (p * schemes + s) * benchmarks + b;
+  }
+};
+
+struct Normalized {
+  std::vector<double> geomeans;  ///< Per scheme, in `schemes` order.
+  int exit_status = 0;           ///< bench::exit_status of the grid.
+};
+
+/// Runs `schemes` x `benchmarks` through run_grid and prints a table of
+/// `fn` normalized to the first scheme, with a geomean row. A cell that
+/// fails contributes a guarded (floor-clamped) ratio instead of aborting
+/// the bench.
+Normalized run_and_print_normalized(const Config& base,
+                                    const std::vector<Scheme>& schemes,
+                                    const std::vector<std::string>& benchmarks,
+                                    MetricFn fn, const char* metric_name,
+                                    bool higher_is_better,
+                                    const exec::ExecOptions& opts);
 
 /// The shared fabric axis (mesh / torus / cmesh / chiplet): every point
 /// keeps 16 routers / 4 MCs so cross-fabric comparisons are about topology,

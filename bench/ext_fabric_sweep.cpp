@@ -71,14 +71,8 @@ int main(int argc, char** argv) {
   // Fabric axis shared with ext_fault_resilience / ext_serving_tail
   // (their --fabric flag), so the three benches run identical fabrics.
   const std::vector<SweepPoint> points = bench::fabric_axis_points();
-  const auto cells = Sweep(base)
-                         .over(points)
-                         .schemes(schemes)
-                         .benchmarks(loads)
-                         .jobs(opts.jobs)
-                         .cache(opts.cache_enabled, opts.cache_dir)
-                         .progress(opts.progress)
-                         .run();
+  const auto cells =
+      exec::ExperimentRunner(base, opts).run(grid(points, schemes, loads));
 
   // Per-fabric geomean IPC per scheme + the Ada-ARI / Ada-Baseline gain.
   TextTable t({"fabric", "XY-Base geo-IPC", "XY-ARI geo-IPC",
@@ -89,15 +83,14 @@ int main(int argc, char** argv) {
        << ",\n  \"cells\": [\n";
   bool first_cell = true;
   std::ostringstream summary;
-  const std::size_t per_scheme = loads.size();
-  const std::size_t per_point = schemes.size() * per_scheme;
+  const bench::GridIndex at{schemes.size(), loads.size()};
   int failures = 0;
   for (std::size_t p = 0; p < points.size(); ++p) {
     std::vector<double> geo;
     for (std::size_t s = 0; s < schemes.size(); ++s) {
       std::vector<double> ipc;
-      for (std::size_t b = 0; b < per_scheme; ++b) {
-        const SweepCell& c = cells[p * per_point + s * per_scheme + b];
+      for (std::size_t b = 0; b < loads.size(); ++b) {
+        const exec::CellResult& c = cells[at(p, s, b)];
         ipc.push_back(c.metrics.ipc);
         if (!c.ok()) {
           ++failures;

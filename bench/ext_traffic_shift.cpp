@@ -6,8 +6,9 @@
 #include "bench_util.hpp"
 #include "workloads/suite.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace arinoc;
+  const exec::ExecOptions opts = exec::require_exec_flags(argc, argv);
   bench::banner("Extension — ARI under shifted NoC traffic intensity",
                 "more traffic (L1 bypass / no inter-warp merge) => larger "
                 "ARI benefit; less traffic => smaller");
@@ -26,21 +27,29 @@ int main() {
       {"L1 bypass + no merge", true, false},
   };
 
-  for (const auto& b : benches) {
+  std::vector<SweepPoint> points;
+  for (const Mode& mode : modes) {
+    points.push_back({mode.name, [mode](Config& c) {
+                        c.l1_bypass = mode.bypass;
+                        c.cross_warp_merge = mode.merge;
+                      }});
+  }
+  const auto results = bench::run_grid(
+      base, grid(points, {Scheme::kAdaBaseline, Scheme::kAdaARI}, benches),
+      opts);
+  const bench::GridIndex at{2, benches.size()};
+
+  for (std::size_t b = 0; b < benches.size(); ++b) {
     TextTable t({"traffic mode", "Ada-Baseline IPC", "Ada-ARI IPC",
                  "ARI gain", "reply inj util (base)"});
-    for (const Mode& mode : modes) {
-      auto tweak = [&](Config& c) {
-        c.l1_bypass = mode.bypass;
-        c.cross_warp_merge = mode.merge;
-      };
-      const Metrics m0 = run_scheme(base, Scheme::kAdaBaseline, b, tweak);
-      const Metrics m1 = run_scheme(base, Scheme::kAdaARI, b, tweak);
-      t.add_row({mode.name, fmt(m0.ipc, 3), fmt(m1.ipc, 3),
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      const Metrics& m0 = results[at(p, 0, b)].metrics;
+      const Metrics& m1 = results[at(p, 1, b)].metrics;
+      t.add_row({points[p].label, fmt(m0.ipc, 3), fmt(m1.ipc, 3),
                  fmt(m1.ipc / m0.ipc, 3) + "x",
                  fmt(m0.reply_injection_util, 3)});
     }
-    std::printf("%s\n%s\n", b.c_str(), t.to_string().c_str());
+    std::printf("%s\n%s\n", benches[b].c_str(), t.to_string().c_str());
   }
-  return 0;
+  return bench::exit_status(results);
 }

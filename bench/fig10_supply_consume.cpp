@@ -6,8 +6,9 @@
 #include "bench_util.hpp"
 #include "workloads/suite.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace arinoc;
+  const exec::ExecOptions opts = exec::require_exec_flags(argc, argv);
   bench::banner(
       "Figure 10 — Acc-Supply / Acc-Consume ablation (adaptive routing)",
       "supply-only ~1.0x (hurts some), consume-only ~1.0x, both ~1.135x, "
@@ -16,10 +17,11 @@ int main() {
   const std::vector<Scheme> schemes = {
       Scheme::kAdaBaseline, Scheme::kAccSupply, Scheme::kAccConsume,
       Scheme::kAccBothNoPrio, Scheme::kAdaARI};
-  const auto geos = bench::run_and_print_normalized(
-      base, schemes, all_benchmark_names(), bench::ipc_of, "IPC");
+  const auto norm = bench::run_and_print_normalized(
+      base, schemes, all_benchmark_names(), bench::ipc_of, "IPC", true, opts);
+  const std::vector<double>& geos = norm.geomeans;
   std::printf("geomeans: supply-only %.3f, consume-only %.3f, both %.3f, "
               "ARI %.3f\n",
               geos[1], geos[2], geos[3], geos[4]);
-  return 0;
+  return norm.exit_status;
 }

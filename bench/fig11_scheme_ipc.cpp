@@ -15,12 +15,13 @@ int main(int argc, char** argv) {
   const std::vector<Scheme> schemes = {
       Scheme::kXYBaseline, Scheme::kXYARI, Scheme::kAdaBaseline,
       Scheme::kAdaMultiPort, Scheme::kAdaARI};
-  const auto geos = bench::run_and_print_normalized(
+  const auto norm = bench::run_and_print_normalized(
       base, schemes, all_benchmark_names(), bench::ipc_of, "IPC", true, opts);
+  const std::vector<double>& geos = norm.geomeans;
   std::printf("Ada-ARI vs Ada-Baseline: %.3fx (paper: ~1.154x)\n",
               geos[4] / geos[2]);
   std::printf("Ada-MultiPort vs Ada-Baseline: %.3fx (paper: ~1.02x)\n",
               geos[3] / geos[2]);
   std::printf("XY-ARI vs XY-Baseline: %.3fx (paper: ~1.08x)\n", geos[1]);
-  return 0;
+  return norm.exit_status;
 }

@@ -7,8 +7,9 @@
 #include "bench_util.hpp"
 #include "workloads/suite.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace arinoc;
+  const exec::ExecOptions opts = exec::require_exec_flags(argc, argv);
   bench::banner("Figure 12 — Normalized MC data stall time",
                 "XY-ARI -47.5%, Ada-ARI -67.8%, MultiPort small reduction");
   const Config base = make_base_config();
@@ -16,19 +17,24 @@ int main() {
       Scheme::kXYBaseline, Scheme::kXYARI, Scheme::kAdaBaseline,
       Scheme::kAdaMultiPort, Scheme::kAdaARI};
 
+  const std::vector<std::string> all = all_benchmark_names();
+  const auto results = bench::run_grid(base, grid({}, schemes, all), opts);
+  const bench::GridIndex at{schemes.size(), all.size()};
+  const auto stall_of = [&](std::size_t s, std::size_t b) {
+    return bench::mc_stall_of(results[at(0, s, b)].metrics);
+  };
+
   // Normalize each benchmark to its XY-Baseline stall time; arithmetic
   // mean of the ratios (the paper's bars are per-benchmark normalized).
   std::map<int, std::vector<double>> stalls;
   std::vector<std::string> benches;
-  for (const auto& b : all_benchmark_names()) {
-    const double base_stall =
-        bench::mc_stall_of(run_scheme(base, schemes[0], b));
+  for (std::size_t b = 0; b < all.size(); ++b) {
+    const double base_stall = stall_of(0, b);
     if (base_stall < 1.0) continue;  // No stall to normalize against.
-    benches.push_back(b);
+    benches.push_back(all[b]);
     stalls[0].push_back(1.0);
     for (std::size_t s = 1; s < schemes.size(); ++s) {
-      stalls[static_cast<int>(s)].push_back(
-          bench::mc_stall_of(run_scheme(base, schemes[s], b)) / base_stall);
+      stalls[static_cast<int>(s)].push_back(stall_of(s, b) / base_stall);
     }
   }
 
@@ -55,5 +61,5 @@ int main() {
               (1.0 - means[1]) * 100.0);
   std::printf("Ada-ARI reduction vs Ada-Baseline: %.1f%% (paper: 67.8%%)\n",
               means[2] > 0 ? (1.0 - means[4] / means[2]) * 100.0 : 0.0);
-  return 0;
+  return bench::exit_status(results);
 }

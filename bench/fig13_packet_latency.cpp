@@ -8,8 +8,9 @@
 #include "bench_util.hpp"
 #include "workloads/suite.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace arinoc;
+  const exec::ExecOptions opts = exec::require_exec_flags(argc, argv);
   bench::banner("Figure 13 — Packet latency split (request + reply)",
                 "ARI cuts reply latency AND request latency (untouched "
                 "request network) — backpressure removed at the source");
@@ -17,6 +18,9 @@ int main() {
   const std::vector<Scheme> schemes = {
       Scheme::kXYBaseline, Scheme::kXYARI, Scheme::kAdaBaseline,
       Scheme::kAdaMultiPort, Scheme::kAdaARI};
+  const std::vector<std::string> benches = all_benchmark_names();
+  const auto results = bench::run_grid(base, grid({}, schemes, benches), opts);
+  const bench::GridIndex at{schemes.size(), benches.size()};
 
   std::vector<std::string> headers = {"benchmark"};
   for (Scheme s : schemes) {
@@ -26,10 +30,10 @@ int main() {
 
   std::map<int, std::vector<double>> totals;
   std::map<int, double> req_sums, rep_sums, rep_p99_sums;
-  for (const auto& b : all_benchmark_names()) {
-    std::vector<std::string> row = {b};
+  for (std::size_t b = 0; b < benches.size(); ++b) {
+    std::vector<std::string> row = {benches[b]};
     for (std::size_t s = 0; s < schemes.size(); ++s) {
-      const Metrics m = run_scheme(base, schemes[s], b);
+      const Metrics& m = results[at(0, s, b)].metrics;
       totals[static_cast<int>(s)].push_back(m.request_latency +
                                             m.reply_latency);
       req_sums[static_cast<int>(s)] += m.request_latency;
@@ -46,7 +50,7 @@ int main() {
   // compresses the distribution, not just its mean.
   TextTable sum({"scheme", "mean req lat", "mean reply lat",
                  "mean reply p99", "total"});
-  const double n = static_cast<double>(all_benchmark_names().size());
+  const double n = static_cast<double>(benches.size());
   for (std::size_t s = 0; s < schemes.size(); ++s) {
     sum.add_row({scheme_name(schemes[s]),
                  fmt(req_sums[static_cast<int>(s)] / n, 1),
@@ -56,5 +60,5 @@ int main() {
                       rep_sums[static_cast<int>(s)]) / n, 1)});
   }
   std::printf("%s\n", sum.to_string().c_str());
-  return 0;
+  return bench::exit_status(results);
 }

@@ -9,17 +9,23 @@
 #include "bench_util.hpp"
 #include "workloads/suite.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace arinoc;
+  const exec::ExecOptions opts = exec::require_exec_flags(argc, argv);
   bench::banner("Figure 14 — Normalized energy (per unit of work)",
                 "dynamic ~equal, static falls with runtime, total ~-4%");
   const Config base = make_base_config();
+  const std::vector<std::string> benches = all_benchmark_names();
+  const auto results = bench::run_grid(
+      base, grid({}, {Scheme::kAdaBaseline, Scheme::kAdaARI}, benches), opts);
+  const bench::GridIndex at{2, benches.size()};
 
   TextTable t({"benchmark", "dyn ratio", "static ratio", "total ratio"});
   std::vector<double> totals;
-  for (const auto& b : all_benchmark_names()) {
-    const Metrics m0 = run_scheme(base, Scheme::kAdaBaseline, b);
-    const Metrics m1 = run_scheme(base, Scheme::kAdaARI, b);
+  for (std::size_t i = 0; i < benches.size(); ++i) {
+    const std::string& b = benches[i];
+    const Metrics& m0 = results[at(0, 0, i)].metrics;
+    const Metrics& m1 = results[at(0, 1, i)].metrics;
     const double w0 = static_cast<double>(m0.warp_instructions);
     const double w1 = static_cast<double>(m1.warp_instructions);
     const double dyn = (m1.energy.dynamic_nj() / w1) /
@@ -36,5 +42,5 @@ int main() {
               "(lower is better)\n%s\n",
               t.to_string().c_str());
   std::printf("paper: total ~0.96x; static ratio ~ 1/IPC-speedup\n");
-  return 0;
+  return bench::exit_status(results);
 }

@@ -46,28 +46,22 @@ int main(int argc, char** argv) {
                         }});
     }
   }
-  const auto cells = Sweep(base)
-                         .over(points)
-                         .schemes({Scheme::kAdaBaseline, Scheme::kAdaARI})
-                         .benchmarks(mix)
-                         .jobs(opts.jobs)
-                         .cache(opts.cache_enabled, opts.cache_dir)
-                         .progress(opts.progress)
-                         .run();
+  const auto cells = bench::run_grid(
+      base, grid(points, {Scheme::kAdaBaseline, Scheme::kAdaARI}, mix), opts);
+  const bench::GridIndex at{2, mix.size()};
 
   TextTable t({"grid", "fabric", "ccs", "mcs", "Ada-Baseline geo-IPC",
                "Ada-ARI geo-IPC", "ARI gain"});
-  const std::size_t per_scheme = mix.size();
-  std::size_t cell = 0;
+  std::size_t p = 0;
   for (std::uint32_t k : sizes) {
     const std::uint32_t mcs = static_cast<std::uint32_t>(k * k / 4.5 + 0.5);
     for (const std::string& f : fabrics) {
       std::vector<double> b_ipc, a_ipc;
-      for (std::size_t i = 0; i < per_scheme; ++i) {
-        b_ipc.push_back(cells[cell + i].metrics.ipc);
-        a_ipc.push_back(cells[cell + per_scheme + i].metrics.ipc);
+      for (std::size_t i = 0; i < mix.size(); ++i) {
+        b_ipc.push_back(cells[at(p, 0, i)].metrics.ipc);
+        a_ipc.push_back(cells[at(p, 1, i)].metrics.ipc);
       }
-      cell += 2 * per_scheme;
+      ++p;
       const double gb = geomean_guarded(b_ipc), ga = geomean_guarded(a_ipc);
       t.add_row({std::to_string(k) + "x" + std::to_string(k), f,
                  std::to_string(k * k - mcs), std::to_string(mcs),
@@ -77,5 +71,5 @@ int main(int argc, char** argv) {
   std::printf("%s\n", t.to_string().c_str());
   std::printf("shape check: within each fabric, the 'ARI gain' column "
               "increases with grid size.\n");
-  return 0;
+  return bench::exit_status(cells);
 }

@@ -5,11 +5,13 @@
 //
 // Default: bfs, 15000 measured cycles after a 2000-cycle warmup.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/parse_count.hpp"
 #include "core/experiment.hpp"
 #include "core/report.hpp"
+#include "core/sweep.hpp"
+#include "exec/options.hpp"
 #include "workloads/benchmark.hpp"
 
 using namespace arinoc;
@@ -27,13 +29,25 @@ int main(int argc, char** argv) {
   }
 
   Config base = make_base_config();
-  if (argc > 2) base.run_cycles = std::strtoull(argv[2], nullptr, 10);
+  if (argc > 2 && !parse_count("run_cycles", argv[2], &base.run_cycles)) {
+    return 2;
+  }
 
   std::printf("%s\n", base.table1().c_str());
   std::printf("benchmark: %s\n\n", bench.c_str());
 
-  const Metrics baseline = run_scheme(base, Scheme::kAdaBaseline, bench);
-  const Metrics ari = run_scheme(base, Scheme::kAdaARI, bench);
+  const auto results =
+      exec::ExperimentRunner(base, exec::options_from_env(false))
+          .run(grid({}, {Scheme::kAdaBaseline, Scheme::kAdaARI}, {bench}));
+  for (const auto& r : results) {
+    if (!r.ok()) {
+      std::fprintf(stderr, "%s failed (%s): %s\n", r.scheme.c_str(),
+                   r.error_kind.c_str(), r.error.c_str());
+      return r.exit_status;
+    }
+  }
+  const Metrics& baseline = results[0].metrics;
+  const Metrics& ari = results[1].metrics;
 
   TextTable t({"metric", "Ada-Baseline", "Ada-ARI", "ARI vs baseline"});
   auto rel = [](double a, double b) {

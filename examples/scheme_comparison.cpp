@@ -12,6 +12,8 @@
 #include "common/stats.hpp"
 #include "core/experiment.hpp"
 #include "core/report.hpp"
+#include "core/sweep.hpp"
+#include "exec/options.hpp"
 #include "workloads/benchmark.hpp"
 #include "workloads/suite.hpp"
 
@@ -33,8 +35,19 @@ int main(int argc, char** argv) {
       Scheme::kXYBaseline,   Scheme::kXYARI,      Scheme::kAdaBaseline,
       Scheme::kAdaMultiPort, Scheme::kAccSupply,  Scheme::kAccConsume,
       Scheme::kAccBothNoPrio, Scheme::kAdaARI};
+  const auto results =
+      exec::ExperimentRunner(base, exec::options_from_env(false))
+          .run(grid({}, schemes, benches));
+  for (const auto& r : results) {
+    if (!r.ok()) {
+      std::fprintf(stderr, "%s/%s failed (%s): %s\n", r.scheme.c_str(),
+                   r.benchmark.c_str(), r.error_kind.c_str(), r.error.c_str());
+      return r.exit_status;
+    }
+  }
 
-  for (const auto& b : benches) {
+  for (std::size_t i = 0; i < benches.size(); ++i) {
+    const std::string& b = benches[i];
     const BenchmarkTraits* traits = find_benchmark(b);
     std::printf("=== %s (%s NoC sensitivity, mem ratio %.2f) ===\n",
                 b.c_str(), sensitivity_name(traits->sensitivity),
@@ -42,8 +55,9 @@ int main(int argc, char** argv) {
     TextTable t({"scheme", "IPC", "vs XY-Base", "MC stall", "req lat",
                  "reply lat"});
     double ref_ipc = 0.0;
-    for (Scheme s : schemes) {
-      const Metrics m = run_scheme(base, s, b);
+    for (std::size_t k = 0; k < schemes.size(); ++k) {
+      const Scheme s = schemes[k];
+      const Metrics& m = results[k * benches.size() + i].metrics;
       if (s == Scheme::kXYBaseline) ref_ipc = m.ipc;
       t.add_row({scheme_name(s), fmt(m.ipc, 3),
                  fmt(ref_ipc > 0 ? m.ipc / ref_ipc : 1.0, 3) + "x",

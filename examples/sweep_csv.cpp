@@ -2,7 +2,11 @@
 // crossbar speedup and emits one CSV row per (point, scheme, benchmark) —
 // pipe into your plotting tool of choice.
 //
-//   ./sweep_csv [--jobs N] [--no-cache] [--cache-dir D] > speedup_sweep.csv
+//   ./sweep_csv [exec flags] > speedup_sweep.csv
+//
+// Takes the shared exec flags (src/exec/options.hpp): --jobs, --threads,
+// --no-cache, --cache-dir, --sample-interval, --telemetry-dir, --attr-dir
+// (the last fills the CSV `bottleneck` column).
 //
 // The grid runs in parallel on the exec pool (deterministic: the CSV is
 // byte-identical for any --jobs value) and caches results on disk, so a
@@ -30,15 +34,9 @@ int main(int argc, char** argv) {
                         c.injection_speedup = std::min(s, c.num_vcs);
                       }});
   }
-  const auto cells = Sweep(base)
-                         .over(points)
-                         .schemes({Scheme::kAdaARI})
-                         .benchmarks({"bfs", "kmeans", "hotspot"})
-                         .jobs(opts.jobs)
-                         .cache(opts.cache_enabled, opts.cache_dir)
-                         .progress(opts.progress)
-                         .run();
-  std::fputs(Sweep::to_csv(cells).c_str(), stdout);
+  const auto cells = exec::ExperimentRunner(base, opts).run(
+      grid(points, {Scheme::kAdaARI}, {"bfs", "kmeans", "hotspot"}));
+  std::fputs(to_csv(cells).c_str(), stdout);
   for (const auto& c : cells) {
     if (!c.ok()) return 1;  // Per-cell errors are in the CSV's error column.
   }

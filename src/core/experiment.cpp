@@ -1,9 +1,8 @@
 #include "core/experiment.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 
-#include "exec/runner.hpp"
+#include "common/parse_count.hpp"
 
 namespace arinoc {
 
@@ -16,12 +15,8 @@ Config make_base_config() {
 }
 
 Config apply_env_overrides(Config cfg) {
-  if (const char* rc = std::getenv("ARINOC_RUN_CYCLES")) {
-    cfg.run_cycles = static_cast<Cycle>(std::strtoull(rc, nullptr, 10));
-  }
-  if (const char* wc = std::getenv("ARINOC_WARMUP_CYCLES")) {
-    cfg.warmup_cycles = static_cast<Cycle>(std::strtoull(wc, nullptr, 10));
-  }
+  count_from_env("ARINOC_RUN_CYCLES", &cfg.run_cycles);
+  count_from_env("ARINOC_WARMUP_CYCLES", &cfg.warmup_cycles);
   return cfg;
 }
 
@@ -50,44 +45,6 @@ Config resolve_cell_config(const Config& base, Scheme scheme,
                                 std::string(scheme_name(scheme)) + ": " + err);
   }
   return cfg;
-}
-
-Metrics run_scheme(const Config& base, Scheme scheme,
-                   const std::string& benchmark,
-                   const std::function<void(Config&)>& tweak, bool da2mesh) {
-  const BenchmarkTraits* traits = find_benchmark(benchmark);
-  if (traits == nullptr) {
-    throw std::invalid_argument("unknown benchmark '" + benchmark + "'");
-  }
-  const Config cfg = resolve_cell_config(base, scheme, benchmark, tweak);
-  GpgpuSim sim(cfg, *traits, da2mesh);
-  sim.run_with_warmup();
-  return sim.collect();
-}
-
-std::vector<RunResult> run_suite(const Config& base, Scheme scheme,
-                                 const std::vector<std::string>& benchmarks,
-                                 bool da2mesh) {
-  // One runner per call: parallel across benchmarks, submission-ordered
-  // results, no caching (callers opt into caching via exec directly).
-  exec::ExperimentRunner runner(base, exec::ExecOptions{});
-  std::vector<exec::CellSpec> cells;
-  cells.reserve(benchmarks.size());
-  for (const auto& b : benchmarks) {
-    cells.push_back({"suite", scheme, b, nullptr, da2mesh});
-  }
-  const auto ran = runner.run(cells);
-
-  std::vector<RunResult> results;
-  results.reserve(ran.size());
-  for (const auto& r : ran) {
-    if (!r.ok()) {  // Preserve the historical all-or-throw contract.
-      throw std::runtime_error("run_suite: " + r.scheme + "/" + r.benchmark +
-                               " failed (" + r.error_kind + "): " + r.error);
-    }
-    results.push_back({r.benchmark, scheme, r.metrics});
-  }
-  return results;
 }
 
 }  // namespace arinoc

@@ -1,9 +1,9 @@
 // The Metrics field table: one row per value any Metrics emitter writes —
 // the report JSON (metrics_to_json), the result-cache record
 // (exec::serialize_metrics / deserialize_metrics), the golden-store
-// snapshot (obs::regress::snapshot_metrics) and the sweep CSV
-// (Sweep::to_csv). Emitters loop over the rows or resolve names through
-// them and never name a field themselves, so adding a metric means a
+// snapshot (obs::regress::snapshot_metrics) and the sweep CSV (to_csv in
+// core/sweep). Emitters loop over the rows or resolve names through them
+// and never name a field themselves, so adding a metric means a
 // Metrics member, its collect() line and one row here.
 #pragma once
 

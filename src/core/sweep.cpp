@@ -5,49 +5,27 @@
 #include <type_traits>
 
 #include "core/metric_fields.hpp"
-#include "exec/runner.hpp"
 
 namespace arinoc {
 
-std::vector<SweepCell> Sweep::run() const {
-  // A sweep without an explicit axis still runs the base config once per
-  // (scheme, benchmark) pair.
-  const std::vector<SweepPoint> points =
-      points_.empty() ? std::vector<SweepPoint>{{"base", nullptr}} : points_;
-
-  std::vector<exec::CellSpec> specs;
-  specs.reserve(points.size() * schemes_.size() * benchmarks_.size());
-  for (const SweepPoint& p : points) {
-    for (Scheme s : schemes_) {
-      for (const std::string& b : benchmarks_) {
-        specs.push_back({p.label, s, b, p.tweak, false});
+std::vector<exec::CellSpec> grid(const std::vector<SweepPoint>& points,
+                                 const std::vector<Scheme>& schemes,
+                                 const std::vector<std::string>& benchmarks) {
+  const std::vector<SweepPoint> axis =
+      points.empty() ? std::vector<SweepPoint>{{"base", nullptr}} : points;
+  std::vector<exec::CellSpec> cells;
+  cells.reserve(axis.size() * schemes.size() * benchmarks.size());
+  for (const SweepPoint& p : axis) {
+    for (const Scheme s : schemes) {
+      for (const std::string& b : benchmarks) {
+        cells.push_back({p.label, s, b, p.tweak, false});
       }
     }
-  }
-
-  exec::ExecOptions opts;
-  opts.jobs = jobs_;
-  opts.cache_enabled = cache_enabled_;
-  opts.cache_dir = cache_dir_;
-  opts.progress = progress_;
-  opts.sample_interval = sample_interval_;
-  opts.telemetry_dir = telemetry_dir_;
-  opts.attr_dir = attr_dir_;
-  opts.attr_window = attr_window_;
-  exec::ExperimentRunner runner(base_, std::move(opts));
-  const auto ran = runner.run(specs);
-
-  std::vector<SweepCell> cells;
-  cells.reserve(ran.size());
-  for (const auto& r : ran) {
-    cells.push_back({r.point, r.scheme, r.benchmark, r.fabric, r.metrics,
-                     r.error, r.error_kind, r.from_cache, r.telemetry_path,
-                     r.attr_path});
   }
   return cells;
 }
 
-std::string Sweep::csv_escape(const std::string& field) {
+std::string csv_escape(const std::string& field) {
   if (field.find_first_of(",\"\n\r") == std::string::npos) return field;
   std::string out = "\"";
   for (const char c : field) {
@@ -58,7 +36,7 @@ std::string Sweep::csv_escape(const std::string& field) {
   return out;
 }
 
-std::string Sweep::to_csv(const std::vector<SweepCell>& cells) {
+std::string to_csv(const std::vector<exec::CellResult>& cells) {
   // Columns after benchmark, resolved through the Metrics field table except
   // `fabric`, the cell's own. New columns append before the trailing `error`
   // column so positional consumers of the original prefix keep working.
@@ -73,7 +51,7 @@ std::string Sweep::to_csv(const std::vector<SweepCell>& cells) {
   os << "point,scheme,benchmark,";
   for (const std::string_view col : kColumns) os << col << ',';
   os << "error\n";
-  for (const SweepCell& c : cells) {
+  for (const exec::CellResult& c : cells) {
     os << csv_escape(c.point) << ',' << csv_escape(c.scheme) << ','
        << csv_escape(c.benchmark) << ',';
     for (const std::string_view col : kColumns) {

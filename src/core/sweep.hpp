@@ -1,12 +1,12 @@
-// Parameter-sweep driver: runs a grid of (config variant x scheme x
-// benchmark) simulations and renders the results as CSV — the plumbing
+// Parameter-sweep helpers: lay out a (config variant x scheme x benchmark)
+// grid of exec cells and render the runner's results as CSV — the plumbing
 // behind "make the plot for figure X" scripts.
 //
-// Execution goes through the exec subsystem (src/exec): the grid is mapped
-// onto a work-stealing thread pool, results come back in grid order and are
-// byte-identical for any `jobs` count, a cell that trips the watchdog
-// records a per-cell error instead of killing the sweep, and an optional
-// on-disk cache skips cells whose (config, scheme, benchmark) already ran.
+// A grid runs through exec::ExperimentRunner (src/exec/runner.hpp): results
+// come back in grid order and are byte-identical for any `jobs` count, a
+// cell that trips the watchdog records a per-cell error instead of killing
+// the sweep, and an optional on-disk cache skips cells whose (config,
+// scheme, benchmark) already ran.
 #pragma once
 
 #include <functional>
@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "core/gpgpu_sim.hpp"
+#include "exec/runner.hpp"
 
 namespace arinoc {
 
@@ -24,105 +24,19 @@ struct SweepPoint {
   std::function<void(Config&)> tweak;
 };
 
-struct SweepCell {
-  std::string point;      ///< SweepPoint label.
-  std::string scheme;     ///< Scheme name.
-  std::string benchmark;
-  std::string fabric;     ///< Reply-fabric tag (see CellResult::fabric).
-  Metrics metrics;        ///< Zeroed when the cell failed.
+/// The cells of points x schemes x benchmarks: point-major, then scheme,
+/// then benchmark. An empty `points` means one point, "base", that runs the
+/// base config unchanged.
+std::vector<exec::CellSpec> grid(const std::vector<SweepPoint>& points,
+                                 const std::vector<Scheme>& schemes,
+                                 const std::vector<std::string>& benchmarks);
 
-  // Crash isolation: a failing cell (watchdog trip, invalid config, any
-  // exception) is recorded here; the rest of the grid still runs.
-  std::string error;       ///< Empty = success.
-  std::string error_kind;  ///< "config" | "deadlock" | "livelock" |
-                           ///< "invariant-violation" | "runtime".
-  bool from_cache = false;
-  /// Telemetry JSONL written for this cell (sampling enabled, run ok).
-  std::string telemetry_path;
-  /// Attribution report JSON written for this cell (attribution on, run ok).
-  std::string attr_path;
+/// CSV with one row per cell: point,scheme,benchmark,<metric columns>,
+/// error. Fields are RFC-4180 quoted when they contain commas, quotes,
+/// or newlines (sweep-point labels are free-form strings).
+std::string to_csv(const std::vector<exec::CellResult>& cells);
 
-  bool ok() const { return error.empty(); }
-};
-
-class Sweep {
- public:
-  explicit Sweep(Config base) : base_(std::move(base)) {}
-
-  Sweep& over(std::vector<SweepPoint> points) {
-    points_ = std::move(points);
-    return *this;
-  }
-  Sweep& schemes(std::vector<Scheme> schemes) {
-    schemes_ = std::move(schemes);
-    return *this;
-  }
-  Sweep& benchmarks(std::vector<std::string> benchmarks) {
-    benchmarks_ = std::move(benchmarks);
-    return *this;
-  }
-
-  // ---- Execution knobs (see src/exec/runner.hpp) ----
-  /// Worker threads; 0 (default) = hardware concurrency, 1 = serial.
-  Sweep& jobs(unsigned n) {
-    jobs_ = n;
-    return *this;
-  }
-  /// On-disk result cache; disabled by default. An empty dir means
-  /// $ARINOC_CACHE_DIR or ".arinoc-cache".
-  Sweep& cache(bool enabled, std::string dir = "") {
-    cache_enabled_ = enabled;
-    cache_dir_ = std::move(dir);
-    return *this;
-  }
-  /// Live [done/total] + ETA reporting on stderr; off by default.
-  Sweep& progress(bool on) {
-    progress_ = on;
-    return *this;
-  }
-  /// Per-cell telemetry: sample every `interval` cycles and write one JSONL
-  /// series per cell into `dir` (empty = "arinoc-telemetry"). 0 disables.
-  /// Sampling cells bypass the result cache.
-  Sweep& sample(Cycle interval, std::string dir = "") {
-    sample_interval_ = interval;
-    telemetry_dir_ = std::move(dir);
-    return *this;
-  }
-  /// Per-cell latency attribution: write one report JSON per cell into
-  /// `dir` and fill the Metrics attr summary (the CSV `bottleneck` column).
-  /// Attribution cells bypass the result cache. `window` = congestion-series
-  /// window in cycles (0 = the attributor default).
-  Sweep& attribution(std::string dir, Cycle window = 0) {
-    attr_dir_ = std::move(dir);
-    attr_window_ = window;
-    return *this;
-  }
-
-  /// Runs the full grid (points x schemes x benchmarks). Results are in
-  /// grid order regardless of jobs/scheduling.
-  std::vector<SweepCell> run() const;
-
-  /// CSV with one row per cell: point,scheme,benchmark,<metric columns>,
-  /// error. Fields are RFC-4180 quoted when they contain commas, quotes,
-  /// or newlines (sweep-point labels are free-form strings).
-  static std::string to_csv(const std::vector<SweepCell>& cells);
-
-  /// RFC-4180 field quoting helper (exposed for tests and other emitters).
-  static std::string csv_escape(const std::string& field);
-
- private:
-  Config base_;
-  std::vector<SweepPoint> points_;
-  std::vector<Scheme> schemes_;
-  std::vector<std::string> benchmarks_;
-  unsigned jobs_ = 0;
-  bool cache_enabled_ = false;
-  std::string cache_dir_;
-  bool progress_ = false;
-  Cycle sample_interval_ = 0;
-  std::string telemetry_dir_;
-  std::string attr_dir_;
-  Cycle attr_window_ = 0;
-};
+/// RFC-4180 field quoting helper (exposed for tests and other emitters).
+std::string csv_escape(const std::string& field);
 
 }  // namespace arinoc

@@ -55,7 +55,7 @@ struct ExecOptions {
 };
 
 /// One grid cell: (point label, scheme, benchmark) plus an optional config
-/// mutation applied after the scheme preset (same contract as Sweep).
+/// mutation applied after the scheme preset (see resolve_cell_config).
 struct CellSpec {
   std::string point;
   Scheme scheme = Scheme::kXYBaseline;

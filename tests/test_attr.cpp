@@ -401,13 +401,13 @@ TEST(SweepAttribution, WritesPerCellReportsAndBypassesCache) {
   std::filesystem::remove_all(root);
 
   const auto run_once = [&] {
-    return Sweep(tiny_config())
-        .schemes({Scheme::kXYBaseline})
-        .benchmarks({"hotspot"})
-        .jobs(1)
-        .cache(true, cache_dir)
-        .attribution(attr_dir)
-        .run();
+    exec::ExecOptions opts;
+    opts.jobs = 1;
+    opts.cache_enabled = true;
+    opts.cache_dir = cache_dir;
+    opts.attr_dir = attr_dir;
+    return exec::ExperimentRunner(tiny_config(), opts)
+        .run(grid({}, {Scheme::kXYBaseline}, {"hotspot"}));
   };
 
   const auto first = run_once();
@@ -426,9 +426,9 @@ TEST(SweepAttribution, WritesPerCellReportsAndBypassesCache) {
   // The Metrics summary feeds the CSV bottleneck column.
   EXPECT_TRUE(first[0].metrics.attr_enabled);
   EXPECT_FALSE(first[0].metrics.bottleneck.empty());
-  const std::string csv = Sweep::to_csv(first);
+  const std::string csv = to_csv(first);
   EXPECT_NE(csv.find(",bottleneck,"), std::string::npos);
-  EXPECT_NE(csv.find(Sweep::csv_escape(first[0].metrics.bottleneck)),
+  EXPECT_NE(csv.find(csv_escape(first[0].metrics.bottleneck)),
             std::string::npos);
 
   // Attribution cells must re-simulate: a cache hit would skip the report.

@@ -148,7 +148,8 @@ TEST(ExecSeed, DerivationIsDeterministicAndBenchmarkSensitive) {
 }
 
 TEST(ExecRunner, ResolveAppliesSchemeTweakAndDerivedSeed) {
-  const Config base = tiny();
+  Config base = tiny();
+  base.routing = RoutingAlgo::kMinAdaptive;
   exec::ExperimentRunner runner(base);
   const Config cfg = runner.resolve({"p", Scheme::kAdaARI, "bfs",
                                      [](Config& c) {
@@ -161,8 +162,14 @@ TEST(ExecRunner, ResolveAppliesSchemeTweakAndDerivedSeed) {
   EXPECT_EQ(cfg.num_vcs, 2u);
   EXPECT_EQ(cfg.seed, derive_cell_seed(base.seed, "bfs"));
   // Same benchmark => same seed across schemes: comparisons stay seed-paired.
+  // The tweak sees the scheme preset already applied (XY routing).
+  bool tweaked = false;
   const Config other =
-      runner.resolve({"p", Scheme::kXYBaseline, "bfs", nullptr});
+      runner.resolve({"p", Scheme::kXYBaseline, "bfs", [&](Config& c) {
+                        tweaked = true;
+                        EXPECT_EQ(c.routing, RoutingAlgo::kXY);
+                      }});
+  EXPECT_TRUE(tweaked);
   EXPECT_EQ(cfg.seed, other.seed);
 }
 
@@ -175,18 +182,16 @@ TEST(ExecDeterminism, CsvByteIdenticalAcrossJobCounts) {
   const std::vector<std::string> benches = {"bfs", "kmeans", "hotspot",
                                             "nn"};
   auto sweep_with = [&](unsigned jobs) {
-    return Sweep(tiny())
-        .over(points)
-        .schemes(schemes)
-        .benchmarks(benches)
-        .jobs(jobs)
-        .run();
+    exec::ExecOptions opts;
+    opts.jobs = jobs;
+    return exec::ExperimentRunner(tiny(), opts)
+        .run(grid(points, schemes, benches));
   };
   const auto serial = sweep_with(1);
   const auto parallel = sweep_with(8);
   ASSERT_EQ(serial.size(), 16u);  // >= 16-cell grid, per the acceptance bar.
   for (const auto& c : serial) EXPECT_TRUE(c.ok()) << c.error;
-  EXPECT_EQ(Sweep::to_csv(serial), Sweep::to_csv(parallel));
+  EXPECT_EQ(to_csv(serial), to_csv(parallel));
 }
 
 TEST(ExecCache, HitMissAndInvalidateOnConfigChange) {
@@ -268,18 +273,17 @@ TEST(ExecIsolation, InvalidConfigIsACellErrorNotAnAbort) {
 }
 
 TEST(ExecIsolation, SweepRendersCellErrorsInCsv) {
+  exec::ExecOptions opts;
+  opts.jobs = 2;
   const auto cells =
-      Sweep(tiny())
-          .over({{"ok", nullptr},
-                 {"trip", [](Config& c) { c.watchdog_livelock_age = 1; }}})
-          .schemes({Scheme::kAdaARI})
-          .benchmarks({"bfs"})
-          .jobs(2)
-          .run();
+      exec::ExperimentRunner(tiny(), opts)
+          .run(grid({{"ok", nullptr},
+                     {"trip", [](Config& c) { c.watchdog_livelock_age = 1; }}},
+                    {Scheme::kAdaARI}, {"bfs"}));
   ASSERT_EQ(cells.size(), 2u);
   EXPECT_TRUE(cells[0].ok());
   EXPECT_EQ(cells[1].error_kind, "livelock");
-  const std::string csv = Sweep::to_csv(cells);
+  const std::string csv = to_csv(cells);
   EXPECT_NE(csv.find("livelock"), std::string::npos);
 }
 
@@ -350,21 +354,20 @@ TEST(ResultCache, KeyStringCoversSchemeBenchmarkFabricAndConfig) {
 }
 
 TEST(SweepCsv, EscapesDelimitersQuotesAndNewlines) {
-  EXPECT_EQ(Sweep::csv_escape("plain"), "plain");
-  EXPECT_EQ(Sweep::csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(Sweep::csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(Sweep::csv_escape("two\nlines"), "\"two\nlines\"");
-  EXPECT_EQ(Sweep::csv_escape(""), "");
+  EXPECT_EQ(csv_escape("plain"), "plain");
+  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
+  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
+  EXPECT_EQ(csv_escape("two\nlines"), "\"two\nlines\"");
+  EXPECT_EQ(csv_escape(""), "");
 }
 
 TEST(SweepCsv, QuotedPointLabelKeepsRowParseable) {
-  const auto cells = Sweep(tiny())
-                         .over({{"vc=2, fast", nullptr}})
-                         .schemes({Scheme::kXYBaseline})
-                         .benchmarks({"hotspot"})
-                         .jobs(1)
-                         .run();
-  const std::string csv = Sweep::to_csv(cells);
+  exec::ExecOptions opts;
+  opts.jobs = 1;
+  const auto cells = exec::ExperimentRunner(tiny(), opts)
+                         .run(grid({{"vc=2, fast", nullptr}},
+                                   {Scheme::kXYBaseline}, {"hotspot"}));
+  const std::string csv = to_csv(cells);
   EXPECT_NE(csv.find("\"vc=2, fast\""), std::string::npos);
 }
 

@@ -6,6 +6,7 @@
 
 #include "core/experiment.hpp"
 #include "core/gpgpu_sim.hpp"
+#include "exec/runner.hpp"
 
 namespace arinoc {
 namespace {
@@ -15,6 +16,17 @@ Config tiny_config() {
   cfg.warmup_cycles = 300;
   cfg.run_cycles = 1500;
   return cfg;
+}
+
+// Runs `cells` over tiny_config() on the exec runner; every cell must
+// succeed. Metrics come back in cell order.
+std::vector<Metrics> run_cells(const std::vector<exec::CellSpec>& cells) {
+  std::vector<Metrics> out;
+  for (const auto& r : exec::ExperimentRunner(tiny_config()).run(cells)) {
+    EXPECT_TRUE(r.ok()) << r.point << ": " << r.error;
+    out.push_back(r.metrics);
+  }
+  return out;
 }
 
 std::uint64_t read_requests(const Metrics& m) {
@@ -53,10 +65,12 @@ TEST(Extensions, DisablingCrossWarpMergeIncreasesTraffic) {
   // short window makes the raw counts sensitive to reply-priority timing
   // (switch arbitration reads the priority latched at VC allocation), so
   // allow 2% slack rather than a strict ordering of near-equal counts.
-  const Metrics merged = run_scheme(tiny_config(), Scheme::kAdaARI, "bfs");
-  const Metrics split = run_scheme(
-      tiny_config(), Scheme::kAdaARI, "bfs",
-      [](Config& c) { c.cross_warp_merge = false; });
+  const auto m = run_cells(
+      {{"merged", Scheme::kAdaARI, "bfs", nullptr},
+       {"split", Scheme::kAdaARI, "bfs",
+        [](Config& c) { c.cross_warp_merge = false; }}});
+  const Metrics& merged = m[0];
+  const Metrics& split = m[1];
   EXPECT_GE(static_cast<double>(read_requests(split)),
             static_cast<double>(read_requests(merged)) * 0.98);
 }
@@ -79,23 +93,24 @@ TEST(Extensions, NoMergeStillCorrectlyWakesWarps) {
 }
 
 TEST(Extensions, RequestSideAriIsHarmlessNegativeControl) {
-  const Metrics reply_only = run_scheme(tiny_config(), Scheme::kAdaARI, "bfs");
-  const Metrics both = run_scheme(tiny_config(), Scheme::kAdaARI, "bfs",
-                                  [](Config& c) {
-                                    c.request_side_ari = true;
-                                  });
+  const auto m = run_cells(
+      {{"reply-only", Scheme::kAdaARI, "bfs", nullptr},
+       {"both", Scheme::kAdaARI, "bfs",
+        [](Config& c) { c.request_side_ari = true; }}});
+  const Metrics& reply_only = m[0];
+  const Metrics& both = m[1];
   // The request side is not the bottleneck: adding ARI there changes IPC
   // by only a few percent either way.
   EXPECT_NEAR(both.ipc / reply_only.ipc, 1.0, 0.10);
 }
 
 TEST(Extensions, DeeperRouterPipelineRaisesLatency) {
-  const Metrics fast = run_scheme(tiny_config(), Scheme::kAdaBaseline,
-                                  "matrixMul");
-  const Metrics slow = run_scheme(tiny_config(), Scheme::kAdaBaseline,
-                                  "matrixMul", [](Config& c) {
-                                    c.router_pipeline_stages = 3;
-                                  });
+  const auto m = run_cells(
+      {{"fast", Scheme::kAdaBaseline, "matrixMul", nullptr},
+       {"slow", Scheme::kAdaBaseline, "matrixMul",
+        [](Config& c) { c.router_pipeline_stages = 3; }}});
+  const Metrics& fast = m[0];
+  const Metrics& slow = m[1];
   // matrixMul is uncongested: latency reflects per-hop cost directly.
   EXPECT_GT(slow.reply_latency, fast.reply_latency * 1.3);
 }
@@ -125,12 +140,14 @@ TEST(Extensions, CtaBarriersKeepWarpsInLockstep) {
 
 TEST(Extensions, CtaBarriersReduceIpcSlightly) {
   // Synchronization can only remove scheduling freedom.
-  const Metrics free_run = run_scheme(tiny_config(), Scheme::kAdaARI, "bfs");
-  const Metrics barriered = run_scheme(
-      tiny_config(), Scheme::kAdaARI, "bfs", [](Config& c) {
-        c.barrier_interval = 20;
-        c.warps_per_cta = 8;
-      });
+  const auto m = run_cells({{"free", Scheme::kAdaARI, "bfs", nullptr},
+                            {"barriered", Scheme::kAdaARI, "bfs",
+                             [](Config& c) {
+                               c.barrier_interval = 20;
+                               c.warps_per_cta = 8;
+                             }}});
+  const Metrics& free_run = m[0];
+  const Metrics& barriered = m[1];
   EXPECT_LE(barriered.ipc, free_run.ipc * 1.02);
   EXPECT_GT(barriered.ipc, 0.05);  // But never deadlocks.
 }

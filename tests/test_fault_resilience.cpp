@@ -9,6 +9,7 @@
 #include "core/gpgpu_sim.hpp"
 #include "core/report.hpp"
 #include "core/watchdog.hpp"
+#include "exec/runner.hpp"
 #include "noc/fault.hpp"
 #include "topo/generators.hpp"
 
@@ -307,11 +308,19 @@ TEST(FaultConfig, SimAndExperimentRejectInvalidConfigs) {
   Config bad = tiny_config();
   bad.num_vcs = 0;
   EXPECT_THROW(GpgpuSim(bad, *find_benchmark("bfs")), std::invalid_argument);
-  EXPECT_THROW(run_scheme(tiny_config(), Scheme::kAdaARI, "no-such-bench"),
-               std::invalid_argument);
-  EXPECT_THROW(run_scheme(tiny_config(), Scheme::kAdaARI, "bfs",
-                          [](Config& c) { c.fault_corrupt_rate = 2.0; }),
-               std::invalid_argument);
+  // The runner reports an unknown benchmark and an out-of-range fault rate
+  // as config errors with the CLI's exit status, not as an abort.
+  const auto results = exec::ExperimentRunner(tiny_config()).run(
+      {{"unknown", Scheme::kAdaARI, "no-such-bench", nullptr},
+       {"bad-rate", Scheme::kAdaARI, "bfs",
+        [](Config& c) { c.fault_corrupt_rate = 2.0; }}});
+  ASSERT_EQ(results.size(), 2u);
+  for (const auto& r : results) {
+    EXPECT_EQ(r.error_kind, "config") << r.point << ": " << r.error;
+    EXPECT_EQ(r.exit_status, 2) << r.point;
+  }
+  EXPECT_NE(results[0].error.find("no-such-bench"), std::string::npos);
+  EXPECT_NE(results[1].error.find("fault_corrupt_rate"), std::string::npos);
 }
 
 TEST(FaultConfig, EnableMaskGatesFaultClasses) {

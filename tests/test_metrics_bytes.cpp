@@ -98,13 +98,13 @@ Metrics pinned_metrics(bool attr) {
 }
 
 std::string csv_of(const Metrics& m) {
-  SweepCell cell;
+  exec::CellResult cell;
   cell.point = "vc=2";
   cell.scheme = "Ada-ARI";
   cell.benchmark = "bfs";
   cell.fabric = "mesh";
   cell.metrics = m;
-  return Sweep::to_csv({cell});
+  return to_csv({cell});
 }
 
 std::string snapshot_of(const Metrics& m) {

@@ -1,4 +1,4 @@
-// Table formatting and the experiment driver helpers.
+// Table formatting and the experiment config helpers.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -63,37 +63,25 @@ TEST(Experiment, EnvOverridesRunLength) {
   unsetenv("ARINOC_WARMUP_CYCLES");
 }
 
-TEST(Experiment, RunSchemeProducesMetrics) {
-  Config cfg;
-  cfg.warmup_cycles = 200;
-  cfg.run_cycles = 800;
-  const Metrics m = run_scheme(cfg, Scheme::kXYBaseline, "hotspot");
-  EXPECT_EQ(m.cycles, 800u);
-  EXPECT_GT(m.ipc, 0.0);
-}
-
-TEST(Experiment, TweakHookApplies) {
-  Config cfg;
-  cfg.warmup_cycles = 200;
-  cfg.run_cycles = 600;
-  bool tweaked = false;
-  run_scheme(cfg, Scheme::kXYBaseline, "hotspot", [&](Config& c) {
-    tweaked = true;
-    EXPECT_EQ(c.routing, RoutingAlgo::kXY);  // Preset applied first.
-  });
-  EXPECT_TRUE(tweaked);
-}
-
-TEST(Experiment, RunSuitePreservesOrder) {
-  Config cfg;
-  cfg.warmup_cycles = 100;
-  cfg.run_cycles = 400;
-  const auto results =
-      run_suite(cfg, Scheme::kXYBaseline, {"hotspot", "matrixMul"});
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].benchmark, "hotspot");
-  EXPECT_EQ(results[1].benchmark, "matrixMul");
-  EXPECT_EQ(results[0].scheme, Scheme::kXYBaseline);
+TEST(Experiment, EnvRunLengthRejectsMalformedValues) {
+  // A sign, trailing text or a non-number exits 2 naming the variable
+  // instead of running zero, a truncated or a wrapped-around length.
+  for (const char* bad : {"abc", "12abc", "-5"}) {
+    EXPECT_EXIT(
+        {
+          setenv("ARINOC_RUN_CYCLES", bad, 1);
+          apply_env_overrides(Config{});
+        },
+        testing::ExitedWithCode(2), "ARINOC_RUN_CYCLES")
+        << bad;
+    EXPECT_EXIT(
+        {
+          setenv("ARINOC_WARMUP_CYCLES", bad, 1);
+          apply_env_overrides(Config{});
+        },
+        testing::ExitedWithCode(2), "ARINOC_WARMUP_CYCLES")
+        << bad;
+  }
 }
 
 }  // namespace

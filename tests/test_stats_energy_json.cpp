@@ -6,6 +6,7 @@
 
 #include "core/experiment.hpp"
 #include "core/report.hpp"
+#include "exec/runner.hpp"
 #include "noc/noc_stats.hpp"
 
 namespace arinoc {
@@ -88,7 +89,10 @@ TEST(Energy, MetricsEnergyConsistentWithActivity) {
   Config cfg;
   cfg.warmup_cycles = 200;
   cfg.run_cycles = 1000;
-  const Metrics m = run_scheme(cfg, Scheme::kXYBaseline, "hotspot");
+  const auto results = exec::ExperimentRunner(cfg).run(
+      {{"base", Scheme::kXYBaseline, "hotspot", nullptr}});
+  ASSERT_TRUE(results[0].ok()) << results[0].error;
+  const Metrics& m = results[0].metrics;
   const EnergyBreakdown recomputed = EnergyModel{}.evaluate(m.activity);
   EXPECT_DOUBLE_EQ(m.energy.total_nj(), recomputed.total_nj());
   EXPECT_EQ(m.activity.cycles, m.cycles);
@@ -102,8 +106,12 @@ TEST(Energy, AriAddsNoDramActivityPerRequest) {
   Config cfg;
   cfg.warmup_cycles = 500;
   cfg.run_cycles = 3000;
-  const Metrics base = run_scheme(cfg, Scheme::kAdaBaseline, "bfs");
-  const Metrics ari = run_scheme(cfg, Scheme::kAdaARI, "bfs");
+  const auto results = exec::ExperimentRunner(cfg).run(
+      {{"base", Scheme::kAdaBaseline, "bfs", nullptr},
+       {"base", Scheme::kAdaARI, "bfs", nullptr}});
+  for (const auto& r : results) ASSERT_TRUE(r.ok()) << r.error;
+  const Metrics& base = results[0].metrics;
+  const Metrics& ari = results[1].metrics;
   const double per_req_base =
       static_cast<double>(base.activity.dram_accesses) /
       static_cast<double>(base.packets_by_type[0] + base.packets_by_type[1]);

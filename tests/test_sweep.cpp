@@ -1,4 +1,5 @@
-// Sweep driver: grid execution order and CSV rendering.
+// Sweep helpers: grid() layout, its execution order through the runner
+// and CSV rendering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,21 +17,22 @@ Config tiny() {
   return cfg;
 }
 
+std::vector<exec::CellResult> run(const std::vector<exec::CellSpec>& cells) {
+  return exec::ExperimentRunner(tiny()).run(cells);
+}
+
 TEST(Sweep, RunsFullGridInOrder) {
-  const auto cells =
-      Sweep(tiny())
-          .over({{"vc2",
-                  [](Config& c) {
-                    c.num_vcs = 2;
-                    // Tweaks run after the scheme preset: keep the ARI
-                    // knobs within the Eq.(2) bound.
-                    c.injection_speedup = std::min(c.injection_speedup, 2u);
-                    c.split_queues = std::min(c.split_queues, 2u);
-                  }},
-                 {"vc4", [](Config& c) { c.num_vcs = 4; }}})
-          .schemes({Scheme::kXYBaseline, Scheme::kXYARI})
-          .benchmarks({"hotspot"})
-          .run();
+  const auto cells = run(grid(
+      {{"vc2",
+        [](Config& c) {
+          c.num_vcs = 2;
+          // Tweaks run after the scheme preset: keep the ARI
+          // knobs within the Eq.(2) bound.
+          c.injection_speedup = std::min(c.injection_speedup, 2u);
+          c.split_queues = std::min(c.split_queues, 2u);
+        }},
+       {"vc4", [](Config& c) { c.num_vcs = 4; }}},
+      {Scheme::kXYBaseline, Scheme::kXYARI}, {"hotspot"}));
   ASSERT_EQ(cells.size(), 4u);
   EXPECT_EQ(cells[0].point, "vc2");
   EXPECT_EQ(cells[0].scheme, "XY-Baseline");
@@ -43,20 +45,18 @@ TEST(Sweep, RunsFullGridInOrder) {
 }
 
 TEST(Sweep, DefaultAxisIsBaseConfig) {
-  const auto cells = Sweep(tiny())
-                         .schemes({Scheme::kXYBaseline})
-                         .benchmarks({"matrixMul"})
-                         .run();
+  const auto specs = grid({}, {Scheme::kXYBaseline}, {"matrixMul"});
+  ASSERT_EQ(specs.size(), 1u);
+  EXPECT_FALSE(specs[0].tweak);
+  const auto cells = run(specs);
   ASSERT_EQ(cells.size(), 1u);
   EXPECT_EQ(cells[0].point, "base");
 }
 
 TEST(Sweep, CsvHasHeaderAndOneRowPerCell) {
-  const auto cells = Sweep(tiny())
-                         .schemes({Scheme::kXYBaseline, Scheme::kAdaARI})
-                         .benchmarks({"nn"})
-                         .run();
-  const std::string csv = Sweep::to_csv(cells);
+  const auto cells =
+      run(grid({}, {Scheme::kXYBaseline, Scheme::kAdaARI}, {"nn"}));
+  const std::string csv = to_csv(cells);
   std::istringstream is(csv);
   std::string line;
   ASSERT_TRUE(std::getline(is, line));
