@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "common/stats.hpp"
 #include "core/experiment.hpp"
@@ -461,6 +462,48 @@ TEST(ObsHooks, FaultCampaignEventStreamIsPinned) {
   // Each observer sees the same stream whether or not the other is on.
   EXPECT_EQ(run_fault_campaign(true, false).trace, both.trace);
   EXPECT_EQ(run_fault_campaign(false, true).attr, both.attr);
+}
+
+/// FNV-1a-64 of the counter-dump JSON and of the telemetry JSONL (interval
+/// 200) of one 4x4, 4-MC Ada-ARI cell, as `arinoc_sim --counters-out` and
+/// `--sample-out` write them.
+std::pair<std::uint64_t, std::uint64_t> counter_and_telemetry_digests(
+    Config base, const std::string& bench, bool da2mesh) {
+  base.mesh_width = base.mesh_height = 4;
+  base.num_mcs = 4;
+  base.warmup_cycles = 500;
+  base.run_cycles = 2000;
+  GpgpuSim sim(resolve_cell_config(base, Scheme::kAdaARI, bench),
+               *find_benchmark(bench), da2mesh);
+  sim.enable_sampling(200);
+  sim.run_with_warmup();
+  sim.flush_sampler();
+  obs::CounterRegistry reg;
+  sim.register_counters(&reg);
+  return {exec::fnv1a64(reg.to_json() + "\n"),
+          exec::fnv1a64(sim.sampler()->to_jsonl())};
+}
+
+TEST(ObsHooks, CounterDumpAndTelemetryArePinned) {
+  // Closed loop under 1% corruption: retransmit counters, every histogram.
+  Config faulty;
+  faulty.fault_corrupt_rate = 0.01;
+  const auto fault = counter_and_telemetry_digests(faulty, "bfs", false);
+  EXPECT_EQ(fault.first, 0x9941e7ae2a3c33d3ull);
+  EXPECT_EQ(fault.second, 0xe534594ec8ef65cdull);
+  // Open loop with admission: client, adm.*, degrade.* and e2e histograms.
+  Config serving;
+  serving.open_loop = true;
+  serving.pace_spec = "flash:0.03,at=500,len=3000,mult=20";
+  serving.pace_scale = 1.5;
+  serving.admission_enabled = true;
+  const auto open = counter_and_telemetry_digests(serving, "bfs", false);
+  EXPECT_EQ(open.first, 0xac95f9b1eec58586ull);
+  EXPECT_EQ(open.second, 0x790ccd579e628facull);
+  // DA2mesh overlay: the dump has no reply.* entries.
+  const auto overlay = counter_and_telemetry_digests(Config{}, "hotspot", true);
+  EXPECT_EQ(overlay.first, 0xd8cfd29d6318841eull);
+  EXPECT_EQ(overlay.second, 0x3f3ac9174a46dfcbull);
 }
 
 // ---------------------------------------------------------------------------
