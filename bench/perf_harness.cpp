@@ -14,12 +14,11 @@
 // a hard wall-clock threshold).
 //
 // A third section sweeps the domain-decomposition thread matrix: every cell,
-// plus a 144-node 2x2 chiplet cell with and without epoch-slack
-// synchronization, at 1/2/4/8 network threads, byte-comparing each run's
-// metrics against the cell's 1-thread run (a hard gate) and reporting
-// cycles/sec per point plus the host's hardware concurrency (speedup is
-// reported, not gated — a 1-core CI runner cannot scale wall-clock no
-// matter how correct the decomposition is).
+// plus a 144-node 2x2 chiplet cell, at 1/2/4/8 network threads,
+// byte-comparing each run's metrics against the cell's 1-thread run (a hard
+// gate) and reporting cycles/sec per point plus the host's hardware
+// concurrency (speedup is reported, not gated — a 1-core CI runner cannot
+// scale wall-clock no matter how correct the decomposition is).
 //
 // Usage:
 //   perf_harness [--quick] [--out <file>]
@@ -59,7 +58,6 @@ struct Cell {
   bool da2mesh = false;
   bool fault = false;
   bool chiplet = false;  ///< 2x2 chiplet of 6x6 meshes (144 nodes).
-  bool epoch = false;    ///< Epoch-slack domain synchronization.
 };
 
 struct CellResult {
@@ -88,7 +86,6 @@ Config cell_config(const Cell& cell, bool quick) {
     cfg.fabric = "chiplet";
     cfg.chiplets_x = cfg.chiplets_y = 2;
   }
-  cfg.domain_epoch = cell.epoch;
   return cfg;
 }
 
@@ -125,7 +122,6 @@ std::string json_escape_name(const Cell& c) {
                        : c.chiplet ? "chiplet2x2"
                                    : "mesh";
   if (c.fault) fabric += "+fault";
-  if (c.epoch) fabric += "+epoch";
   return fabric;
 }
 
@@ -265,14 +261,11 @@ int main(int argc, char** argv) {
   // numbers from a 1-core CI runner honestly show ~1.0x (barrier overhead
   // included). The overlay cell always steps serially (its endpoint
   // coupling is not decomposable), so its rows are a serial control. The
-  // 144-node chiplet cells are where splitting should pay: four dies, one
+  // 144-node chiplet cell is where splitting should pay: four dies, one
   // per domain at 4 threads, joined only by serdes links.
   std::vector<Cell> matrix_cells = cells;
   matrix_cells.push_back({"saturated-bfs-chiplet", "bfs", Scheme::kAdaARI,
                           false, false, /*chiplet=*/true});
-  matrix_cells.push_back({"saturated-bfs-chiplet-epoch", "bfs",
-                          Scheme::kAdaARI, false, false, /*chiplet=*/true,
-                          /*epoch=*/true});
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::printf("\ndomain decomposition (threads x cells, hw_concurrency=%u):\n",
               hw);

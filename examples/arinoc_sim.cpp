@@ -43,8 +43,8 @@
 //     --trace-capacity <n>    trace ring size in events (default: 65536)
 //     --sample-interval <n>   telemetry sample every n cycles (0 = off)
 //     --sample-out <file>     telemetry JSONL path (needs --sample-interval)
-//     --counters-out <file>   dump the counter registry as JSON after the
-//                             run
+//     --counters-out <file>   dump every component counter as JSON after
+//                             the run
 //     --attr-out <file>       latency-attribution report JSON (per-stage
 //                             breakdown, top-k bottlenecks, congestion
 //                             series; see docs/observability.md)
@@ -80,9 +80,6 @@
 //                             are bit-identical across thread counts; n >
 //                             node count is a usage error; see
 //                             docs/performance.md). Env: ARINOC_THREADS.
-//     --domain-epoch          with --threads > 1: synchronize domains every
-//                             min-link-latency cycles instead of every cycle
-//                             (exact — delivery times are unchanged)
 //
 //   Watchdog (on by default):
 //     --no-watchdog           disable deadlock/livelock detection
@@ -142,6 +139,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/parse_count.hpp"
 #include "core/experiment.hpp"
 #include "core/watchdog.hpp"
 #include "core/report.hpp"
@@ -152,7 +150,6 @@
 #include "obs/regress/baseline.hpp"
 #include "obs/regress/compare.hpp"
 #include "obs/regress/provenance.hpp"
-#include "obs/registry.hpp"
 #include "obs/selfprof.hpp"
 #include "obs/trace.hpp"
 #include "topo/fabric.hpp"
@@ -232,7 +229,7 @@ struct ObsOptions {
   std::string trace_out;     ///< Defaults to "arinoc-trace.json" if tracing.
   std::size_t trace_capacity = obs::PacketTracer::kDefaultCapacity;
   std::string sample_out;    ///< Telemetry JSONL (needs --sample-interval).
-  std::string counters_out;  ///< Counter-registry JSON dump.
+  std::string counters_out;  ///< Counter-dump JSON.
   std::string attr_out;      ///< Latency-attribution report JSON.
   std::string attr_html;     ///< Attribution dashboard (self-contained HTML).
   Cycle attr_window = 0;     ///< Congestion-series window (0 = default).
@@ -391,9 +388,8 @@ int run_observed(GpgpuSim& sim, const ObsOptions& obs, Cycle sample_interval,
       status = 1;
   }
   if (!obs.counters_out.empty()) {
-    obs::CounterRegistry reg;
-    sim.register_counters(&reg);
-    if (!write_file(obs.counters_out, reg.to_json() + "\n") && status == 0)
+    if (!write_file(obs.counters_out, sim.counters().to_json() + "\n") &&
+        status == 0)
       status = 1;
   }
   if (!obs.attr_out.empty()) {
@@ -443,6 +439,15 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numeric values parse strictly: a malformed one exits 2 naming the flag.
+    auto count = [&](auto* out) {
+      const char* text = value();
+      if (!parse_count(arg.c_str(), text, out)) std::exit(2);
+    };
+    auto real = [&](double* out) {
+      const char* text = value();
+      if (!parse_real(arg.c_str(), text, out)) std::exit(2);
+    };
     if (arg == "--benchmark") {
       benchmark = value();
     } else if (arg == "--replay") {
@@ -453,7 +458,7 @@ int main(int argc, char** argv) {
       obs.trace = true;
       obs.trace_out = value();
     } else if (arg == "--trace-capacity") {
-      obs.trace_capacity = std::strtoull(value(), nullptr, 10);
+      count(&obs.trace_capacity);
     } else if (arg == "--sample-out") {
       obs.sample_out = value();
     } else if (arg == "--counters-out") {
@@ -463,7 +468,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--attr-html") {
       obs.attr_html = value();
     } else if (arg == "--attr-window") {
-      obs.attr_window = std::strtoull(value(), nullptr, 10);
+      count(&obs.attr_window);
       if (obs.attr_window == 0) {
         std::fprintf(stderr, "--attr-window requires a positive cycle count\n");
         return 2;
@@ -479,67 +484,61 @@ int main(int argc, char** argv) {
       }
       scheme = *s;
     } else if (arg == "--mesh") {
-      cfg.mesh_width = cfg.mesh_height =
-          static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      count(&cfg.mesh_width);
+      cfg.mesh_height = cfg.mesh_width;
     } else if (arg == "--topology") {
       if (!apply_topology_spec(value(), cfg)) return 2;
     } else if (arg == "--serdes") {
-      cfg.serdes_latency =
-          static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      count(&cfg.serdes_latency);
     } else if (arg == "--emit-topology") {
       emit_topology_path = value();
     } else if (arg == "--mcs") {
-      cfg.num_mcs =
-          static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      count(&cfg.num_mcs);
     } else if (arg == "--vcs") {
-      cfg.num_vcs =
-          static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      count(&cfg.num_vcs);
     } else if (arg == "--cycles") {
-      cfg.run_cycles = std::strtoull(value(), nullptr, 10);
+      count(&cfg.run_cycles);
     } else if (arg == "--warmup") {
-      cfg.warmup_cycles = std::strtoull(value(), nullptr, 10);
+      count(&cfg.warmup_cycles);
     } else if (arg == "--seed") {
-      cfg.seed = std::strtoull(value(), nullptr, 10);
+      count(&cfg.seed);
     } else if (arg == "--fault-corrupt") {
-      cfg.fault_corrupt_rate = std::strtod(value(), nullptr);
+      real(&cfg.fault_corrupt_rate);
     } else if (arg == "--fault-stall") {
-      cfg.fault_link_stall_rate = std::strtod(value(), nullptr);
+      real(&cfg.fault_link_stall_rate);
     } else if (arg == "--fault-stall-len") {
-      cfg.fault_link_stall_len =
-          static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      count(&cfg.fault_link_stall_len);
     } else if (arg == "--fault-port-fail") {
-      cfg.fault_port_fail_rate = std::strtod(value(), nullptr);
+      real(&cfg.fault_port_fail_rate);
     } else if (arg == "--fault-credit-loss") {
-      cfg.fault_credit_loss_rate = std::strtod(value(), nullptr);
+      real(&cfg.fault_credit_loss_rate);
     } else if (arg == "--fault-seed") {
-      cfg.fault_seed = std::strtoull(value(), nullptr, 10);
+      count(&cfg.fault_seed);
     } else if (arg == "--no-recovery") {
       cfg.fault_recovery = false;
     } else if (arg == "--pace") {
       cfg.open_loop = true;
       cfg.pace_spec = value();
     } else if (arg == "--load") {
-      cfg.pace_scale = std::strtod(value(), nullptr);
+      real(&cfg.pace_scale);
     } else if (arg == "--admission") {
       cfg.admission_enabled = true;
     } else if (arg == "--slo") {
-      slo_cycles = std::strtod(value(), nullptr);
+      real(&slo_cycles);
       if (slo_cycles <= 0.0) {
         std::fprintf(stderr, "--slo requires a positive cycle count\n");
         return 2;
       }
     } else if (arg == "--no-activity") {
       cfg.activity_driven = false;
-    } else if (arg == "--domain-epoch") {
-      cfg.domain_epoch = true;
     } else if (arg == "--no-watchdog") {
       cfg.watchdog_enabled = false;
     } else if (arg == "--watchdog-deadlock") {
-      cfg.watchdog_deadlock_window = std::strtoull(value(), nullptr, 10);
+      count(&cfg.watchdog_deadlock_window);
     } else if (arg == "--watchdog-livelock") {
-      cfg.watchdog_livelock_age = std::strtoull(value(), nullptr, 10);
+      count(&cfg.watchdog_livelock_age);
     } else if (arg == "--audit-interval") {
-      cfg.watchdog_audit_interval = std::strtoull(value(), nullptr, 10);
+      count(&cfg.watchdog_audit_interval);
     } else if (arg == "--da2mesh") {
       da2mesh = true;
     } else if (arg == "--placement") {

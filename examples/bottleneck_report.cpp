@@ -1,5 +1,6 @@
 // Bottleneck analysis: reproduce the paper's Section-3 diagnosis on any
-// benchmark, then show the verdict moving after ARI is applied.
+// benchmark, show the verdict moving after ARI is applied, and name where
+// the baseline's NoC latency accumulates.
 //
 //   ./bottleneck_report [benchmark]
 #include <cstdio>
@@ -8,7 +9,7 @@
 #include "core/analyzer.hpp"
 #include "core/experiment.hpp"
 #include "core/gpgpu_sim.hpp"
-#include "core/heatmap.hpp"
+#include "obs/attr.hpp"
 
 using namespace arinoc;
 
@@ -24,8 +25,13 @@ int main(int argc, char** argv) {
 
   std::printf("=== %s under Ada-Baseline (paper Section 3) ===\n",
               bench.c_str());
-  const BottleneckReport before =
-      analyzer.analyze(apply_scheme(base, Scheme::kAdaBaseline), *traits);
+  // Attribution never perturbs the simulation, so the same run feeds both
+  // the utilization verdict and the latency breakdown below.
+  GpgpuSim sim(apply_scheme(base, Scheme::kAdaBaseline), *traits);
+  obs::LatencyAttributor attr;
+  sim.attach_attributor(&attr);
+  sim.run_with_warmup();
+  const BottleneckReport before = analyzer.diagnose(sim);
   std::printf("%s\n", before.to_string().c_str());
 
   std::printf("=== %s under Ada-ARI ===\n", bench.c_str());
@@ -38,14 +44,13 @@ int main(int argc, char** argv) {
   std::printf("after:  %-38s  IPC %.3f\n\n", after.verdict.c_str(),
               after.metrics.ipc);
 
-  // Visualize where the reply traffic concentrates (the §4.1 "hot
-  // regions" around memory controllers).
-  Config cfg = apply_scheme(base, Scheme::kAdaBaseline);
-  GpgpuSim sim(cfg, *traits);
-  sim.run_with_warmup();
-  std::printf("%s\n", injection_heatmap(sim.reply_net(),
-                                        sim.collect().cycles).c_str());
-  std::printf("%s", link_heatmap(sim.reply_net(),
-                                 sim.collect().cycles).c_str());
+  // Where the baseline's packets wait (the §4.1 "hot regions" around
+  // memory controllers), on any fabric.
+  std::printf("top NoC latency bottlenecks under Ada-Baseline "
+              "(%% of that network's waiting):\n");
+  for (const obs::BottleneckEntry& e : attr.bottlenecks(3)) {
+    std::printf("  %5.1f%%  %s\n", e.share * 100.0,
+                attr.entry_label(e).c_str());
+  }
   return 0;
 }

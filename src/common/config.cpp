@@ -203,9 +203,9 @@ std::string Config::canonical_string() const {
   u("warmup_cycles", warmup_cycles);
   u("run_cycles", run_cycles);
   u("seed", seed);
-  // activity_driven, threads, and domain_epoch are deliberately absent:
-  // they are host-side execution strategies with bit-identical results, so
-  // caches and golden baselines stay valid across all of them.
+  // activity_driven and threads are deliberately absent: they are
+  // host-side execution strategies with bit-identical results, so caches
+  // and golden baselines stay valid across both.
   d("fault_corrupt_rate", fault_corrupt_rate);
   d("fault_link_stall_rate", fault_link_stall_rate);
   u("fault_link_stall_len", fault_link_stall_len);

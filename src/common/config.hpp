@@ -157,12 +157,6 @@ struct Config {
   /// canonical_string(): caches and golden baselines are shared across
   /// thread counts.
   std::uint32_t threads = 1;
-  /// Epoch-slack synchronization for threads > 1: merge cross-domain
-  /// deliveries only every E cycles (E = slowest-common link latency on the
-  /// domain boundary) instead of every cycle. Exact, still bit-identical
-  /// (the merge always lands before the earliest staged delivery); also
-  /// excluded from canonical_string().
-  bool domain_epoch = false;
 
   // ---- Fault injection & recovery (robustness subsystem) ----
   // Per-link per-cycle probabilities; all zero (the default) keeps the

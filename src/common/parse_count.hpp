@@ -1,9 +1,10 @@
-// Strict parsing of count-valued flags and environment variables (run
-// lengths, job and thread counts, sampling intervals).
+// Strict parsing of numeric flags and environment variables: counts (run
+// lengths, job and thread counts, sampling intervals) and real-valued rates.
 #pragma once
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -28,6 +29,24 @@ bool parse_count(const char* what, const char* text, T* out) {
     return false;
   }
   *out = static_cast<T>(n);
+  return true;
+}
+
+/// Stores `text` in `*out` when the whole string is one finite number
+/// (strtod syntax, no leading blanks): trailing text, inf, nan or overflow
+/// print a message naming `what` and return false instead.
+inline bool parse_real(const char* what, const char* text, double* out) {
+  double v = 0.0;
+  char* end = nullptr;
+  if (text[0] != '\0' && !std::isspace(static_cast<unsigned char>(text[0]))) {
+    v = std::strtod(text, &end);
+  }
+  if (end == nullptr || *end != '\0' || !std::isfinite(v)) {
+    std::fprintf(stderr, "%s expects a finite number, got '%s'\n", what,
+                 text);
+    return false;
+  }
+  *out = v;
   return true;
 }
 

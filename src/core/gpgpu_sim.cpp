@@ -8,7 +8,6 @@
 
 #include "exec/thread_team.hpp"
 #include "obs/attr.hpp"
-#include "obs/registry.hpp"
 #include "obs/selfprof.hpp"
 #include "obs/sink.hpp"
 #include "obs/trace.hpp"
@@ -91,7 +90,6 @@ namespace {
 NetworkParams request_params(const Config& cfg) {
   NetworkParams p;
   p.activity_driven = cfg.activity_driven;
-  p.domain_epoch = cfg.domain_epoch;
   p.name = "request";
   p.link_width_bits = cfg.link_width_bits_request;
   p.num_vcs = cfg.num_vcs;
@@ -111,7 +109,6 @@ NetworkParams request_params(const Config& cfg) {
 NetworkParams reply_params(const Config& cfg) {
   NetworkParams p;
   p.activity_driven = cfg.activity_driven;
-  p.domain_epoch = cfg.domain_epoch;
   p.name = "reply";
   p.link_width_bits = cfg.link_width_bits_reply;
   p.num_vcs = cfg.num_vcs;
@@ -701,11 +698,7 @@ void GpgpuSim::take_sample() {
           static_cast<double>(cur.rep_link_flits - obs_base_.rep_link_flits) /
           (w * links);
     }
-    double occ = 0.0;
-    for (const auto& ni : reply_inject_) {
-      occ += static_cast<double>(ni->occupancy_packets());
-    }
-    s.ni_occupancy_pkts = occ / static_cast<double>(reply_inject_.size());
+    s.ni_occupancy_pkts = reply_ni_occupancy_now();
     s.buffered_flits = request_net_->buffered_flits_total() +
                        reply_net_->buffered_flits_total();
   } else {
@@ -727,127 +720,95 @@ void GpgpuSim::take_sample() {
   sample_anchor_ = cycle_;
 }
 
-void GpgpuSim::register_counters(obs::CounterRegistry* reg) const {
-  reg->register_counter("sim.cycles",
-                        [this] { return static_cast<std::uint64_t>(cycle_); });
-  reg->register_counter("sim.live_txns",
-                        [this] { return static_cast<std::uint64_t>(txns_.live()); });
+double GpgpuSim::reply_ni_occupancy_now() const {
+  if (reply_inject_.empty()) return 0.0;
+  double occ = 0.0;
+  for (const auto& ni : reply_inject_) {
+    occ += static_cast<double>(ni->occupancy_packets());
+  }
+  return occ / static_cast<double>(reply_inject_.size());
+}
 
-  for (const auto& cp : cores_) {
-    const SimtCore* c = cp.get();
+obs::CounterDump GpgpuSim::counters() const {
+  obs::CounterDump d;
+  d.add("sim.cycles", static_cast<std::uint64_t>(cycle_));
+  d.add("sim.live_txns", static_cast<std::uint64_t>(txns_.live()));
+
+  for (const auto& c : cores_) {
     const std::string p = "core" + std::to_string(c->core_id()) + ".";
-    reg->register_counter(p + "warp_instructions",
-                          [c] { return c->warp_instructions(); });
-    reg->register_counter(p + "requests_sent",
-                          [c] { return c->requests_sent(); });
-    reg->register_counter(p + "issue_stall_cycles",
-                          [c] { return c->issue_stall_cycles(); });
-    reg->register_counter(p + "l1.hits", [c] { return c->l1().hits(); });
-    reg->register_counter(p + "l1.misses", [c] { return c->l1().misses(); });
+    d.add(p + "warp_instructions", c->warp_instructions());
+    d.add(p + "requests_sent", c->requests_sent());
+    d.add(p + "issue_stall_cycles", c->issue_stall_cycles());
+    d.add(p + "l1.hits", c->l1().hits());
+    d.add(p + "l1.misses", c->l1().misses());
   }
 
-  for (const auto& clp : clients_) {
-    const OpenLoopClient* cl = clp.get();
+  for (const auto& cl : clients_) {
     const std::string p = "client" + std::to_string(cl->node()) + ".";
-    reg->register_counter(p + "offered", [cl] { return cl->offered(); });
-    reg->register_counter(p + "completed", [cl] { return cl->completed(); });
-    reg->register_counter(p + "shed", [cl] { return cl->shed(); });
-    reg->register_counter(p + "defer_events",
-                          [cl] { return cl->defer_events(); });
-    reg->register_gauge(p + "backlog", [cl] {
-      return static_cast<double>(cl->backlog());
-    });
-    reg->register_histogram(p + "e2e_latency", &cl->e2e_latency());
+    d.add(p + "offered", cl->offered());
+    d.add(p + "completed", cl->completed());
+    d.add(p + "shed", cl->shed());
+    d.add(p + "defer_events", cl->defer_events());
+    d.add(p + "backlog", static_cast<double>(cl->backlog()));
+    d.add(p + "e2e_latency", cl->e2e_latency());
   }
 
   for (std::size_t i = 0; i < gates_.size(); ++i) {
-    const AdmissionGate* g = gates_[i].get();
     const std::string p = "adm.cc" + std::to_string(i) + ".";
-    reg->register_counter(p + "admitted", [g] { return g->admitted(); });
-    reg->register_counter(p + "deferred", [g] { return g->deferred(); });
-    reg->register_counter(p + "shed", [g] { return g->shed(); });
+    d.add(p + "admitted", gates_[i]->admitted());
+    d.add(p + "deferred", gates_[i]->deferred());
+    d.add(p + "shed", gates_[i]->shed());
   }
   if (degrade_) {
-    const DegradationFsm* fsm = degrade_.get();
-    reg->register_gauge("degrade.state", [fsm] {
-      return static_cast<double>(static_cast<int>(fsm->state()));
-    });
-    reg->register_counter("degrade.transitions",
-                          [fsm] { return fsm->transitions(); });
-    reg->register_counter("degrade.cycles_throttled", [fsm] {
-      return static_cast<std::uint64_t>(
-          fsm->cycles_in(DegradeState::kThrottled));
-    });
-    reg->register_counter("degrade.cycles_shedding", [fsm] {
-      return static_cast<std::uint64_t>(
-          fsm->cycles_in(DegradeState::kShedding));
-    });
+    d.add("degrade.state",
+          static_cast<double>(static_cast<int>(degrade_->state())));
+    d.add("degrade.transitions", degrade_->transitions());
+    d.add("degrade.cycles_throttled",
+          static_cast<std::uint64_t>(
+              degrade_->cycles_in(DegradeState::kThrottled)));
+    d.add("degrade.cycles_shedding",
+          static_cast<std::uint64_t>(
+              degrade_->cycles_in(DegradeState::kShedding)));
   }
   if (watchdog_) {
-    const Watchdog* wd = watchdog_.get();
-    reg->register_counter("watchdog.pre_trip_warnings",
-                          [wd] { return wd->pre_trip_count(); });
+    d.add("watchdog.pre_trip_warnings", watchdog_->pre_trip_count());
   }
 
-  for (const auto& mp : mcs_) {
-    const MemController* mc = mp.get();
+  for (const auto& mc : mcs_) {
     const std::string p = "mc" + std::to_string(mc->node()) + ".";
-    reg->register_counter(p + "stall_cycles", [mc] {
-      return static_cast<std::uint64_t>(mc->stall_cycles());
-    });
-    reg->register_counter(p + "requests_served",
-                          [mc] { return mc->requests_served(); });
-    reg->register_gauge(p + "reply_backlog", [mc] {
-      return static_cast<double>(mc->reply_backlog());
-    });
-    reg->register_counter(p + "l2.hits", [mc] { return mc->l2().hits(); });
-    reg->register_counter(p + "l2.misses", [mc] { return mc->l2().misses(); });
-    reg->register_counter(p + "dram.accesses",
-                          [mc] { return mc->dram().accesses(); });
-    reg->register_counter(p + "dram.row_hits",
-                          [mc] { return mc->dram().row_hits(); });
-    reg->register_gauge(p + "dram.queue_depth", [mc] {
-      return static_cast<double>(mc->dram().queue_depth());
-    });
+    d.add(p + "stall_cycles", static_cast<std::uint64_t>(mc->stall_cycles()));
+    d.add(p + "requests_served", mc->requests_served());
+    d.add(p + "reply_backlog", static_cast<double>(mc->reply_backlog()));
+    d.add(p + "l2.hits", mc->l2().hits());
+    d.add(p + "l2.misses", mc->l2().misses());
+    d.add(p + "dram.accesses", mc->dram().accesses());
+    d.add(p + "dram.row_hits", mc->dram().row_hits());
+    d.add(p + "dram.queue_depth",
+          static_cast<double>(mc->dram().queue_depth()));
   }
 
-  const auto register_net = [reg](const Network* net, const std::string& p) {
-    reg->register_counter(p + "packets_injected", [net] {
-      return net->stats().packets_injected;
-    });
-    reg->register_counter(p + "packets_delivered",
-                          [net] { return net->stats().total_packets(); });
-    reg->register_counter(p + "movement",
-                          [net] { return net->movement_count(); });
-    reg->register_gauge(p + "buffered_flits", [net] {
-      return static_cast<double>(net->buffered_flits_total());
-    });
+  const auto add_net = [&d](const Network& net, const std::string& p) {
+    d.add(p + "packets_injected", net.stats().packets_injected);
+    d.add(p + "packets_delivered", net.stats().total_packets());
+    d.add(p + "movement", net.movement_count());
+    d.add(p + "buffered_flits",
+          static_cast<double>(net.buffered_flits_total()));
     for (std::size_t t = 0; t < 4; ++t) {
-      reg->register_histogram(
-          p + "latency." + packet_type_name(static_cast<PacketType>(t)),
-          &net->stats().latency_hist[t]);
+      d.add(p + "latency." + packet_type_name(static_cast<PacketType>(t)),
+            net.stats().latency_hist[t]);
     }
   };
-  register_net(request_net_.get(), "request.");
+  add_net(*request_net_, "request.");
   if (!overlay_) {
-    register_net(reply_net_.get(), "reply.");
-    reg->register_gauge("reply.ni_occupancy_pkts", [this] {
-      double occ = 0.0;
-      for (const auto& ni : reply_inject_) {
-        occ += static_cast<double>(ni->occupancy_packets());
-      }
-      return reply_inject_.empty()
-                 ? 0.0
-                 : occ / static_cast<double>(reply_inject_.size());
-    });
+    add_net(*reply_net_, "reply.");
+    d.add("reply.ni_occupancy_pkts", reply_ni_occupancy_now());
     if (const RetransmitTracker* rtx = reply_net_->retransmit()) {
-      reg->register_counter("reply.retransmitted",
-                            [rtx] { return rtx->retransmitted(); });
-      reg->register_counter("reply.recovered",
-                            [rtx] { return rtx->recovered(); });
-      reg->register_counter("reply.lost", [rtx] { return rtx->lost(); });
+      d.add("reply.retransmitted", rtx->retransmitted());
+      d.add("reply.recovered", rtx->recovered());
+      d.add("reply.lost", rtx->lost());
     }
   }
+  return d;
 }
 
 std::string GpgpuSim::diagnostic_dump(const std::string& reason) const {

@@ -21,6 +21,7 @@
 #include "noc/network.hpp"
 #include "noc/ni.hpp"
 #include "noc/overlay.hpp"
+#include "obs/registry.hpp"
 #include "obs/sampler.hpp"
 #include "topo/fabric.hpp"
 #include "workloads/benchmark.hpp"
@@ -36,7 +37,6 @@ class ThreadTeam;
 
 namespace obs {
 class PacketTracer;
-class CounterRegistry;
 class LatencyAttributor;
 class SelfProfiler;
 }
@@ -215,10 +215,9 @@ class GpgpuSim {
   void flush_sampler();
   const obs::TelemetrySampler* sampler() const { return sampler_.get(); }
 
-  /// Registers counter/gauge/histogram probes for every component (cores,
-  /// caches, MCs, DRAM, networks, NIs) into `reg`. Probes read live state;
-  /// register once, dump whenever.
-  void register_counters(obs::CounterRegistry* reg) const;
+  /// Counter, gauge and histogram values of every component (cores,
+  /// caches, MCs, DRAM, networks, NIs), read now.
+  obs::CounterDump counters() const;
 
  private:
   class CcRequestPort;
@@ -309,6 +308,8 @@ class GpgpuSim {
   };
   ObsBaseline capture_obs_baseline() const;
   void take_sample();
+  /// Mean packets queued in the reply inject NIs right now.
+  double reply_ni_occupancy_now() const;
 
   obs::PacketTracer* tracer_ = nullptr;
   obs::LatencyAttributor* attr_ = nullptr;

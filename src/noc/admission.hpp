@@ -23,8 +23,8 @@
 // Transitions are hysteretic: escalation thresholds sit above the recovery
 // threshold and every transition must dwell `dwell` cycles before the next,
 // so occupancy noise around a threshold cannot flap the state. All
-// counters/time-in-state accounting lives here so Metrics/telemetry/counter
-// registry read one source of truth.
+// counters/time-in-state accounting lives here so Metrics, telemetry and the
+// counter dump read one source of truth.
 //
 // Admission disabled (the default) constructs nothing: GpgpuSim keeps a
 // null controller and every hot path stays a pointer test — bit-identical

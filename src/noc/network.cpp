@@ -131,15 +131,6 @@ void Network::set_partition(const topo::DomainPartition& part) {
     if (awake) dom.act.wake(part.local_of[sn]);
   }
   part_ = &part;
-  // Epoch-slack merge period: the fastest boundary link still takes E
-  // cycles, so deferring merges to cycles c with c % E == E-1 always lands
-  // before the earliest staged delivery (staged at t, merged by t+E-1,
-  // delivered at t+lat >= t+E).
-  epoch_ = 1;
-  if (params_.domain_epoch) {
-    epoch_ = base_link_latency_ +
-             (part.boundary.empty() ? 0 : part.min_boundary_extra);
-  }
 }
 
 void Network::merge_outboxes() {
@@ -300,7 +291,7 @@ void Network::step_finish(Cycle now) {
       dom.credit_drops = 0;
     }
   }
-  if (epoch_ <= 1 || now % epoch_ == epoch_ - 1) merge_outboxes();
+  merge_outboxes();
   // Advance the link pipeline (compare-and-wrap; the ring is tiny and a
   // division per cycle is measurable in the hot loop).
   if (++ring_pos_ == ring_slots_) ring_pos_ = 0;
@@ -419,8 +410,8 @@ std::string Network::validate_credit_invariants() const {
       const Router& down = *routers_[static_cast<std::size_t>(v)];
       const int in_dir = fabric_->peer_port(u, dir);
       for (std::uint32_t vc = 0; vc < params_.num_vcs; ++vc) {
-        // In-flight events live in the per-domain rings or in a domain
-        // outbox awaiting its epoch merge.
+        // In-flight events live in the per-domain rings (the outboxes are
+        // empty between cycles).
         std::uint32_t inflight_flits = 0;
         std::uint32_t inflight_credits = 0;
         const auto match_flit = [&](const FlitEvent& e) {
@@ -438,8 +429,6 @@ std::string Network::validate_credit_invariants() const {
           for (const auto& slot : dom.credit_ring) {
             for (const CreditEvent& e : slot) match_credit(e);
           }
-          for (const auto& [slot, e] : dom.out_flits) match_flit(e);
-          for (const auto& [slot, e] : dom.out_credits) match_credit(e);
         }
         // Credits the fault injector destroyed on this link are accounted
         // loss, not a protocol bug: the usable depth shrank by that much.

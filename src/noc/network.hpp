@@ -52,11 +52,6 @@ struct NetworkParams {
   /// work this cycle (woken by flit delivery/injection). Host-side execution
   /// strategy only — simulated behaviour is bit-identical either way.
   bool activity_driven = false;
-  /// Epoch-slack synchronization for multi-domain partitions: cross-domain
-  /// merges happen only every E-th cycle, E = base link latency + the
-  /// minimum boundary serdes latency. Exact, because an event staged at
-  /// cycle t is merged by t+E-1, before its delivery at t+lat >= t+E.
-  bool domain_epoch = false;
 };
 
 class Network {
@@ -220,9 +215,8 @@ class Network {
     std::vector<std::vector<CreditEvent>> credit_ring;
     std::vector<OutboundFlit> scratch_flits;
     std::vector<OutboundCredit> scratch_credits;
-    /// Cross-domain deliveries staged this epoch: (absolute ring slot,
-    /// event). The slot index is stable across the deferral because an
-    /// event's slot is never reached before its latency elapses.
+    /// Cross-domain deliveries staged this cycle: (absolute ring slot,
+    /// event), merged into the destination domain's ring at step_finish.
     std::vector<std::pair<std::size_t, FlitEvent>> out_flits;
     std::vector<std::pair<std::size_t, CreditEvent>> out_credits;
     // Stats staged thread-locally, folded at step_finish.
@@ -266,7 +260,6 @@ class Network {
   topo::DomainPartition serial_;
   const topo::DomainPartition* part_ = nullptr;
   std::vector<Domain> dom_;
-  std::size_t epoch_ = 1;  ///< Outbox-merge period in cycles (1 = every).
 };
 
 }  // namespace arinoc

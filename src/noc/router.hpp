@@ -97,7 +97,7 @@ class Router {
   Flit pop_ejected_flit();
   std::size_t ejection_backlog() const { return ejection_buf_.size(); }
 
-  // ---- Introspection (invariant checking, heatmaps) ----
+  // ---- Introspection (invariant checking, diagnostic dumps) ----
   /// Credit counter for direction output (dir, vc).
   std::uint32_t output_credits(int dir, int vc) const {
     return output_vcs_[static_cast<std::size_t>(dir) * params_.num_vcs +

@@ -5,43 +5,33 @@
 
 namespace arinoc::obs {
 
-std::uint64_t CounterRegistry::counter_value(const std::string& name) const {
-  auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second();
+void CounterDump::add(const std::string& name, std::uint64_t value) {
+  entries_.emplace(name, std::to_string(value));
 }
 
-double CounterRegistry::gauge_value(const std::string& name) const {
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0.0 : it->second();
+void CounterDump::add(const std::string& name, double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6g", value);
+  entries_.emplace(name, buf);
 }
 
-std::string CounterRegistry::to_json() const {
-  // Merge the three maps into one name-sorted object. Names are generated
-  // internally (no quoting hazards), values are numbers, so the JSON can be
-  // assembled directly.
-  std::map<std::string, std::string> entries;
+void CounterDump::add(const std::string& name, const LogHistogram& h) {
   char buf[256];
-  for (const auto& [name, fn] : counters_) {
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(fn()));
-    entries[name] = buf;
-  }
-  for (const auto& [name, fn] : gauges_) {
-    std::snprintf(buf, sizeof(buf), "%.6g", fn());
-    entries[name] = buf;
-  }
-  for (const auto& [name, h] : histograms_) {
-    std::snprintf(buf, sizeof(buf),
-                  "{\"count\":%llu,\"mean\":%.6g,\"p50\":%.6g,"
-                  "\"p95\":%.6g,\"p99\":%.6g,\"max\":%.6g}",
-                  static_cast<unsigned long long>(h->count()), h->mean(),
-                  h->p50(), h->p95(), h->p99(), h->max());
-    entries[name] = buf;
-  }
+  std::snprintf(buf, sizeof(buf),
+                "{\"count\":%llu,\"mean\":%.6g,\"p50\":%.6g,"
+                "\"p95\":%.6g,\"p99\":%.6g,\"max\":%.6g}",
+                static_cast<unsigned long long>(h.count()), h.mean(), h.p50(),
+                h.p95(), h.p99(), h.max());
+  entries_.emplace(name, buf);
+}
+
+std::string CounterDump::to_json() const {
+  // Names are generated internally (no quoting hazards) and values are
+  // numbers, so the JSON can be assembled directly.
   std::ostringstream os;
   os << "{";
   const char* sep = "";
-  for (const auto& [name, value] : entries) {
+  for (const auto& [name, value] : entries_) {
     os << sep << "\n  \"" << name << "\": " << value;
     sep = ",";
   }

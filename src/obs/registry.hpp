@@ -1,22 +1,18 @@
-// Counter registry (observability subsystem, layer 3).
+// Counter dump (observability subsystem, layer 3).
 //
-// Components do not push values into the registry; they register *probes* —
-// callbacks that read the component's own counters on demand. Registration
-// happens once (GpgpuSim::register_counters), reads happen only when a dump
-// is requested, so an unused registry costs nothing per cycle and the
-// registry can never drift out of sync with the component it describes.
-//
-// Three probe kinds mirror the usual metric taxonomy:
-//  * counter   — monotonically increasing uint64 (events since reset),
-//  * gauge     — instantaneous double (occupancy, depth, rate),
+// A CounterDump is a plain list of named values read from the simulator at
+// one instant (GpgpuSim::counters() fills it at call time, so an unused dump
+// costs nothing per cycle). Three value kinds mirror the usual metric
+// taxonomy:
+//  * counter   — uint64 events since reset,
+//  * gauge     — instantaneous double (occupancy, depth, rate), `%.6g`,
 //  * histogram — a LogHistogram snapshot (count/mean/p50/p95/p99/max).
 //
-// to_json() emits one sorted object keyed by metric name, suitable for
-// dumping alongside Metrics or attaching to a Watchdog trip.
+// to_json() emits one object keyed by metric name, sorted across kinds,
+// suitable for dumping alongside Metrics.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 
@@ -24,49 +20,21 @@
 
 namespace arinoc::obs {
 
-class CounterRegistry {
+class CounterDump {
  public:
-  using CounterFn = std::function<std::uint64_t()>;
-  using GaugeFn = std::function<double()>;
+  /// Each name is added once; the value is formatted on the spot.
+  void add(const std::string& name, std::uint64_t value);
+  void add(const std::string& name, double value);
+  void add(const std::string& name, const LogHistogram& h);
 
-  /// Registers a probe; a later registration under the same name replaces
-  /// the earlier one (re-registration after a rebuild is fine).
-  void register_counter(std::string name, CounterFn fn) {
-    counters_[std::move(name)] = std::move(fn);
-  }
-  void register_gauge(std::string name, GaugeFn fn) {
-    gauges_[std::move(name)] = std::move(fn);
-  }
-  /// `h` must outlive the registry (components own their histograms).
-  void register_histogram(std::string name, const LogHistogram* h) {
-    histograms_[std::move(name)] = h;
-  }
-
-  std::size_t size() const {
-    return counters_.size() + gauges_.size() + histograms_.size();
-  }
-
-  /// Reads a single counter probe; 0 if the name is unknown.
-  std::uint64_t counter_value(const std::string& name) const;
-  /// Reads a single gauge probe; 0.0 if the name is unknown.
-  double gauge_value(const std::string& name) const;
-
-  /// Snapshot of every probe as one JSON object, keys sorted. Counters and
-  /// gauges are plain numbers; histograms expand to an object with count,
-  /// mean, p50, p95, p99, and max.
+  /// Every entry as one JSON object, keys sorted. Counters and gauges are
+  /// plain numbers; histograms expand to an object with count, mean, p50,
+  /// p95, p99, and max.
   std::string to_json() const;
 
-  void clear() {
-    counters_.clear();
-    gauges_.clear();
-    histograms_.clear();
-  }
-
  private:
-  // std::map keeps the dump order deterministic and sorted by name.
-  std::map<std::string, CounterFn> counters_;
-  std::map<std::string, GaugeFn> gauges_;
-  std::map<std::string, const LogHistogram*> histograms_;
+  // Name -> JSON value text; std::map keeps the dump sorted by name.
+  std::map<std::string, std::string> entries_;
 };
 
 }  // namespace arinoc::obs

@@ -46,34 +46,4 @@ std::string TelemetrySampler::last_jsonl() const {
   return sample_json(samples_.back());
 }
 
-std::string TelemetrySampler::to_csv() const {
-  std::ostringstream os;
-  os << "cycle,window,ipc,request_inject_rate,request_deliver_rate,"
-        "reply_inject_rate,reply_deliver_rate,request_link_util,"
-        "reply_link_util,ni_occupancy_pkts,buffered_flits,mc_stall_rate,"
-        "live_packets,retransmits,flits_corrupted,degrade_state,"
-        "requests_shed,pre_trip_warnings\n";
-  char buf[640];
-  for (const TelemetrySample& s : samples_) {
-    std::snprintf(buf, sizeof(buf),
-                  "%llu,%llu,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%llu,"
-                  "%.6g,%llu,%llu,%llu,%d,%llu,%llu\n",
-                  static_cast<unsigned long long>(s.cycle),
-                  static_cast<unsigned long long>(s.window), s.ipc,
-                  s.request_inject_rate, s.request_deliver_rate,
-                  s.reply_inject_rate, s.reply_deliver_rate,
-                  s.request_link_util, s.reply_link_util, s.ni_occupancy_pkts,
-                  static_cast<unsigned long long>(s.buffered_flits),
-                  s.mc_stall_rate,
-                  static_cast<unsigned long long>(s.live_packets),
-                  static_cast<unsigned long long>(s.retransmits),
-                  static_cast<unsigned long long>(s.flits_corrupted),
-                  s.degrade_state,
-                  static_cast<unsigned long long>(s.requests_shed),
-                  static_cast<unsigned long long>(s.pre_trip_warnings));
-    os << buf;
-  }
-  return os.str();
-}
-
 }  // namespace arinoc::obs

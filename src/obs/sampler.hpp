@@ -4,9 +4,9 @@
 // time series: every `interval` cycles the owner (GpgpuSim) computes one
 // TelemetrySample over the window just ended — rates from counter deltas,
 // occupancies as instantaneous probes — and pushes it here. The sampler
-// itself is passive storage plus exporters (JSONL, one object per line, and
-// CSV with the same columns), so it never perturbs simulation state and
-// costs nothing when no interval is configured.
+// itself is passive storage plus a JSONL exporter (one object per line), so
+// it never perturbs simulation state and costs nothing when no interval is
+// configured.
 #pragma once
 
 #include <cstdint>
@@ -59,8 +59,6 @@ class TelemetrySampler {
   std::string to_jsonl() const;
   /// The most recent sample as a single JSON line; "" when empty.
   std::string last_jsonl() const;
-  /// Header row + one CSV row per sample (same columns as the JSONL keys).
-  std::string to_csv() const;
 
  private:
   Cycle interval_;

@@ -1,6 +1,5 @@
 #include "topo/partition.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -95,7 +94,6 @@ DomainPartition partition_fabric(const Fabric& fabric, std::uint32_t k) {
     m.push_back(n);
   }
 
-  part.min_boundary_extra = std::numeric_limits<std::uint32_t>::max();
   for (NodeId n = 0; n < nodes; ++n) {
     for (int port = 0; port < fabric.max_ports(); ++port) {
       const NodeId nb = fabric.neighbor(n, port);
@@ -104,12 +102,10 @@ DomainPartition partition_fabric(const Fabric& fabric, std::uint32_t k) {
           part.domain_of[static_cast<std::size_t>(nb)]) {
         continue;
       }
-      const std::uint32_t extra = fabric.link_extra_latency(n, port);
-      part.boundary.push_back(BoundaryLink{n, port, nb, extra});
-      part.min_boundary_extra = std::min(part.min_boundary_extra, extra);
+      part.boundary.push_back(
+          BoundaryLink{n, port, nb, fabric.link_extra_latency(n, port)});
     }
   }
-  if (part.boundary.empty()) part.min_boundary_extra = 0;
   return part;
 }
 

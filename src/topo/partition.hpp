@@ -4,8 +4,7 @@
 // of `num_domains` domains. The simulator steps each domain's routers on its
 // own worker thread; flits and credits that cross a domain boundary are
 // staged into per-domain mailboxes and merged at a serial barrier, so the
-// partition also enumerates the boundary links and their latencies (the
-// epoch-slack synchronization mode needs the minimum boundary latency).
+// partition also enumerates the boundary links and their latencies.
 //
 // Partitioning rules (docs/performance.md "Domain decomposition"):
 //
@@ -48,9 +47,6 @@ struct DomainPartition {
   std::vector<std::uint32_t> local_of;       ///< [node] -> index in members.
   /// Every directed link crossing a domain boundary.
   std::vector<BoundaryLink> boundary;
-  /// Minimum extra (serdes) latency over the boundary links; 0 when no link
-  /// crosses a boundary or all boundary links are plain hops.
-  std::uint32_t min_boundary_extra = 0;
 };
 
 /// Partitions `fabric` into k domains per the rules above. Throws

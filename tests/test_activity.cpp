@@ -12,7 +12,6 @@
 #include "common/active_set.hpp"
 #include "core/gpgpu_sim.hpp"
 #include "core/report.hpp"
-#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "workloads/benchmark.hpp"
 
@@ -113,18 +112,16 @@ RunOutputs run_instrumented(Config cfg, const std::string& bench,
                             bool activity, bool da2mesh = false) {
   cfg.activity_driven = activity;
   obs::PacketTracer tracer(1 << 15);
-  obs::CounterRegistry reg;
   GpgpuSim sim(cfg, *find_benchmark(bench), da2mesh);
   sim.attach_tracer(&tracer);
   sim.enable_sampling(250);
-  sim.register_counters(&reg);
   sim.run_with_warmup();  // Crosses the stats-reset boundary.
   sim.flush_sampler();
   RunOutputs o;
   o.metrics = metrics_to_json(sim.collect());
   o.trace = tracer.to_chrome_json();
   o.samples = sim.sampler()->to_jsonl();
-  o.counters = reg.to_json();
+  o.counters = sim.counters().to_json();
   return o;
 }
 
@@ -181,13 +178,11 @@ TEST(ActivityBitIdentity, MidRunObserverReadsMatch) {
   auto dump_between_runs = [](bool activity) {
     Config cfg = apply_scheme(tiny_config(), Scheme::kAdaBaseline);
     cfg.activity_driven = activity;
-    obs::CounterRegistry reg;
     GpgpuSim sim(cfg, *find_benchmark("matrixMul"));
-    sim.register_counters(&reg);
     sim.run(700);
-    const std::string mid = reg.to_json();
+    const std::string mid = sim.counters().to_json();
     sim.run(700);
-    return mid + reg.to_json();
+    return mid + sim.counters().to_json();
   };
   EXPECT_EQ(dump_between_runs(true), dump_between_runs(false));
 }

@@ -1,60 +1,15 @@
-// Heatmap rendering and the credit-conservation invariant checker.
+// The credit-conservation invariant checker.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "common/rng.hpp"
-#include "core/gpgpu_sim.hpp"
-#include "core/heatmap.hpp"
-#include "core/experiment.hpp"
 #include "noc/ni.hpp"
 #include "topo/generators.hpp"
 
 namespace arinoc {
 namespace {
-
-TEST(Shade, MonotoneAndBounded) {
-  EXPECT_EQ(detail::shade(0.0, 1.0), ' ');
-  EXPECT_EQ(detail::shade(1.0, 1.0), '@');
-  EXPECT_EQ(detail::shade(5.0, 1.0), '@');  // Clamped.
-  EXPECT_EQ(detail::shade(0.5, 0.0), ' ');  // Max 0: everything cold.
-  char prev = ' ';
-  for (double v = 0.0; v <= 1.0; v += 0.1) {
-    const char c = detail::shade(v, 1.0);
-    EXPECT_GE(std::string(" .:-=+*#%@").find(c),
-              std::string(" .:-=+*#%@").find(prev));
-    prev = c;
-  }
-}
-
-TEST(Heatmap, RendersGridWithMcMarkers) {
-  Config cfg = apply_scheme(Config{}, Scheme::kXYBaseline);
-  cfg.warmup_cycles = 200;
-  cfg.run_cycles = 1000;
-  GpgpuSim sim(cfg, *find_benchmark("bfs"));
-  sim.run_with_warmup();
-  const std::string map = link_heatmap(sim.reply_net(), 1000);
-  // 6 rows of 6 cells + title.
-  EXPECT_EQ(std::count(map.begin(), map.end(), '\n'), 7);
-  auto grid_of = [](const std::string& s) {
-    return s.substr(s.find('\n') + 1);  // Strip the title line.
-  };
-  const std::string grid = grid_of(map);
-  EXPECT_EQ(std::count(grid.begin(), grid.end(), 'M'), 8);
-  EXPECT_EQ(std::count(grid.begin(), grid.end(), 'c'), 28);
-  // Reply traffic is injected only at MCs: every CC cell's shade is blank
-  // and at least one MC cell is hot.
-  const std::string inj = grid_of(injection_heatmap(sim.reply_net(), 1000));
-  bool hot_mc = false;
-  for (std::size_t i = 0; i + 1 < inj.size(); ++i) {
-    if (inj[i] == 'M' && inj[i + 1] != ' ') hot_mc = true;
-    if (inj[i] == 'c') {
-      EXPECT_EQ(inj[i + 1], ' ') << "CC injecting replies?";
-    }
-  }
-  EXPECT_TRUE(hot_mc);
-}
 
 TEST(CreditInvariant, HoldsOnIdleNetwork) {
   const topo::Fabric mesh(topo::make_mesh_graph(4, 4, 2));

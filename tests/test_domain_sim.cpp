@@ -79,16 +79,12 @@ TEST(DomainSim, FaultCampaignBitIdentical) {
   const Snapshot serial = run_snapshot(cfg, Scheme::kAdaARI, "bfs", 1);
   EXPECT_EQ(serial, run_snapshot(cfg, Scheme::kAdaARI, "bfs", 2));
   EXPECT_EQ(serial, run_snapshot(cfg, Scheme::kAdaARI, "bfs", 4));
-  // Epoch-slack synchronization is exact, not approximate.
-  Config epoch = cfg;
-  epoch.domain_epoch = true;
-  EXPECT_EQ(serial, run_snapshot(epoch, Scheme::kAdaARI, "bfs", 4));
 }
 
-TEST(DomainSim, EpochSlackExactOnChipletFabric) {
-  // Serdes latency > 1 gives epoch-slack real room: domains exchange
-  // mailboxes every min-link-latency cycles instead of every cycle, and
-  // delivery times still match the serial schedule exactly.
+TEST(DomainSim, ChipletSerdesBitIdentical) {
+  // Multi-cycle serdes links on the domain boundary: cross-domain events
+  // sit in a ring slot several cycles ahead, and delivery times still match
+  // the serial schedule exactly.
   Config cfg = small_config();
   cfg.fabric = "chiplet";
   cfg.chiplets_x = 2;
@@ -96,10 +92,8 @@ TEST(DomainSim, EpochSlackExactOnChipletFabric) {
   cfg.serdes_latency = 4;
   cfg.run_cycles = 2000;
   const Snapshot serial = run_snapshot(cfg, Scheme::kAdaARI, "hotspot", 1);
-  Config epoch = cfg;
-  epoch.domain_epoch = true;
-  EXPECT_EQ(serial, run_snapshot(epoch, Scheme::kAdaARI, "hotspot", 2));
-  EXPECT_EQ(serial, run_snapshot(epoch, Scheme::kAdaARI, "hotspot", 4));
+  EXPECT_EQ(serial, run_snapshot(cfg, Scheme::kAdaARI, "hotspot", 2));
+  EXPECT_EQ(serial, run_snapshot(cfg, Scheme::kAdaARI, "hotspot", 4));
 }
 
 TEST(DomainSim, OpenLoopServingBitIdentical) {
@@ -216,12 +210,11 @@ TEST(DomainSim, WatchdogTripDumpBitIdentical) {
 
 TEST(DomainSim, ThreadsExcludedFromCanonicalConfig) {
   // Cache keys and golden baselines are keyed by the canonical config
-  // string: thread count and epoch mode must not change it (they do not
-  // change results either — that is the whole point).
+  // string: thread count must not change it (it does not change results
+  // either — that is the whole point).
   Config a = small_config();
   Config b = small_config();
   b.threads = 4;
-  b.domain_epoch = true;
   EXPECT_EQ(a.canonical_string(), b.canonical_string());
   EXPECT_EQ(obs::regress::config_hash_hex(a),
             obs::regress::config_hash_hex(b));

@@ -1,11 +1,12 @@
 // Observability subsystem: log-scale histograms, the packet-lifecycle
-// tracer, the telemetry sampler, and the counter registry — plus the two
+// tracer, the telemetry sampler, and the counter dump — plus the two
 // system-level guarantees: determinism (same seed => byte-identical trace)
 // and zero perturbation (observers never change the simulation's results).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
+#include <cstdio>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -284,7 +285,7 @@ TEST(TelemetrySampler, WarmupResetKeepsOnlyMeasuredWindows) {
   EXPECT_EQ(covered, cfg.run_cycles);
 }
 
-TEST(TelemetrySampler, JsonlAndCsvExportersAreWellFormed) {
+TEST(TelemetrySampler, JsonlExporterIsWellFormed) {
   GpgpuSim sim(apply_scheme(tiny_config(), Scheme::kAdaARI),
                *find_benchmark("bfs"));
   sim.enable_sampling(100);
@@ -304,66 +305,46 @@ TEST(TelemetrySampler, JsonlAndCsvExportersAreWellFormed) {
     start = end + 1;
   }
   EXPECT_EQ(lines, sim.sampler()->samples().size());
-
-  const std::string csv = sim.sampler()->to_csv();
-  EXPECT_EQ(csv.rfind("cycle,window,ipc", 0), 0u);  // Header first.
-  std::size_t rows = 0;
-  for (const char c : csv) rows += c == '\n' ? 1 : 0;
-  EXPECT_EQ(rows, lines + 1);  // Header + one row per sample.
 }
 
 // ---------------------------------------------------------------------------
-// CounterRegistry.
+// CounterDump.
 // ---------------------------------------------------------------------------
 
-TEST(CounterRegistry, ProbesReadLiveValuesAndDumpSortedJson) {
-  obs::CounterRegistry reg;
-  std::uint64_t hits = 7;
-  double depth = 3.5;
+TEST(CounterDump, SortsKeysAcrossKindsAndFormatsEachKind) {
+  obs::CounterDump dump;
   LogHistogram lat;
   lat.add(10.0);
   lat.add(20.0);
-  reg.register_counter("b.hits", [&hits] { return hits; });
-  reg.register_gauge("a.depth", [&depth] { return depth; });
-  reg.register_histogram("c.latency", &lat);
-  EXPECT_EQ(reg.size(), 3u);
-  EXPECT_EQ(reg.counter_value("b.hits"), 7u);
-  hits = 9;  // Probes read on demand, not at registration time.
-  EXPECT_EQ(reg.counter_value("b.hits"), 9u);
-  EXPECT_DOUBLE_EQ(reg.gauge_value("a.depth"), 3.5);
-  EXPECT_EQ(reg.counter_value("no.such.probe"), 0u);
-
-  const std::string json = reg.to_json();
+  dump.add("c.latency", lat);
+  dump.add("b.hits", std::uint64_t{7});
+  dump.add("a.depth", 1.0 / 3.0);
+  const std::string json = dump.to_json();
   EXPECT_TRUE(json_parse(json).ok) << json;
-  const std::size_t a = json.find("\"a.depth\"");
-  const std::size_t b = json.find("\"b.hits\"");
-  const std::size_t c = json.find("\"c.latency\"");
-  ASSERT_NE(a, std::string::npos);
-  ASSERT_NE(b, std::string::npos);
-  ASSERT_NE(c, std::string::npos);
-  EXPECT_LT(a, b);
-  EXPECT_LT(b, c);
-  EXPECT_NE(json.find("\"p99\""), std::string::npos);
+  char hist[256];
+  std::snprintf(hist, sizeof(hist),
+                "{\"count\":2,\"mean\":15,\"p50\":%.6g,\"p95\":%.6g,"
+                "\"p99\":%.6g,\"max\":20}",
+                lat.p50(), lat.p95(), lat.p99());
+  EXPECT_EQ(json, std::string("{\n  \"a.depth\": 0.333333,"
+                              "\n  \"b.hits\": 7,"
+                              "\n  \"c.latency\": ") +
+                      hist + "\n}");
 }
 
-TEST(CounterRegistry, ReRegistrationReplacesTheProbe) {
-  obs::CounterRegistry reg;
-  reg.register_counter("x", [] { return std::uint64_t{1}; });
-  reg.register_counter("x", [] { return std::uint64_t{2}; });
-  EXPECT_EQ(reg.size(), 1u);
-  EXPECT_EQ(reg.counter_value("x"), 2u);
-}
-
-TEST(CounterRegistry, SimRegistersProbesForEveryComponent) {
+TEST(CounterDump, SimDumpsEveryComponent) {
   GpgpuSim sim(apply_scheme(tiny_config(), Scheme::kAdaARI),
                *find_benchmark("bfs"));
   sim.run(300);
-  obs::CounterRegistry reg;
-  sim.register_counters(&reg);
-  EXPECT_GT(reg.size(), 20u);
-  EXPECT_EQ(reg.counter_value("sim.cycles"), 300u);
-  EXPECT_GT(reg.counter_value("reply.packets_delivered"), 0u);
-  EXPECT_TRUE(json_parse(reg.to_json()).ok);
+  const auto doc = json_parse(sim.counters().to_json());
+  ASSERT_TRUE(doc.ok) << doc.error;
+  EXPECT_GT(doc.value.members().size(), 20u);
+  const auto* cycles = doc.value.find("sim.cycles");
+  const auto* delivered = doc.value.find("reply.packets_delivered");
+  ASSERT_NE(cycles, nullptr);
+  ASSERT_NE(delivered, nullptr);
+  EXPECT_EQ(cycles->as_number(), 300.0);
+  EXPECT_GT(delivered->as_number(), 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -478,9 +459,7 @@ std::pair<std::uint64_t, std::uint64_t> counter_and_telemetry_digests(
   sim.enable_sampling(200);
   sim.run_with_warmup();
   sim.flush_sampler();
-  obs::CounterRegistry reg;
-  sim.register_counters(&reg);
-  return {exec::fnv1a64(reg.to_json() + "\n"),
+  return {exec::fnv1a64(sim.counters().to_json() + "\n"),
           exec::fnv1a64(sim.sampler()->to_jsonl())};
 }
 
