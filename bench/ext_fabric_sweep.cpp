@@ -17,24 +17,11 @@
 #include "bench_util.hpp"
 #include "core/sweep.hpp"
 #include "exec/options.hpp"
-
-namespace {
-
-using namespace arinoc;
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-}  // namespace
+#include "obs/regress/json.hpp"
 
 int main(int argc, char** argv) {
   using namespace arinoc;
+  using obs::regress::json_escape;
 
   exec::ExecOptions opts = exec::options_from_env(true);
   if (!exec::parse_exec_flags(argc, argv, opts)) return 2;

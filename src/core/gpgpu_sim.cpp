@@ -4,7 +4,6 @@
 #include <cassert>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "exec/thread_team.hpp"
 #include "obs/attr.hpp"
@@ -292,9 +291,9 @@ void GpgpuSim::build(bool use_da2mesh, InstrSource* source) {
   // coupling is not decomposable, so overlay runs always step serially.
   std::uint32_t threads = cfg.threads;
   if (threads == 0) {
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     threads = std::min<std::uint32_t>(
-        hw, static_cast<std::uint32_t>(fabric_.nodes()));
+        exec::hardware_threads(),
+        static_cast<std::uint32_t>(fabric_.nodes()));
   }
   if (threads > 1 && !overlay_) {
     part_ = std::make_unique<topo::DomainPartition>(

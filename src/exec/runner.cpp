@@ -7,13 +7,13 @@
 #include <fstream>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "core/experiment.hpp"
 #include "core/watchdog.hpp"
-#include "exec/job_pool.hpp"
 #include "exec/result_cache.hpp"
+#include "exec/thread_team.hpp"
 #include "obs/attr.hpp"
+#include "obs/regress/baseline.hpp"
 #include "obs/regress/provenance.hpp"
 #include "workloads/benchmark.hpp"
 
@@ -69,19 +69,6 @@ void record_error(CellResult& r, std::string kind, const char* what,
   r.metrics = Metrics{};
 }
 
-/// Filesystem-safe slug for telemetry file names.
-std::string sanitize(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '-' || c == '_' ||
-                    c == '.';
-    out += ok ? c : '-';
-  }
-  return out.empty() ? std::string("cell") : out;
-}
-
 /// Writes one per-cell artifact (telemetry series, attribution report) under
 /// `dir` with the cell-identity file name; returns the path, "" on failure.
 std::string write_cell_artifact(const std::string& dir, const CellResult& r,
@@ -89,8 +76,9 @@ std::string write_cell_artifact(const std::string& dir, const CellResult& r,
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return {};
-  const std::string path = dir + "/" + sanitize(r.point) + "_" +
-                           sanitize(r.scheme) + "_" + sanitize(r.benchmark) +
+  using obs::regress::file_slug;
+  const std::string path = dir + "/" + file_slug(r.point) + "_" +
+                           file_slug(r.scheme) + "_" + file_slug(r.benchmark) +
                            ext;
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return {};
@@ -147,89 +135,88 @@ std::vector<CellResult> ExperimentRunner::run(
       if (runnable[i]) configs[i].threads = opts_.threads;
     }
   }
-  // Cap the pool so jobs x per-simulation threads never oversubscribes the
+  // Cap the team so jobs x per-simulation threads never oversubscribes the
   // host: cell parallelism and domain parallelism compete for the same
   // cores, and oversubscription just adds barrier jitter.
-  unsigned jobs = opts_.jobs;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned hw = hardware_threads();
+  unsigned jobs = opts_.jobs == 0 ? hw : opts_.jobs;
   const unsigned per_cell = opts_.threads == 0 ? hw : opts_.threads;
   if (per_cell > 1) {
-    const unsigned want = jobs == 0 ? hw : jobs;
     const unsigned capped = std::max(1u, hw / per_cell);
-    if (capped < want) {
+    if (capped < jobs) {
       std::fprintf(stderr,
                    "exec: capping jobs %u -> %u (%u simulation threads per "
                    "cell, %u hardware threads)\n",
-                   want, capped, per_cell, hw);
+                   jobs, capped, per_cell, hw);
       jobs = capped;
     }
   }
 
-  // Phase 2 (parallel): each worker owns exactly one result slot.
+  // Phase 2 (parallel): each task owns exactly one result slot, and no
+  // exception leaves a task (ThreadTeam has no exception channel).
   Progress progress(opts_.progress, cells.size());
-  {
-    JobPool pool(jobs);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (!runnable[i]) {
-        progress.tick(results[i]);
-        continue;
-      }
-      pool.submit([this, i, &cells, &configs, &results, &cache, &progress] {
-        CellResult& r = results[i];
-        const std::string key =
-            cache_key_string(configs[i], r.scheme, r.benchmark, r.fabric);
-        // Sampling and attribution cells always simulate: a cache hit would
-        // return the aggregate Metrics but skip producing the per-cell
-        // telemetry series / attribution report.
-        const bool sampling = opts_.sample_interval > 0;
-        const bool attributing = !opts_.attr_dir.empty();
-        std::optional<Metrics> cached;
-        if (!sampling && !attributing) cached = cache.load(key);
-        if (cached) {
-          r.metrics = *cached;
-          r.from_cache = true;
-        } else {
-          try {
-            const BenchmarkTraits* traits = find_benchmark(r.benchmark);
-            if (traits == nullptr) {
-              throw std::invalid_argument("unknown benchmark '" +
-                                          r.benchmark + "'");
-            }
-            GpgpuSim sim(configs[i], *traits, cells[i].da2mesh);
-            if (sampling) sim.enable_sampling(opts_.sample_interval);
-            obs::LatencyAttributor attr(
-                opts_.attr_window > 0 ? opts_.attr_window
-                                      : obs::LatencyAttributor::kDefaultWindow);
-            if (attributing) sim.attach_attributor(&attr);
-            sim.run_with_warmup();
-            if (sampling) sim.flush_sampler();
-            r.metrics = sim.collect();
-            if (sampling) {
-              const std::string dir = opts_.telemetry_dir.empty()
-                                          ? std::string("arinoc-telemetry")
-                                          : opts_.telemetry_dir;
-              r.telemetry_path = write_cell_artifact(
-                  dir, r, ".jsonl", sim.sampler()->to_jsonl());
-            }
-            if (attributing) {
-              r.attr_path = write_cell_artifact(opts_.attr_dir, r, ".json",
-                                                attr.to_json() + "\n");
-            }
-            if (!sampling && !attributing) cache.store(key, r.metrics);
-          } catch (const WatchdogTrip& trip) {
-            record_error(r, watchdog_trip_name(trip.kind()), trip.what(),
-                         trip.exit_status(), trip.dump());
-          } catch (const std::invalid_argument& e) {
-            record_error(r, "config", e.what(), 2);
-          } catch (const std::exception& e) {
-            record_error(r, "runtime", e.what(), 1);
-          }
-        }
-        progress.tick(r);
-      });
+  // Sampling and attribution cells always simulate: a cache hit would
+  // return the aggregate Metrics but skip producing the per-cell telemetry
+  // series / attribution report.
+  const bool sampling = opts_.sample_interval > 0;
+  const bool attributing = !opts_.attr_dir.empty();
+  const auto run_cell = [&](std::size_t i) {
+    CellResult& r = results[i];
+    if (!runnable[i]) {
+      progress.tick(r);
+      return;
     }
-    pool.wait_idle();
-  }
+    try {
+      const std::string key =
+          cache_key_string(configs[i], r.scheme, r.benchmark, r.fabric);
+      std::optional<Metrics> cached;
+      if (!sampling && !attributing) cached = cache.load(key);
+      if (cached) {
+        r.metrics = *cached;
+        r.from_cache = true;
+      } else {
+        const BenchmarkTraits* traits = find_benchmark(r.benchmark);
+        if (traits == nullptr) {
+          throw std::invalid_argument("unknown benchmark '" + r.benchmark +
+                                      "'");
+        }
+        GpgpuSim sim(configs[i], *traits, cells[i].da2mesh);
+        if (sampling) sim.enable_sampling(opts_.sample_interval);
+        obs::LatencyAttributor attr(
+            opts_.attr_window > 0 ? opts_.attr_window
+                                  : obs::LatencyAttributor::kDefaultWindow);
+        if (attributing) sim.attach_attributor(&attr);
+        sim.run_with_warmup();
+        if (sampling) sim.flush_sampler();
+        r.metrics = sim.collect();
+        if (sampling) {
+          const std::string dir = opts_.telemetry_dir.empty()
+                                      ? std::string("arinoc-telemetry")
+                                      : opts_.telemetry_dir;
+          r.telemetry_path = write_cell_artifact(dir, r, ".jsonl",
+                                                 sim.sampler()->to_jsonl());
+        }
+        if (attributing) {
+          r.attr_path = write_cell_artifact(opts_.attr_dir, r, ".json",
+                                            attr.to_json() + "\n");
+        }
+        if (!sampling && !attributing) cache.store(key, r.metrics);
+      }
+    } catch (const WatchdogTrip& trip) {
+      record_error(r, watchdog_trip_name(trip.kind()), trip.what(),
+                   trip.exit_status(), trip.dump());
+    } catch (const std::invalid_argument& e) {
+      record_error(r, "config", e.what(), 2);
+    } catch (const std::exception& e) {
+      record_error(r, "runtime", e.what(), 1);
+    } catch (...) {
+      record_error(r, "runtime", "unknown exception", 1);
+    }
+    progress.tick(r);
+  };
+  ThreadTeam team(static_cast<unsigned>(
+      std::min<std::size_t>(jobs, cells.size())));
+  team.run(cells.size(), run_cell);
 
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (results[i].from_cache) ++stats_.cache_hits;

@@ -1,4 +1,4 @@
-// ExperimentRunner: maps a grid of simulation cells onto the JobPool.
+// ExperimentRunner: runs a grid of simulation cells on a ThreadTeam.
 //
 // Guarantees:
 //  * Deterministic output. Every cell's full Config (including its derived

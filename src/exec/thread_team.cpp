@@ -9,6 +9,10 @@ constexpr unsigned kGenShift = 32;
 constexpr std::uint64_t kIdxMask = (std::uint64_t{1} << kGenShift) - 1;
 }  // namespace
 
+unsigned hardware_threads() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 ThreadTeam::ThreadTeam(unsigned threads) : threads_(std::max(1u, threads)) {
   workers_.reserve(threads_ - 1);
   for (unsigned i = 1; i < threads_; ++i) {

@@ -1,18 +1,18 @@
-// Persistent fork-join worker team for intra-simulation parallelism.
+// Persistent fork-join worker team: the one thread pool of the simulator.
 //
-// The domain-decomposed stepping loop forks once per simulated cycle (tens
-// of thousands of forks per run), which is far too frequent for the
-// mutex-per-task JobPool used by the experiment runner. A ThreadTeam keeps
-// its workers parked on a condition variable between cycles and wakes them
-// all with a single generation bump; joins spin briefly and then yield so
-// oversubscribed or single-core hosts degrade gracefully instead of
-// burning the core the workers need.
+// It serves both levels of parallelism. The domain-decomposed stepping loop
+// forks once per simulated cycle (tens of thousands of forks per run); the
+// experiment runner forks once per sweep, one task per grid cell. A
+// ThreadTeam keeps its workers parked on a condition variable between forks
+// and wakes them all with a single generation bump; joins spin briefly and
+// then yield so oversubscribed or single-core hosts degrade gracefully
+// instead of burning the core the workers need.
 //
 // Determinism contract: run() distributes task indices dynamically (an
 // atomic cursor), so WHICH thread runs a task is not reproducible — only
-// tasks that touch disjoint state may share a team. The simulator's
-// bit-identity guarantee therefore lives in the domain decomposition (each
-// task owns its domain's routers and mailboxes), not here.
+// tasks that touch disjoint state may share a team. Bit-identity therefore
+// lives in the callers: each stepping task owns its domain's routers and
+// mailboxes, and each runner task owns its cell's result slot.
 #pragma once
 
 #include <atomic>
@@ -24,6 +24,9 @@
 #include <vector>
 
 namespace arinoc::exec {
+
+/// std::thread::hardware_concurrency(), clamped to >= 1.
+unsigned hardware_threads();
 
 class ThreadTeam {
  public:
@@ -38,7 +41,9 @@ class ThreadTeam {
 
   /// Runs fn(i) exactly once for every i in [0, n), spread across the team
   /// (caller included), and returns once all calls have finished. All
-  /// writes made by the tasks are visible to the caller on return.
+  /// writes made by the tasks are visible to the caller on return. `fn`
+  /// must not throw: there is no exception channel, so a throw on a worker
+  /// thread calls std::terminate.
   void run(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:

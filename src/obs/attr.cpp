@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "obs/regress/json.hpp"
 #include "topo/graph.hpp"
 
 namespace arinoc::obs {
@@ -346,15 +347,6 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string LatencyAttributor::to_json(std::size_t top_k) const {
@@ -410,7 +402,7 @@ std::string LatencyAttributor::to_json(std::size_t top_k) const {
        << ", \"port\": " << e.port << ", \"vc\": " << e.vc
        << ", \"cycles\": " << e.cycles << ", \"count\": " << e.count
        << ", \"share\": " << fmt_double(e.share) << ", \"label\": \""
-       << json_escape(entry_label(e)) << "\"}"
+       << regress::json_escape(entry_label(e)) << "\"}"
        << (i + 1 < top.size() ? ",\n" : "\n");
   }
   os << "  ],\n  \"series\": [\n";

@@ -70,8 +70,9 @@ std::string fmt_metric(double v) {
   return buf;
 }
 
-/// Filesystem-safe slug (mirrors the exec runner's artifact naming).
-std::string sanitize(const std::string& s) {
+}  // namespace
+
+std::string file_slug(const std::string& s) {
   std::string out;
   out.reserve(s.size());
   for (const char c : s) {
@@ -82,8 +83,6 @@ std::string sanitize(const std::string& s) {
   }
   return out.empty() ? std::string("cell") : out;
 }
-
-}  // namespace
 
 MetricPolicy metric_policy(const std::string& name) {
   for (const MetricPolicy& p : kPolicies) {
@@ -109,9 +108,9 @@ std::vector<std::pair<std::string, double>> snapshot_metrics(
 }
 
 std::string BaselineEntry::file_name() const {
-  return sanitize(provenance.benchmark) + "_" + sanitize(provenance.scheme) +
-         "_" + sanitize(provenance.fabric) + "_" +
-         sanitize(provenance.config_hash) + ".json";
+  return file_slug(provenance.benchmark) + "_" +
+         file_slug(provenance.scheme) + "_" + file_slug(provenance.fabric) +
+         "_" + file_slug(provenance.config_hash) + ".json";
 }
 
 std::string baseline_entry_json(const BaselineEntry& e) {

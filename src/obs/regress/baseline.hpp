@@ -39,6 +39,11 @@ struct MetricPolicy {
   double rel_tol;  ///< Default relative tolerance (0 = exact match).
 };
 
+/// Filesystem-safe slug: every character outside [A-Za-z0-9._-] becomes
+/// '-', and an empty string becomes "cell". Names baseline entries and the
+/// exec runner's per-cell artifacts.
+std::string file_slug(const std::string& s);
+
 /// Policy for `name`; unknown metrics get {kNeutral, 0.02}.
 MetricPolicy metric_policy(const std::string& name);
 

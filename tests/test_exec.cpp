@@ -1,8 +1,9 @@
-// Execution engine: JobPool, deterministic parallel sweeps, the on-disk
+// Execution engine: ThreadTeam, deterministic parallel sweeps, the on-disk
 // result cache, and per-cell crash isolation.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <chrono>
 #include <filesystem>
@@ -16,10 +17,10 @@
 #include "core/metric_fields.hpp"
 #include "core/report.hpp"
 #include "core/sweep.hpp"
-#include "exec/job_pool.hpp"
 #include "exec/options.hpp"
 #include "exec/result_cache.hpp"
 #include "exec/runner.hpp"
+#include "exec/thread_team.hpp"
 
 namespace arinoc {
 namespace {
@@ -42,54 +43,55 @@ std::filesystem::path fresh_cache_dir(const std::string& name) {
   return dir;
 }
 
-TEST(JobPool, RunsEverySubmittedJob) {
-  exec::JobPool pool(4);
-  EXPECT_EQ(pool.jobs(), 4u);
-  EXPECT_GE(exec::JobPool::hardware_jobs(), 1u);
-  std::atomic<int> sum{0};
-  for (int i = 1; i <= 200; ++i) {
-    pool.submit([&sum, i] { sum.fetch_add(i, std::memory_order_relaxed); });
+TEST(ThreadTeam, RunsEveryIndexExactlyOnce) {
+  exec::ThreadTeam team(4);
+  EXPECT_EQ(team.threads(), 4u);
+  EXPECT_GE(exec::hardware_threads(), 1u);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{200}}) {
+    std::vector<std::atomic<int>> hits(n);
+    team.run(n, [&hits](std::size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " index " << i;
+    }
   }
-  pool.wait_idle();
-  EXPECT_EQ(sum.load(), 200 * 201 / 2);
 }
 
-TEST(JobPool, RunsJobsConcurrently) {
-  // All four jobs must be in flight at once to release each other; a serial
-  // pool would leave `started` stuck below 4 until the deadline.
-  exec::JobPool pool(4);
+TEST(ThreadTeam, RunsTasksConcurrently) {
+  // All four tasks must be in flight at once to release each other; a serial
+  // team would leave `started` stuck below 4 until the deadline.
+  exec::ThreadTeam team(4);
   std::atomic<int> started{0};
   std::atomic<bool> all_running{false};
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  for (int i = 0; i < 4; ++i) {
-    pool.submit([&] {
-      started.fetch_add(1);
-      while (started.load() < 4 &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::yield();
-      }
-      if (started.load() == 4) all_running.store(true);
-    });
-  }
-  pool.wait_idle();
+  team.run(4, [&](std::size_t) {
+    started.fetch_add(1);
+    while (started.load() < 4 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (started.load() == 4) all_running.store(true);
+  });
   EXPECT_TRUE(all_running.load());
 }
 
-TEST(JobPool, RethrowsFirstEscapedExceptionFromWaitIdle) {
-  exec::JobPool pool(2);
-  std::atomic<int> ran{0};
-  pool.submit([] { throw std::runtime_error("boom"); });
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&ran] { ran.fetch_add(1); });
+TEST(ThreadTeam, BackToBackGenerationsSumCorrectly) {
+  // Per-cycle stepping forks the team tens of thousands of times; a worker
+  // that wakes late must not claim a task of the next generation with the
+  // previous generation's closure (the generation-tagged cursor).
+  exec::ThreadTeam team(4);
+  std::atomic<std::uint64_t> sum{0};
+  std::uint64_t want = 0;
+  for (std::uint64_t g = 0; g < 10000; ++g) {
+    team.run(4, [&sum, g](std::size_t i) {
+      sum.fetch_add(g * 4 + i, std::memory_order_relaxed);
+    });
+    want += g * 16 + 6;
   }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The escaped exception does not poison the pool: the other jobs still
-  // ran, and the pool accepts new work.
-  EXPECT_EQ(ran.load(), 8);
-  pool.submit([&ran] { ran.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 9);
+  EXPECT_EQ(sum.load(), want);
 }
 
 TEST(ExecOptions, CountsAreStrictNonNegativeIntegers) {

@@ -71,6 +71,15 @@ TEST(RegressJson, RejectsMalformedWithLocation) {
   }
 }
 
+TEST(RegressJson, EscapeCoversControlCharacters) {
+  // A cell's error string may carry a newline; every writer escapes it
+  // through this one function, so the document stays valid JSON.
+  const std::string escaped = json_escape("a\"b\\c\nd\te\x01");
+  EXPECT_EQ(escaped, "a\\\"b\\\\c\\nd\\te\\u0001");
+  EXPECT_TRUE(json_parse("\"" + escaped + "\"").ok);
+  EXPECT_EQ(json_escape("plain-name_1.0"), "plain-name_1.0");
+}
+
 TEST(RegressJson, MembersPreserveOrder) {
   const JsonParseResult r = json_parse(R"({"z": 1, "a": 2, "m": 3})");
   ASSERT_TRUE(r.ok);
@@ -239,6 +248,8 @@ TEST(RegressBaseline, FileNameEmbedsIdentityAndSanitizes) {
   EXPECT_EQ(name.find(' '), std::string::npos);
   EXPECT_NE(name.find("00000000deadbeef"), std::string::npos);
   EXPECT_NE(name.find("Ada-ARI"), std::string::npos);
+  EXPECT_EQ(file_slug("a/b c.d"), "a-b-c.d");
+  EXPECT_EQ(file_slug(""), "cell");
 }
 
 // ---------------------------------------------------------------------------
