@@ -3,6 +3,8 @@
 // starvation override, and ejection.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "noc/network.hpp"
 #include "noc/packet.hpp"
 #include "noc/router.hpp"
@@ -275,6 +277,46 @@ TEST(Router, CreditProtocolSustainsBackToBackPackets) {
   EXPECT_EQ(received, 20u);
   // 100 flits over a single narrow path: ideal ~100 cycles + pipeline.
   EXPECT_LE(t, 160u);
+}
+
+// Adaptive VC allocation tries the minimal ports most-free-space first
+// (credits summed over the port's VCs); a tie keeps compute_route's order,
+// which on a mesh is X before Y even where the Y port number is lower.
+// Returns the (port, VC) of the flit a lone router sends in its first step
+// from (0,2) toward (1,1): minimal ports East (1) and North (0).
+std::pair<int, int> first_hop(std::uint32_t east_depth,
+                              std::uint32_t north_depth) {
+  const topo::Fabric mesh(topo::make_mesh_graph(3, 3, 1));
+  PacketArena arena;
+  RouterParams rp;
+  rp.node = mesh.node_at(0, 2);
+  rp.num_vcs = 4;
+  rp.vc_depth_flits = 5;
+  rp.routing = RoutingAlgo::kMinAdaptive;
+  Router r(rp, &mesh, &arena);
+  r.connect_output(topo::kEast, east_depth);
+  r.connect_output(topo::kNorth, north_depth);
+  const PacketId id = arena.create(PacketType::kWriteReply, rp.node,
+                                   mesh.node_at(1, 1), 1, 0, 0, 0);
+  r.inject_flit(0, 0, PacketArena::flit_of(id, 0, 1), 0);
+  std::vector<OutboundFlit> flits;
+  std::vector<OutboundCredit> credits;
+  r.step(0, &flits, &credits);
+  if (flits.size() != 1) {
+    ADD_FAILURE() << "expected one departing flit, got " << flits.size();
+    return {-1, -1};
+  }
+  return {flits[0].out_dir, flits[0].out_vc};
+}
+
+TEST(Router, AdaptiveVaPrefersMoreFreeSpace) {
+  EXPECT_EQ(first_hop(5, 8).first, topo::kNorth);
+  EXPECT_EQ(first_hop(8, 5).first, topo::kEast);
+}
+
+TEST(Router, AdaptiveVaTieKeepsXBeforeY) {
+  // VC 0 is the escape lane, so the adaptive grant is VC 1.
+  EXPECT_EQ(first_hop(5, 5), std::make_pair(int{topo::kEast}, 1));
 }
 
 }  // namespace
