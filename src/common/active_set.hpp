@@ -53,17 +53,19 @@ class ActiveSet {
     ++epoch_;
   }
 
-  /// Invokes `fn(i)` once per pending member, in ascending index order.
-  /// wake() calls made during the drain (self re-wakes, peer wakes) are
-  /// deferred to the next drain. The epoch is 64-bit: it cannot wrap within
-  /// any realistic run, so stale stamps never alias a live epoch.
+  /// Invokes `fn(i)` once per pending member, in ascending index order, and
+  /// returns how many members it stepped. wake() calls made during the
+  /// drain (self re-wakes, peer wakes) are deferred to the next drain. The
+  /// epoch is 64-bit: it cannot wrap within any realistic run, so stale
+  /// stamps never alias a live epoch.
   template <typename Fn>
-  void drain_sorted(Fn&& fn) {
+  std::size_t drain_sorted(Fn&& fn) {
     scratch_.clear();
     scratch_.swap(members_);
     ++epoch_;
     std::sort(scratch_.begin(), scratch_.end());
     for (const std::size_t i : scratch_) fn(i);
+    return scratch_.size();
   }
 
  private:

@@ -41,6 +41,9 @@ std::string Config::validate() const {
     err << "chiplet fabric needs at least 2 chiplets (got " << chiplets_x
         << "x" << chiplets_y << "); ";
   if (num_vcs == 0) err << "num_vcs must be > 0 (got 0 virtual channels); ";
+  if (num_vcs > 64)
+    err << "num_vcs=" << num_vcs
+        << " exceeds 64 (the router keeps one bit per VC of a port); ";
   if (vc_depth_pkts == 0) err << "vc_depth_pkts must be > 0 (got 0); ";
   if (injection_speedup == 0)
     err << "injection_speedup S must be >= 1 (got 0); ";

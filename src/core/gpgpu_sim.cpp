@@ -363,25 +363,7 @@ void GpgpuSim::step() {
   // Open-loop clients are paced by the arrival schedule, not system state:
   // they step every cycle in both stepping modes (cores_ is empty here).
   for (auto& cl : clients_) cl->cycle(now);
-  if (prof_) {
-    prof_->end(obs::ProfPhase::kFrontend);
-    // Components that will be stepped this cycle vs the always-on capacity.
-    prof_->record_wakes(obs::ProfGroup::kCores, core_act_.pending(),
-                        cores_.size());
-    prof_->record_wakes(obs::ProfGroup::kMcs, mc_act_.pending(), mcs_.size());
-    prof_->record_wakes(
-        obs::ProfGroup::kInjectNis,
-        req_inj_act_.pending() + (overlay_ ? 0 : rep_inj_act_.pending()),
-        request_inject_.size() + (overlay_ ? 0 : reply_inject_.size()));
-    prof_->record_wakes(obs::ProfGroup::kEjectNis,
-                        req_ej_act_.pending() + rep_ej_act_.pending(),
-                        request_eject_.size() + reply_eject_.size());
-    prof_->record_wakes(
-        obs::ProfGroup::kRouters,
-        request_net_->routers_pending() +
-            (overlay_ ? 0 : reply_net_->routers_pending()),
-        static_cast<std::uint64_t>(fabric_.nodes()) * (overlay_ ? 1 : 2));
-  }
+  if (prof_) prof_->end(obs::ProfPhase::kFrontend);
   // Each phase drains its active set in ascending index order — the order
   // of a full loop — so every side effect (arena allocation, trace events,
   // RNG draws) lands in the identical sequence. A component re-wakes itself
@@ -389,7 +371,7 @@ void GpgpuSim::step() {
   // (deliver, finish_accept, the ejection scan) cover everything else.
   // 1) Cores generate and emit traffic (into request NIs via their ports).
   if (prof_) prof_->begin(obs::ProfPhase::kCores);
-  core_act_.drain_sorted([&](std::size_t i) {
+  const std::size_t cores_stepped = core_act_.drain_sorted([&](std::size_t i) {
     cores_[i]->cycle(now);
     if (!cores_[i]->can_sleep()) core_act_.wake(i);
   });
@@ -398,7 +380,7 @@ void GpgpuSim::step() {
     prof_->begin(obs::ProfPhase::kMcs);
   }
   // 2) MCs service requests, tick DRAM, forward replies into reply NIs.
-  mc_act_.drain_sorted([&](std::size_t i) {
+  const std::size_t mcs_stepped = mc_act_.drain_sorted([&](std::size_t i) {
     mcs_[i]->cycle(now);
     if (!mcs_[i]->can_sleep()) mc_act_.wake(i);
   });
@@ -410,12 +392,12 @@ void GpgpuSim::step() {
   //    woke these sets before this drain, so same-cycle supply matches the
   //    always-on schedule; retransmission re-injections (phase 4) wake the
   //    NI for the next cycle, which is also when always-on would move them.
-  req_inj_act_.drain_sorted([&](std::size_t i) {
+  std::size_t inject_stepped = req_inj_act_.drain_sorted([&](std::size_t i) {
     request_inject_[i]->cycle(now);
     if (!request_inject_[i]->idle()) req_inj_act_.wake(i);
   });
   if (!overlay_) {
-    rep_inj_act_.drain_sorted([&](std::size_t i) {
+    inject_stepped += rep_inj_act_.drain_sorted([&](std::size_t i) {
       reply_inject_[i]->cycle(now);
       if (!reply_inject_[i]->idle()) rep_inj_act_.wake(i);
     });
@@ -447,19 +429,35 @@ void GpgpuSim::step() {
   // 5) Ejection NIs drain router ejection buffers into the sinks. A backlog
   //    the NI could not clear (drain rate, sink backpressure) keeps it
   //    awake.
-  req_ej_act_.drain_sorted([&](std::size_t i) {
+  std::size_t eject_stepped = req_ej_act_.drain_sorted([&](std::size_t i) {
     request_eject_[i]->cycle(now);
     if (request_net_->router(fabric_.mc_nodes()[i]).has_ejected_flit()) {
       req_ej_act_.wake(i);
     }
   });
-  rep_ej_act_.drain_sorted([&](std::size_t i) {
+  eject_stepped += rep_ej_act_.drain_sorted([&](std::size_t i) {
     reply_eject_[i]->cycle(now);
     if (reply_net_->router(fabric_.cc_nodes()[i]).has_ejected_flit()) {
       rep_ej_act_.wake(i);
     }
   });
-  if (prof_) prof_->end(obs::ProfPhase::kEjectNi);
+  if (prof_) {
+    prof_->end(obs::ProfPhase::kEjectNi);
+    // Components stepped this cycle (every drain's count, so members woken
+    // within the cycle count too) vs the always-on capacity.
+    prof_->record_wakes(obs::ProfGroup::kCores, cores_stepped, cores_.size());
+    prof_->record_wakes(obs::ProfGroup::kMcs, mcs_stepped, mcs_.size());
+    prof_->record_wakes(
+        obs::ProfGroup::kInjectNis, inject_stepped,
+        request_inject_.size() + (overlay_ ? 0 : reply_inject_.size()));
+    prof_->record_wakes(obs::ProfGroup::kEjectNis, eject_stepped,
+                        request_eject_.size() + reply_eject_.size());
+    prof_->record_wakes(
+        obs::ProfGroup::kRouters,
+        request_net_->routers_stepped() +
+            (overlay_ ? 0 : reply_net_->routers_stepped()),
+        static_cast<std::uint64_t>(fabric_.nodes()) * (overlay_ ? 1 : 2));
+  }
   // 6) Sampling.
   if (prof_) prof_->begin(obs::ProfPhase::kSampling);
   if (!overlay_) {
@@ -726,6 +724,32 @@ double GpgpuSim::reply_ni_occupancy_now() const {
     occ += static_cast<double>(ni->occupancy_packets());
   }
   return occ / static_cast<double>(reply_inject_.size());
+}
+
+std::uint64_t GpgpuSim::component_steps(obs::ProfGroup g) const {
+  std::uint64_t sum = 0;
+  switch (g) {
+    case obs::ProfGroup::kCores:
+      for (const auto& c : cores_) sum += c->steps();
+      break;
+    case obs::ProfGroup::kMcs:
+      for (const auto& m : mcs_) sum += m->steps();
+      break;
+    case obs::ProfGroup::kInjectNis:
+      for (const auto& ni : request_inject_) sum += ni->steps();
+      for (const auto& ni : reply_inject_) sum += ni ? ni->steps() : 0;
+      break;
+    case obs::ProfGroup::kEjectNis:
+      for (const auto& ni : request_eject_) sum += ni->steps();
+      for (const auto& ni : reply_eject_) sum += ni->steps();
+      break;
+    case obs::ProfGroup::kRouters:
+      for (NodeId n = 0; n < static_cast<NodeId>(fabric_.nodes()); ++n) {
+        sum += request_net_->router(n).steps() + reply_net_->router(n).steps();
+      }
+      break;
+  }
+  return sum;
 }
 
 obs::CounterDump GpgpuSim::counters() const {

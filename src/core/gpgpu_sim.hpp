@@ -23,6 +23,7 @@
 #include "noc/overlay.hpp"
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
+#include "obs/selfprof.hpp"
 #include "topo/fabric.hpp"
 #include "workloads/benchmark.hpp"
 #include "workloads/openloop.hpp"
@@ -205,6 +206,10 @@ class GpgpuSim {
   /// measurement only: simulated behaviour is identical either way.
   void attach_self_profiler(obs::SelfProfiler* p) { prof_ = p; }
   obs::SelfProfiler* self_profiler() const { return prof_; }
+  /// Step/cycle calls made so far on the components of group `g`, read
+  /// from the components themselves: what the self-profiler's wake totals
+  /// must add up to when it is attached from the first cycle.
+  std::uint64_t component_steps(obs::ProfGroup g) const;
 
   /// Starts periodic telemetry sampling: every `interval` cycles one
   /// TelemetrySample is recorded over the window just ended. interval == 0

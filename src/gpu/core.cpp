@@ -79,6 +79,7 @@ bool SimtCore::execute_mem(Warp& warp, Cycle now) {
 }
 
 void SimtCore::cycle(Cycle now) {
+  ++steps_;
   sync_idle(now);  // Replay slept stall cycles; a zero gap in always-on mode.
   next_cycle_ = now + 1;
   can_sleep_ = false;

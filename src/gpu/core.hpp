@@ -58,6 +58,9 @@ class SimtCore : public PacketSink {
     issue_stalls_ += now - next_cycle_;
     next_cycle_ = now;
   }
+  /// Calls to cycle() so far: the ground truth for the self-profiler's
+  /// wake totals.
+  std::uint64_t steps() const { return steps_; }
   /// Registers this core in `set` (as member `idx`); deliver() wakes it.
   void set_activity_hook(ActiveSet* set, std::size_t idx) {
     act_set_ = set;
@@ -114,6 +117,7 @@ class SimtCore : public PacketSink {
   ActiveSet* act_set_ = nullptr;
   std::size_t act_idx_ = 0;
   Cycle next_cycle_ = 0;  ///< Next cycle this core expects to process.
+  std::uint64_t steps_ = 0;
   bool can_sleep_ = false;
 };
 

@@ -75,6 +75,7 @@ void MemController::handle_l2_op(const L2Op& op) {
 }
 
 void MemController::cycle(Cycle now) {
+  ++steps_;
   sync_idle(now);  // Replay slept cycles; a zero gap in always-on mode.
   next_cycle_ = now + 1;
 

@@ -48,6 +48,9 @@ class MemController : public PacketSink {
   void cycle(Cycle now);
 
   // ---- Activity-driven stepping ----
+  /// Calls to cycle() so far: the ground truth for the self-profiler's
+  /// wake totals.
+  std::uint64_t steps() const { return steps_; }
   /// True when cycle() would only perform the fixed idle bookkeeping (three
   /// zero occupancy samples + idle DRAM clock ticks): no staged replies, no
   /// queued or pipelined requests, no outstanding DRAM work. The only event
@@ -122,6 +125,7 @@ class MemController : public PacketSink {
   ActiveSet* act_set_ = nullptr;
   std::size_t act_idx_ = 0;
   Cycle next_cycle_ = 0;  ///< Next cycle this MC expects to process.
+  std::uint64_t steps_ = 0;
 };
 
 }  // namespace arinoc

@@ -40,7 +40,6 @@ Network::Network(const NetworkParams& params, const topo::Fabric* fabric)
       if (nb == kInvalidNode) continue;
       routers_[static_cast<std::size_t>(n)]->connect_output(
           port, params.vc_depth_flits);
-      routers_[static_cast<std::size_t>(n)]->connect_input(port);
       ++num_internal_links_;
     }
   }
@@ -269,7 +268,7 @@ void Network::step_domain(std::uint32_t d, Cycle now) {
   // mode.
   const std::size_t send_slot = ring_pos_;
   const std::vector<NodeId>& members = part_->members[d];
-  dom.act.drain_sorted([&](std::size_t i) {
+  dom.routers_stepped += dom.act.drain_sorted([&](std::size_t i) {
     const NodeId n = members[i];
     step_router_domain(n, now, send_slot, dom);
     if (routers_[static_cast<std::size_t>(n)]->buffered_flits_total() > 0) {
@@ -282,10 +281,13 @@ void Network::step_domain(std::uint32_t d, Cycle now) {
 
 void Network::step_finish(Cycle now) {
   // Fold the per-domain stat staging every cycle: observers (watchdog,
-  // telemetry, collect()) read these between cycles.
+  // telemetry, collect(), the self-profiler) read these between cycles.
+  routers_stepped_ = 0;
   for (Domain& dom : dom_) {
     stats_.flits_corrupted += dom.corrupted;
     dom.corrupted = 0;
+    routers_stepped_ += dom.routers_stepped;
+    dom.routers_stepped = 0;
     if (fault_ && dom.credit_drops > 0) {
       fault_->note_credits_dropped(dom.credit_drops);
       dom.credit_drops = 0;

@@ -167,13 +167,9 @@ class Network {
   /// attached.
   const obs::PacketSink* sink() const { return sink_.get(); }
 
-  /// Routers pending a step next cycle (the self-profiler's wake
-  /// statistic; every router in always-on mode).
-  std::size_t routers_pending() const {
-    std::size_t sum = 0;
-    for (const Domain& d : dom_) sum += d.act.pending();
-    return sum;
-  }
+  /// Routers stepped in the last cycle, every domain's drain included (the
+  /// self-profiler's wake statistic; every router in always-on mode).
+  std::uint64_t routers_stepped() const { return routers_stepped_; }
 
   std::uint32_t num_internal_links() const { return num_internal_links_; }
   /// Total flits sent over router-to-router links (cumulative).
@@ -222,6 +218,7 @@ class Network {
     // Stats staged thread-locally, folded at step_finish.
     std::uint64_t corrupted = 0;
     std::uint64_t credit_drops = 0;
+    std::uint64_t routers_stepped = 0;
   };
 
   /// Steps router `n` of domain `dom`: per-domain scratch, staged fault
@@ -248,6 +245,7 @@ class Network {
   std::size_t ring_slots_ = 1;
   std::size_t ring_pos_ = 0;
   std::uint32_t num_internal_links_ = 0;
+  std::uint64_t routers_stepped_ = 0;  ///< Last cycle, all domains.
   NocStats stats_;
   // Fault subsystem (null unless some fault class is enabled).
   std::unique_ptr<FaultInjector> fault_;

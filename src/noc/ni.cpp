@@ -49,7 +49,7 @@ bool BaselineInjectNi::try_accept(PacketId id, Cycle now) {
   return true;
 }
 
-void BaselineInjectNi::cycle(Cycle now) {
+void BaselineInjectNi::transfer(Cycle now) {
   if (incoming_ != kInvalidPacket) {
     if (--incoming_remaining_ == 0) {
       const Packet& pkt = net_->arena().at(incoming_);
@@ -104,7 +104,7 @@ bool EnhancedInjectNi::try_accept(PacketId id, Cycle now) {
   return true;
 }
 
-void EnhancedInjectNi::cycle(Cycle now) {
+void EnhancedInjectNi::transfer(Cycle now) {
   if (queue_.empty()) return;
   Router& r = router();
   if (locked_vc_ < 0) {
@@ -162,7 +162,7 @@ bool SplitQueueInjectNi::try_accept(PacketId id, Cycle now) {
   return false;
 }
 
-void SplitQueueInjectNi::cycle(Cycle now) {
+void SplitQueueInjectNi::transfer(Cycle now) {
   Router& r = router();
   // Each split queue drives its own narrow link into its hard-wired VC:
   // up to num_queues() flits enter the router per cycle.
@@ -213,7 +213,7 @@ bool MultiPortInjectNi::try_accept(PacketId id, Cycle now) {
   return true;
 }
 
-void MultiPortInjectNi::cycle(Cycle now) {
+void MultiPortInjectNi::transfer(Cycle now) {
   if (queue_.empty()) return;
   Router& r = router();
   if (!streaming_) {
@@ -278,6 +278,7 @@ EjectNi::EjectNi(Network* net, NodeId node, PacketSink* sink,
     : net_(net), node_(node), sink_(sink), drain_rate_(drain_flits_per_cycle) {}
 
 void EjectNi::cycle(Cycle now) {
+  ++steps_;
   Router& r = net_->router(node_);
   for (std::uint32_t k = 0; k < drain_rate_; ++k) {
     if (!sink_->sink_ready()) return;  // Backpressure into the network.

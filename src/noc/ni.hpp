@@ -60,7 +60,13 @@ class InjectNi {
   virtual bool try_accept(PacketId id, Cycle now) = 0;
 
   /// Moves flits from NI queue(s) into the router injection VC buffers.
-  virtual void cycle(Cycle now) = 0;
+  void cycle(Cycle now) {
+    ++steps_;
+    transfer(now);
+  }
+  /// Calls to cycle() so far: the ground truth for the self-profiler's
+  /// wake totals.
+  std::uint64_t steps() const { return steps_; }
 
   /// Total flits currently queued in the NI.
   virtual std::size_t occupancy_flits() const = 0;
@@ -100,10 +106,13 @@ class InjectNi {
   /// registers the packet with the retransmission tracker when the network
   /// has one. Call from try_accept exactly when returning true.
   void finish_accept(PacketId id, Cycle now);
+  /// One cycle of the NI flavour's queue-to-router transfer.
+  virtual void transfer(Cycle now) = 0;
   Network* net_;
   NodeId node_;
 
  private:
+  std::uint64_t steps_ = 0;
   std::uint64_t samples_ = 0;
   double occupancy_sum_ = 0.0;
   ActiveSet* act_set_ = nullptr;
@@ -116,7 +125,7 @@ class BaselineInjectNi : public InjectNi {
  public:
   BaselineInjectNi(Network* net, NodeId node, std::uint32_t queue_flits);
   bool try_accept(PacketId id, Cycle now) override;
-  void cycle(Cycle now) override;
+  void transfer(Cycle now) override;
   std::size_t occupancy_flits() const override;
   std::size_t occupancy_packets() const override;
   /// A packet serializing over the narrow node->NI link keeps the NI busy
@@ -141,7 +150,7 @@ class EnhancedInjectNi : public InjectNi {
  public:
   EnhancedInjectNi(Network* net, NodeId node, std::uint32_t queue_flits);
   bool try_accept(PacketId id, Cycle now) override;
-  void cycle(Cycle now) override;
+  void transfer(Cycle now) override;
   std::size_t occupancy_flits() const override;
   std::size_t occupancy_packets() const override;
 
@@ -157,7 +166,7 @@ class SplitQueueInjectNi : public InjectNi {
   SplitQueueInjectNi(Network* net, NodeId node, std::uint32_t total_flits,
                      std::uint32_t num_queues);
   bool try_accept(PacketId id, Cycle now) override;
-  void cycle(Cycle now) override;
+  void transfer(Cycle now) override;
   std::size_t occupancy_flits() const override;
   std::size_t occupancy_packets() const override;
   std::uint32_t num_queues() const {
@@ -180,7 +189,7 @@ class MultiPortInjectNi : public InjectNi {
  public:
   MultiPortInjectNi(Network* net, NodeId node, std::uint32_t queue_flits);
   bool try_accept(PacketId id, Cycle now) override;
-  void cycle(Cycle now) override;
+  void transfer(Cycle now) override;
   std::size_t occupancy_flits() const override;
   std::size_t occupancy_packets() const override;
 
@@ -204,6 +213,9 @@ class EjectNi {
 
   void cycle(Cycle now);
   std::size_t pending_packets() const { return partial_.size(); }
+  /// Calls to cycle() so far: the ground truth for the self-profiler's
+  /// wake totals.
+  std::uint64_t steps() const { return steps_; }
 
  private:
   /// Reassembly state: flit count plus the sticky CRC verdict (any corrupted
@@ -218,6 +230,7 @@ class EjectNi {
   PacketSink* sink_;
   std::uint32_t drain_rate_;
   std::unordered_map<PacketId, Partial> partial_;
+  std::uint64_t steps_ = 0;
 };
 
 }  // namespace arinoc

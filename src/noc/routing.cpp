@@ -1,5 +1,7 @@
 #include "noc/routing.hpp"
 
+#include <bit>
+
 #include "topo/generators.hpp"
 
 namespace arinoc {
@@ -40,8 +42,8 @@ RouteCandidates compute_route(const topo::Fabric& fabric, NodeId here,
     // Deterministic: always the single escape port.
     rc.minimal.push_back(e.escape);
   } else {
-    for (int port = 0; port < fabric.max_ports(); ++port) {
-      if ((e.port_mask >> port) & 1u) rc.minimal.push_back(port);
+    for (std::uint32_t m = e.port_mask; m != 0; m &= m - 1) {
+      rc.minimal.push_back(std::countr_zero(m));  // Ascending port order.
     }
   }
   return rc;

@@ -69,8 +69,9 @@ class SelfProfiler {
     ++cur_.calls[i];
   }
 
-  /// `awake` components of `total` will be stepped this cycle (activity
-  /// mode: the active-set pending count; always-on mode: awake == total).
+  /// `awake` components of `total` were stepped this cycle (activity mode:
+  /// the active-set drains' counts, members woken mid-cycle included;
+  /// always-on mode: awake == total).
   void record_wakes(ProfGroup g, std::uint64_t awake, std::uint64_t total) {
     const std::size_t i = static_cast<std::size_t>(g);
     cur_.awake[i] += awake;

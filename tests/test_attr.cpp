@@ -389,6 +389,54 @@ TEST(SelfProfiler, DoesNotPerturbSimulationResults) {
             metrics_to_json(plain.collect()));
 }
 
+/// Runs `cfg` on bfs with the profiler attached from the first cycle and
+/// checks each group's wake total against the components' own step()/
+/// cycle() call counts.
+void expect_wakes_match_steps(const Config& cfg, bool da2mesh,
+                              const std::string& what) {
+  const BenchmarkTraits* traits = find_benchmark("bfs");
+  ASSERT_NE(traits, nullptr);
+  GpgpuSim sim(cfg, *traits, da2mesh);
+  obs::SelfProfiler prof(256);
+  sim.attach_self_profiler(&prof);
+  sim.run(cfg.warmup_cycles + cfg.run_cycles);  // No stats reset.
+  prof.finish(sim.now());
+  for (std::size_t g = 0; g < obs::kNumProfGroups; ++g) {
+    const auto group = static_cast<obs::ProfGroup>(g);
+    std::uint64_t awake = 0;
+    for (const auto& e : prof.epochs()) awake += e.awake[g];
+    EXPECT_EQ(awake, sim.component_steps(group))
+        << what << ": group " << obs::prof_group_name(group);
+    EXPECT_GT(awake, 0u) << what << ": group " << obs::prof_group_name(group);
+  }
+}
+
+// The wake totals count what was stepped, including members woken within
+// the cycle: routers woken by NI injection or link delivery, NIs woken by
+// this cycle's accepts or ejections. Every scheme, both stepping modes, the
+// DA2mesh overlay, and domain-parallel network stepping on four threads.
+TEST(SelfProfiler, WakeTotalsEqualComponentSteps) {
+  for (int s = 0; s <= static_cast<int>(Scheme::kRawBaseline); ++s) {
+    const auto scheme = static_cast<Scheme>(s);
+    for (const bool activity : {true, false}) {
+      Config cfg = apply_scheme(tiny_config(), scheme);
+      cfg.activity_driven = activity;
+      expect_wakes_match_steps(
+          cfg, false,
+          std::string(scheme_name(scheme)) + (activity ? "" : " always-on"));
+    }
+  }
+  expect_wakes_match_steps(apply_scheme(tiny_config(), Scheme::kAdaARI), true,
+                           "da2mesh");
+  Config chip = apply_scheme(tiny_config(), Scheme::kAdaARI);
+  chip.fabric = "chiplet";
+  chip.chiplets_x = chip.chiplets_y = 2;
+  chip.mesh_width = chip.mesh_height = 2;
+  chip.num_mcs = 4;
+  chip.threads = 4;
+  expect_wakes_match_steps(chip, false, "chiplet, 4 threads");
+}
+
 // ---------------------------------------------------------------------------
 // Exec integration: attribution cells write one report per cell, fill the
 // CSV bottleneck column, and bypass the result cache.

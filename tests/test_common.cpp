@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/config.hpp"
@@ -132,6 +133,15 @@ TEST(Config, RejectsSpeedupAboveVcs) {
   cfg.injection_speedup = 5;
   cfg.num_vcs = 4;
   EXPECT_NE(cfg.validate(), "");
+}
+
+TEST(Config, RejectsMoreThan64Vcs) {
+  Config cfg;
+  cfg.num_vcs = 64;
+  EXPECT_EQ(cfg.validate(), "");
+  cfg.num_vcs = 65;
+  EXPECT_NE(cfg.validate().find("num_vcs=65 exceeds 64"), std::string::npos)
+      << cfg.validate();
 }
 
 TEST(Config, RejectsTinyNiQueue) {

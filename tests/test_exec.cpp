@@ -274,6 +274,17 @@ TEST(ExecIsolation, InvalidConfigIsACellErrorNotAnAbort) {
   EXPECT_TRUE(results[1].ok()) << results[1].error;
 }
 
+TEST(ExecIsolation, TooManyVcsIsAConfigErrorExitTwo) {
+  exec::ExperimentRunner runner(tiny());
+  const auto results = runner.run(
+      {{"wide", Scheme::kAdaARI, "bfs", [](Config& c) { c.num_vcs = 65; }}});
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].error_kind, "config");
+  EXPECT_EQ(results[0].exit_status, 2);
+  EXPECT_NE(results[0].error.find("num_vcs=65"), std::string::npos)
+      << results[0].error;
+}
+
 TEST(ExecIsolation, SweepRendersCellErrorsInCsv) {
   exec::ExecOptions opts;
   opts.jobs = 2;
