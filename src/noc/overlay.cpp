@@ -19,8 +19,7 @@ Da2MeshOverlay::Da2MeshOverlay(const OverlayParams& params,
     const std::uint32_t long_flits = flits_for(PacketType::kReadReply);
     const std::uint32_t per_queue = std::max(
         params.queue_flits / nqueues, long_flits);
-    ep.queues.resize(nqueues);
-    for (auto& q : ep.queues) q.capacity_flits = per_queue;
+    ep.queues.assign(nqueues, FlitBuffer(per_queue));
     ep.lanes.resize(params.lanes);
   }
 }
@@ -52,10 +51,11 @@ bool Da2MeshOverlay::try_accept(NodeId mc, PacketId id, Cycle now) {
   const Packet& pkt = arena_.at(id);
   for (std::size_t k = 0; k < ep.queues.size(); ++k) {
     const std::size_t qi = (ep.accept_rr + k) % ep.queues.size();
-    NiQueue& q = ep.queues[qi];
-    if (q.flits + pkt.num_flits > q.capacity_flits) continue;
-    q.pkts.push_back(id);
-    q.flits += pkt.num_flits;
+    FlitBuffer& q = ep.queues[qi];
+    if (!q.fits(pkt.num_flits)) continue;
+    for (std::uint16_t s = 0; s < pkt.num_flits; ++s) {
+      q.push(PacketArena::flit_of(id, s, pkt.num_flits));
+    }
     ep.accept_rr = (qi + 1) % ep.queues.size();
     arena_.at(id).created = now;
     return true;
@@ -88,13 +88,13 @@ void Da2MeshOverlay::step(Cycle now) {
     const std::size_t active_lanes = params_.ari ? ep.lanes.size() : 1;
     for (std::size_t li = 0; li < active_lanes; ++li) {
       Lane& lane = ep.lanes[li];
-      NiQueue& q = ep.queues[params_.ari ? li : 0];
-      if (lane.busy_pkt == kInvalidPacket && !q.pkts.empty()) {
-        lane.busy_pkt = q.pkts.front();
-        q.pkts.pop_front();
+      FlitBuffer& q = ep.queues[params_.ari ? li : 0];
+      if (lane.busy_pkt == kInvalidPacket && !q.empty()) {
+        // The lane takes the whole head packet off the queue at once.
+        lane.busy_pkt = q.front().pkt;
         Packet& pkt = arena_.at(lane.busy_pkt);
         pkt.injected = now;
-        q.flits -= pkt.num_flits;
+        for (std::uint16_t s = 0; s < pkt.num_flits; ++s) q.pop();
         lane.flits_left = pkt.num_flits;
         lane.rate_accum = 0.0;
       }
@@ -122,7 +122,7 @@ std::size_t Da2MeshOverlay::occupancy_flits(NodeId mc) const {
   assert(idx >= 0);
   std::size_t s = 0;
   for (const auto& q : endpoints_[static_cast<std::size_t>(idx)].queues) {
-    s += q.flits;
+    s += q.size();
   }
   return s;
 }

@@ -16,11 +16,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/stats.hpp"
 #include "common/types.hpp"
+#include "noc/buffer.hpp"
 #include "noc/ni.hpp"
 #include "noc/noc_stats.hpp"
 #include "noc/packet.hpp"
@@ -76,16 +76,11 @@ class Da2MeshOverlay {
     PacketId pkt;
     Cycle arrive;
   };
-  struct NiQueue {
-    std::deque<PacketId> pkts;
-    std::size_t flits = 0;
-    std::size_t capacity_flits = 0;
-  };
   struct McEndpoint {
-    // Queues: 1 (plain) or `lanes` (ARI split supply). In plain mode only
-    // lane 0 is usable — the single NI read port feeds one lane at a time,
-    // which is exactly the supply limit ARI removes.
-    std::vector<NiQueue> queues;
+    // Queues of whole packets: 1 (plain) or `lanes` (ARI split supply). In
+    // plain mode only lane 0 is usable — the single NI read port feeds one
+    // lane at a time, which is exactly the supply limit ARI removes.
+    std::vector<FlitBuffer> queues;
     std::vector<Lane> lanes;
     std::size_t accept_rr = 0;
   };
