@@ -83,9 +83,10 @@ void network_step(benchmark::State& state, const topo::Fabric& fabric) {
   NetworkParams np;
   np.routing = RoutingAlgo::kMinAdaptive;
   Network net(np, &fabric);
-  std::vector<std::unique_ptr<EnhancedInjectNi>> nis;
+  std::vector<std::unique_ptr<InjectNi>> nis;
   for (NodeId mc : fabric.mc_nodes()) {
-    nis.push_back(std::make_unique<EnhancedInjectNi>(&net, mc, 36));
+    nis.push_back(
+        std::make_unique<InjectNi>(NiArch::kEnhanced, &net, mc, 36));
   }
   Xoshiro256 rng(3);
   Cycle t = 0;

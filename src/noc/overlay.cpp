@@ -11,16 +11,13 @@ Da2MeshOverlay::Da2MeshOverlay(const OverlayParams& params,
       mc_index_(static_cast<std::size_t>(fabric.nodes()), -1),
       sinks_(static_cast<std::size_t>(fabric.nodes()), nullptr) {
   const auto& mcs = fabric.mc_nodes();
-  endpoints_.resize(mcs.size());
+  endpoints_.reserve(mcs.size());
   for (std::size_t i = 0; i < mcs.size(); ++i) {
     mc_index_[static_cast<std::size_t>(mcs[i])] = static_cast<int>(i);
-    McEndpoint& ep = endpoints_[i];
-    const std::uint32_t nqueues = params.ari ? params.lanes : 1;
-    const std::uint32_t long_flits = flits_for(PacketType::kReadReply);
-    const std::uint32_t per_queue = std::max(
-        params.queue_flits / nqueues, long_flits);
-    ep.queues.assign(nqueues, FlitBuffer(per_queue));
-    ep.lanes.resize(params.lanes);
+    endpoints_.push_back(
+        {NiQueues(params.queue_flits, params.ari ? params.lanes : 1,
+                  flits_for(PacketType::kReadReply)),
+         std::vector<Lane>(params.lanes)});
   }
 }
 
@@ -47,20 +44,13 @@ PacketId Da2MeshOverlay::make_packet(PacketType type, NodeId src, NodeId dest,
 }
 
 bool Da2MeshOverlay::try_accept(NodeId mc, PacketId id, Cycle now) {
-  McEndpoint& ep = endpoint(mc);
-  const Packet& pkt = arena_.at(id);
-  for (std::size_t k = 0; k < ep.queues.size(); ++k) {
-    const std::size_t qi = (ep.accept_rr + k) % ep.queues.size();
-    FlitBuffer& q = ep.queues[qi];
-    if (!q.fits(pkt.num_flits)) continue;
-    for (std::uint16_t s = 0; s < pkt.num_flits; ++s) {
-      q.push(PacketArena::flit_of(id, s, pkt.num_flits));
-    }
-    ep.accept_rr = (qi + 1) % ep.queues.size();
-    arena_.at(id).created = now;
-    return true;
-  }
-  return false;
+  NiQueues& queues = endpoint(mc).queues;
+  Packet& pkt = arena_.at(id);
+  const int qi = queues.find_room(pkt.num_flits);
+  if (qi < 0) return false;
+  queues.push(static_cast<std::size_t>(qi), id, pkt.num_flits);
+  pkt.created = now;
+  return true;
 }
 
 void Da2MeshOverlay::step(Cycle now) {
@@ -88,13 +78,13 @@ void Da2MeshOverlay::step(Cycle now) {
     const std::size_t active_lanes = params_.ari ? ep.lanes.size() : 1;
     for (std::size_t li = 0; li < active_lanes; ++li) {
       Lane& lane = ep.lanes[li];
-      FlitBuffer& q = ep.queues[params_.ari ? li : 0];
-      if (lane.busy_pkt == kInvalidPacket && !q.empty()) {
+      const std::size_t qi = params_.ari ? li : 0;
+      if (lane.busy_pkt == kInvalidPacket && !ep.queues[qi].empty()) {
         // The lane takes the whole head packet off the queue at once.
-        lane.busy_pkt = q.front().pkt;
+        lane.busy_pkt = ep.queues[qi].front().pkt;
         Packet& pkt = arena_.at(lane.busy_pkt);
         pkt.injected = now;
-        for (std::uint16_t s = 0; s < pkt.num_flits; ++s) q.pop();
+        for (std::uint16_t s = 0; s < pkt.num_flits; ++s) ep.queues.pop(qi);
         lane.flits_left = pkt.num_flits;
         lane.rate_accum = 0.0;
       }
@@ -120,11 +110,7 @@ void Da2MeshOverlay::step(Cycle now) {
 std::size_t Da2MeshOverlay::occupancy_flits(NodeId mc) const {
   const int idx = mc_index_[static_cast<std::size_t>(mc)];
   assert(idx >= 0);
-  std::size_t s = 0;
-  for (const auto& q : endpoints_[static_cast<std::size_t>(idx)].queues) {
-    s += q.size();
-  }
-  return s;
+  return endpoints_[static_cast<std::size_t>(idx)].queues.flits();
 }
 
 }  // namespace arinoc

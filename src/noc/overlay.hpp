@@ -20,7 +20,6 @@
 
 #include "common/stats.hpp"
 #include "common/types.hpp"
-#include "noc/buffer.hpp"
 #include "noc/ni.hpp"
 #include "noc/noc_stats.hpp"
 #include "noc/packet.hpp"
@@ -80,9 +79,8 @@ class Da2MeshOverlay {
     // Queues of whole packets: 1 (plain) or `lanes` (ARI split supply). In
     // plain mode only lane 0 is usable — the single NI read port feeds one
     // lane at a time, which is exactly the supply limit ARI removes.
-    std::vector<FlitBuffer> queues;
+    NiQueues queues;
     std::vector<Lane> lanes;
-    std::size_t accept_rr = 0;
   };
 
   std::uint16_t flits_for(PacketType type) const;

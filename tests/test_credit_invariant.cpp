@@ -26,14 +26,15 @@ TEST(CreditInvariant, HoldsDuringAndAfterTraffic) {
   np.treat_mcs_specially = true;
   np.mc_injection_speedup = 4;
   Network net(np, &mesh);
-  std::vector<std::unique_ptr<EnhancedInjectNi>> nis;
+  std::vector<std::unique_ptr<InjectNi>> nis;
   std::vector<std::unique_ptr<EjectNi>> ejs;
   class Sink : public PacketSink {
    public:
     void deliver(const Packet&, Cycle) override {}
   } sink;
   for (NodeId n = 0; n < 16; ++n) {
-    nis.push_back(std::make_unique<EnhancedInjectNi>(&net, n, 36));
+    nis.push_back(
+        std::make_unique<InjectNi>(NiArch::kEnhanced, &net, n, 36));
     ejs.push_back(std::make_unique<EjectNi>(&net, n, &sink));
   }
   Xoshiro256 rng(5);
@@ -61,7 +62,7 @@ TEST(CreditInvariant, HoldsWithMultiCycleLinks) {
   NetworkParams np;
   np.link_latency = 3;
   Network net(np, &mesh);
-  EnhancedInjectNi ni(&net, 0, 36);
+  InjectNi ni(NiArch::kEnhanced, &net, 0, 36);
   class Sink : public PacketSink {
    public:
     void deliver(const Packet&, Cycle) override {}

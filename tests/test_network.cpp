@@ -49,10 +49,11 @@ TEST_P(NetworkTraffic, AllOfferedPacketsDelivered) {
   Network net(np, &mesh);
 
   RecordingSink sink;
-  std::vector<std::unique_ptr<EnhancedInjectNi>> nis;
+  std::vector<std::unique_ptr<InjectNi>> nis;
   std::vector<std::unique_ptr<EjectNi>> ejs;
   for (NodeId n = 0; n < static_cast<NodeId>(mesh.nodes()); ++n) {
-    nis.push_back(std::make_unique<EnhancedInjectNi>(&net, n, 36));
+    nis.push_back(
+        std::make_unique<InjectNi>(NiArch::kEnhanced, &net, n, 36));
     ejs.push_back(std::make_unique<EjectNi>(&net, n, &sink));
   }
 
@@ -104,7 +105,7 @@ TEST(Network, LatencyMatchesHopDistanceAtLowLoad) {
   np.routing = RoutingAlgo::kXY;
   Network net(np, &mesh);
   RecordingSink sink;
-  EnhancedInjectNi ni(&net, mesh.node_at(0, 0), 36);
+  InjectNi ni(NiArch::kEnhanced, &net, mesh.node_at(0, 0), 36);
   EjectNi ej(&net, mesh.node_at(5, 5), &sink);
 
   const PacketId id = net.make_packet(
@@ -128,7 +129,7 @@ TEST(Network, FlitWeightedStatsPerType) {
   NetworkParams np;
   Network net(np, &mesh);
   RecordingSink sink;
-  EnhancedInjectNi ni(&net, 0, 36);
+  InjectNi ni(NiArch::kEnhanced, &net, 0, 36);
   EjectNi ej(&net, 5, &sink);
   ASSERT_TRUE(
       ni.try_accept(net.make_packet(PacketType::kReadReply, 0, 5, 0, 0, 0), 0));
@@ -151,7 +152,7 @@ TEST(Network, InjectionUtilizationProbe) {
   NetworkParams np;
   Network net(np, &mesh);
   RecordingSink sink;
-  EnhancedInjectNi ni(&net, 0, 36);
+  InjectNi ni(NiArch::kEnhanced, &net, 0, 36);
   EjectNi ej(&net, 15, &sink);
   // Saturate node 0's injection link for 50 cycles.
   for (Cycle t = 0; t < 50; ++t) {
@@ -184,7 +185,7 @@ TEST(Network, ResetStatsClearsEverything) {
   NetworkParams np;
   Network net(np, &mesh);
   RecordingSink sink;
-  EnhancedInjectNi ni(&net, 0, 36);
+  InjectNi ni(NiArch::kEnhanced, &net, 0, 36);
   EjectNi ej(&net, 3, &sink);
   ASSERT_TRUE(
       ni.try_accept(net.make_packet(PacketType::kReadReply, 0, 3, 0, 0, 0), 0));
@@ -207,10 +208,11 @@ TEST(Network, AdaptiveHotspotTrafficMakesProgress) {
   np.routing = RoutingAlgo::kMinAdaptive;
   Network net(np, &mesh);
   RecordingSink sink;
-  std::vector<std::unique_ptr<EnhancedInjectNi>> nis;
+  std::vector<std::unique_ptr<InjectNi>> nis;
   std::vector<std::unique_ptr<EjectNi>> ejs;
   for (NodeId n = 0; n < 36; ++n) {
-    nis.push_back(std::make_unique<EnhancedInjectNi>(&net, n, 36));
+    nis.push_back(
+        std::make_unique<InjectNi>(NiArch::kEnhanced, &net, n, 36));
     ejs.push_back(std::make_unique<EjectNi>(&net, n, &sink));
   }
   Xoshiro256 rng(5);
