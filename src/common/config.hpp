@@ -22,9 +22,6 @@ enum class NiArch {
   kMultiPort,   ///< [3]-style: multiple router injection ports, single queue.
 };
 
-/// How reply data moves from MC core logic toward the NI.
-enum class McNiLink { kNarrow, kWide };
-
 /// Memory-controller placement policies. kDiamond (default, Table I) is the
 /// Abts et al. staggered-interior placement; kTopBottom models the
 /// traditional GPU layout with MCs on the top/bottom edge rows; kColumn
@@ -71,8 +68,6 @@ struct Config {
   // ---- NI (Table I: 36-flit injection queue) ----
   std::uint32_t ni_queue_flits = 36;
   NiArch reply_ni = NiArch::kEnhanced;
-  McNiLink mc_ni_link = McNiLink::kWide;  ///< kNarrow only for the raw
-                                          ///< GPGPU-Sim default baseline.
   std::uint32_t split_queues = 4;         ///< ARI: # split NI queues = # of
                                           ///< narrow NI->VC links.
   std::uint32_t multiport_ports = 2;      ///< [3]: # router injection ports.
