@@ -1,9 +1,8 @@
-// Shared helpers for the figure-reproduction bench binaries.
+// Shared helpers for the bench binaries: the arinoc_paper figures and the
+// ext_* extension benches.
 //
-// Thread-safety: every helper here is reentrant — all state is local, the
-// grid execution goes through exec::ExperimentRunner (which owns its pool),
-// and stdio calls are the C library's locked ones. Calling these from exec
-// pool workers is safe.
+// Thread-safety: every helper here is reentrant — all state is local and
+// stdio calls are the C library's locked ones.
 #pragma once
 
 #include <cstdio>
@@ -19,33 +18,13 @@
 namespace arinoc::bench {
 
 /// Prints the standard figure banner: what the paper reports, what this
-/// binary regenerates.
+/// run regenerates.
 inline void banner(const char* figure, const char* paper_claim) {
   std::printf("==============================================================\n");
   std::printf("%s\n", figure);
   std::printf("paper: %s\n", paper_claim);
   std::printf("==============================================================\n");
 }
-
-/// One metric extracted per (scheme, benchmark) run.
-using MetricFn = double (*)(const Metrics&);
-
-inline double ipc_of(const Metrics& m) { return m.ipc; }
-inline double mc_stall_of(const Metrics& m) {
-  return static_cast<double>(m.mc_stall_cycles);
-}
-
-/// Runs `cells` on the exec pool (optionally cached) and returns their
-/// results in cell order. Failed cells are reported on stderr and come back
-/// with zeroed metrics.
-std::vector<exec::CellResult> run_grid(const Config& base,
-                                       const std::vector<exec::CellSpec>& cells,
-                                       const exec::ExecOptions& opts);
-
-/// A bench's exit status once it has printed its results: 0 when every
-/// cell ran, else the first failed cell's exit_status (the arinoc_sim
-/// contract: 2 config, 3/4/5 watchdog, 1 runtime).
-int exit_status(const std::vector<exec::CellResult>& results);
 
 /// Position of cell (point p, scheme s, benchmark b) in a result vector
 /// holding grid(points, schemes, benchmarks) from index `offset` on.
@@ -57,22 +36,6 @@ struct GridIndex {
     return offset + (p * schemes + s) * benchmarks + b;
   }
 };
-
-struct Normalized {
-  std::vector<double> geomeans;  ///< Per scheme, in `schemes` order.
-  int exit_status = 0;           ///< bench::exit_status of the grid.
-};
-
-/// Runs `schemes` x `benchmarks` through run_grid and prints a table of
-/// `fn` normalized to the first scheme, with a geomean row. A cell that
-/// fails contributes a guarded (floor-clamped) ratio instead of aborting
-/// the bench.
-Normalized run_and_print_normalized(const Config& base,
-                                    const std::vector<Scheme>& schemes,
-                                    const std::vector<std::string>& benchmarks,
-                                    MetricFn fn, const char* metric_name,
-                                    bool higher_is_better,
-                                    const exec::ExecOptions& opts);
 
 /// The shared fabric axis (mesh / torus / cmesh / chiplet): every point
 /// keeps 16 routers / 4 MCs so cross-fabric comparisons are about topology,

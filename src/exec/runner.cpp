@@ -7,6 +7,8 @@
 #include <fstream>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_map>
 
 #include "core/experiment.hpp"
 #include "core/watchdog.hpp"
@@ -110,6 +112,7 @@ std::vector<CellResult> ExperimentRunner::run(
   // seed and cache key are fixed before any worker touches anything.
   std::vector<CellResult> results(cells.size());
   std::vector<Config> configs(cells.size());
+  std::vector<std::string> keys(cells.size());
   std::vector<bool> runnable(cells.size(), false);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     results[i].point = cells[i].point;
@@ -121,9 +124,28 @@ std::vector<CellResult> ExperimentRunner::run(
       results[i].fabric =
           cells[i].da2mesh ? "da2mesh" : fabric_cache_tag(configs[i]);
       results[i].config_hash = obs::regress::config_hash_hex(configs[i]);
+      keys[i] = cache_key_string(configs[i], results[i].scheme,
+                                 results[i].benchmark, results[i].fabric);
     } catch (const std::invalid_argument& e) {
       record_error(results[i], "config", e.what(), 2);
     }
+  }
+
+  // A cell whose key already appeared earlier in this call does not run: it
+  // copies the result of that first occurrence. Sampling and attribution
+  // cells each write their own artifact, so they all run, as they all miss
+  // the cache.
+  const bool sampling = opts_.sample_interval > 0;
+  const bool attributing = !opts_.attr_dir.empty();
+  std::vector<std::size_t> first(cells.size());  // == i: cell i runs.
+  std::vector<std::size_t> tasks;
+  std::unordered_map<std::string_view, std::size_t> seen;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    first[i] = i;
+    if (runnable[i] && !sampling && !attributing) {
+      first[i] = seen.emplace(keys[i], i).first->second;
+    }
+    if (first[i] == i) tasks.push_back(i);
   }
 
   // Intra-simulation threads ride along on every resolved config, after the
@@ -154,12 +176,10 @@ std::vector<CellResult> ExperimentRunner::run(
 
   // Phase 2 (parallel): each task owns exactly one result slot, and no
   // exception leaves a task (ThreadTeam has no exception channel).
-  Progress progress(opts_.progress, cells.size());
+  Progress progress(opts_.progress, tasks.size());
   // Sampling and attribution cells always simulate: a cache hit would
   // return the aggregate Metrics but skip producing the per-cell telemetry
   // series / attribution report.
-  const bool sampling = opts_.sample_interval > 0;
-  const bool attributing = !opts_.attr_dir.empty();
   const auto run_cell = [&](std::size_t i) {
     CellResult& r = results[i];
     if (!runnable[i]) {
@@ -167,8 +187,7 @@ std::vector<CellResult> ExperimentRunner::run(
       return;
     }
     try {
-      const std::string key =
-          cache_key_string(configs[i], r.scheme, r.benchmark, r.fabric);
+      const std::string& key = keys[i];
       std::optional<Metrics> cached;
       if (!sampling && !attributing) cached = cache.load(key);
       if (cached) {
@@ -215,13 +234,22 @@ std::vector<CellResult> ExperimentRunner::run(
     progress.tick(r);
   };
   ThreadTeam team(static_cast<unsigned>(
-      std::min<std::size_t>(jobs, cells.size())));
-  team.run(cells.size(), run_cell);
+      std::min<std::size_t>(jobs, tasks.size())));
+  team.run(tasks.size(), [&](std::size_t t) { run_cell(tasks[t]); });
 
   for (std::size_t i = 0; i < results.size(); ++i) {
-    if (results[i].from_cache) ++stats_.cache_hits;
+    if (first[i] != i) {
+      // Scheme, benchmark, fabric and config are all in the key: a
+      // duplicate differs from its first occurrence only by its point label.
+      std::string point = std::move(results[i].point);
+      results[i] = results[first[i]];
+      results[i].point = std::move(point);
+    } else if (results[i].from_cache) {
+      ++stats_.cache_hits;
+    } else if (runnable[i]) {
+      ++stats_.simulated;
+    }
     if (!results[i].ok()) ++stats_.errors;
-    if (runnable[i] && !results[i].from_cache) ++stats_.simulated;
   }
   return results;
 }

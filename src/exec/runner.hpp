@@ -15,6 +15,10 @@
 //    cells keep running.
 //  * Optional on-disk result caching (see result_cache.hpp): re-running a
 //    sweep only simulates cells whose key material changed.
+//  * Duplicate cells run once. Cells of one run() call with the same cache
+//    key (the same resolved config, scheme, benchmark and fabric, under any
+//    point label) simulate once and share that result, cache on or off.
+//    Sampling and attribution cells are exempt, as they are from the cache.
 #pragma once
 
 #include <cstdint>
@@ -98,9 +102,12 @@ class ExperimentRunner {
  public:
   struct Stats {
     std::size_t total = 0;
-    std::size_t simulated = 0;   ///< Cells actually run this call.
+    /// Cells actually run this call. A cell whose cache key appeared earlier
+    /// in the same call copies that result and counts in neither this nor
+    /// cache_hits.
+    std::size_t simulated = 0;
     std::size_t cache_hits = 0;
-    std::size_t errors = 0;
+    std::size_t errors = 0;  ///< Failed results, duplicates included.
   };
 
   explicit ExperimentRunner(Config base, ExecOptions opts = {});

@@ -237,6 +237,56 @@ TEST(ExecCache, HitMissAndInvalidateOnConfigChange) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ExecCache, DuplicateCellRunsOnceUnderItsOwnLabel) {
+  const auto dir = fresh_cache_dir("arinoc_exec_dedup");
+  // The same cell twice under different point labels, around a distinct one.
+  const std::vector<exec::CellSpec> cells = {
+      {"first", Scheme::kAdaARI, "bfs", nullptr},
+      {"other", Scheme::kAdaBaseline, "bfs", nullptr},
+      {"again", Scheme::kAdaARI, "bfs", nullptr}};
+  // Cache off, then on (cold, then warm): the duplicate never simulates.
+  struct Pass {
+    bool cache;
+    std::size_t simulated, cache_hits;
+  };
+  for (const Pass& pass : {Pass{false, 2, 0}, Pass{true, 2, 0},
+                           Pass{true, 0, 2}}) {
+    SCOPED_TRACE(pass.cache ? "cache on" : "cache off");
+    exec::ExecOptions opts;
+    opts.jobs = 2;
+    opts.cache_enabled = pass.cache;
+    opts.cache_dir = dir.string();
+    exec::ExperimentRunner runner(tiny(), opts);
+    const auto results = runner.run(cells);
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_EQ(runner.stats().simulated, pass.simulated);
+    EXPECT_EQ(runner.stats().cache_hits, pass.cache_hits);
+    for (const auto& r : results) EXPECT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(exec::serialize_metrics(results[2].metrics),
+              exec::serialize_metrics(results[0].metrics));
+    EXPECT_NE(exec::serialize_metrics(results[1].metrics),
+              exec::serialize_metrics(results[0].metrics));
+    EXPECT_EQ(results[0].point, "first");
+    EXPECT_EQ(results[1].point, "other");
+    EXPECT_EQ(results[2].point, "again");
+    EXPECT_EQ(results[2].scheme, "Ada-ARI");
+    EXPECT_EQ(results[2].benchmark, "bfs");
+  }
+
+  // Sampling cells each write their own series, so each one simulates.
+  exec::ExecOptions sampled;
+  sampled.sample_interval = 100;
+  sampled.telemetry_dir = (dir / "telemetry").string();
+  exec::ExperimentRunner runner(tiny(), sampled);
+  const auto results = runner.run(cells);
+  EXPECT_EQ(runner.stats().simulated, 3u);
+  EXPECT_NE(results[0].telemetry_path, results[2].telemetry_path);
+  EXPECT_EQ(exec::serialize_metrics(results[2].metrics),
+            exec::serialize_metrics(results[0].metrics));
+
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ExecIsolation, WatchdogTripIsStructuredPerCellError) {
   // watchdog_livelock_age = 1 trips at the first poll with any packet in
   // flight — a deterministic stand-in for a real livelock.

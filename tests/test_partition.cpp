@@ -59,7 +59,9 @@ void check_partition(const topo::Fabric& fab,
     max_size = std::max(max_size, m.size());
     total += m.size();
     for (std::size_t i = 0; i < m.size(); ++i) {
-      if (i > 0) EXPECT_LT(m[i - 1], m[i]) << "members not ascending";
+      if (i > 0) {
+        EXPECT_LT(m[i - 1], m[i]) << "members not ascending";
+      }
       EXPECT_EQ(part.domain_of[static_cast<std::size_t>(m[i])], d);
       EXPECT_EQ(part.local_of[static_cast<std::size_t>(m[i])], i);
     }
@@ -99,7 +101,7 @@ TEST(Partition, BalancedOnRegularFabrics) {
   for (const char* kind : {"mesh", "torus", "cmesh"}) {
     const topo::Fabric fab = topo::make_fabric(fabric_config(kind));
     for (const std::uint32_t k : {2u, 3u, 4u, 5u, 7u}) {
-      if (k > fab.nodes()) continue;
+      if (k > static_cast<std::uint32_t>(fab.nodes())) continue;
       SCOPED_TRACE(std::string(kind) + " k=" + std::to_string(k));
       check_partition(fab, topo::partition_fabric(fab, k), k);
     }
@@ -144,7 +146,7 @@ TEST(Partition, FileTopologies) {
     SCOPED_TRACE(rel);
     const topo::Fabric fab = file_fabric(rel);
     for (const std::uint32_t k : {2u, 3u, 4u}) {
-      if (k > fab.nodes()) continue;
+      if (k > static_cast<std::uint32_t>(fab.nodes())) continue;
       check_partition(fab, topo::partition_fabric(fab, k), k,
                       /*require_balance=*/false);
     }

@@ -184,7 +184,9 @@ TEST(RegressBaseline, RecoveryRateIsPerfectWhenNothingRetransmitted) {
   Metrics m;
   const auto snap = snapshot_metrics(m);
   for (const auto& [name, v] : snap) {
-    if (name == "recovery_rate") EXPECT_DOUBLE_EQ(v, 1.0);
+    if (name == "recovery_rate") {
+      EXPECT_DOUBLE_EQ(v, 1.0);
+    }
   }
 }
 
