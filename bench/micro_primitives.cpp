@@ -62,7 +62,7 @@ void BM_DramTick(benchmark::State& state) {
     }
     dram.tick(false);
     benchmark::DoNotOptimize(dram.queue_depth());
-    dram.drain_completed();
+    dram.clear_completed();
   }
 }
 BENCHMARK(BM_DramTick);

@@ -33,14 +33,18 @@ class GpgpuSim::CcRequestPort final : public RequestPort {
     }
     const PacketType type =
         write ? PacketType::kWriteRequest : PacketType::kReadRequest;
-    const PacketId id =
-        sim_->request_net_->make_packet(type, cc_, dest_mc, 0, txn, now);
-    if (ni_->try_accept(id, now)) return true;
-    sim_->request_net_->abandon_packet(id);
-    // The admitted request never reached the fabric: return the token so
-    // admission only charges injected traffic.
-    if (gate_) gate_->refund_admit();
-    return false;
+    Network& net = *sim_->request_net_;
+    if (!ni_->can_accept(net.flits_for(type))) {
+      // The admitted request never reached the fabric: return the token so
+      // admission only charges injected traffic.
+      if (gate_) gate_->refund_admit();
+      return false;
+    }
+    const bool accepted = ni_->try_accept(
+        net.make_packet(type, cc_, dest_mc, 0, txn, now), now);
+    assert(accepted);
+    (void)accepted;
+    return true;
   }
 
  private:
@@ -69,11 +73,15 @@ class GpgpuSim::McReplyPort final : public ReplyPort {
     // Replies are born at the top priority level and decay per hop (§5).
     const auto prio = static_cast<std::uint8_t>(
         sim_->cfg_.priority_levels - 1);
-    const PacketId id =
-        sim_->reply_net_->make_packet(type, mc_, dest, prio, txn, now);
-    if (ni_->try_accept(id, now)) return true;
-    sim_->reply_net_->abandon_packet(id);
-    return false;
+    Network& net = *sim_->reply_net_;
+    // Asking first keeps a full NI from churning arena slots every stalled
+    // cycle; the slot sequence is the same (the free list is LIFO).
+    if (!ni_->can_accept(net.flits_for(type))) return false;
+    const bool accepted =
+        ni_->try_accept(net.make_packet(type, mc_, dest, prio, txn, now), now);
+    assert(accepted);
+    (void)accepted;
+    return true;
   }
 
  private:
@@ -305,10 +313,11 @@ void GpgpuSim::build(bool use_da2mesh, InstrSource* source) {
 
   // Activity hooks: register every sleepable component in its subsystem's
   // active set and wire the wake edges (reply delivery -> core, request
-  // delivery -> MC, packet accept -> injection NI; router wake edges live
-  // inside Network, ejection NIs are woken by the post-network scan in
-  // step()). Everything starts awake; idle components fall asleep after
-  // their first step. Always-on stepping wakes every set every cycle.
+  // delivery -> MC, packet accept -> injection NI; router wake edges and
+  // the freed-injection-VC wake of a blocked NI live inside Network,
+  // ejection NIs are woken by the post-network scan in step()). Everything
+  // starts awake; idle components fall asleep after their first step.
+  // Always-on stepping wakes every set every cycle.
   core_act_.resize(cores_.size());
   req_inj_act_.resize(request_inject_.size());
   rep_ej_act_.resize(reply_eject_.size());
@@ -392,14 +401,16 @@ void GpgpuSim::step() {
   //    woke these sets before this drain, so same-cycle supply matches the
   //    always-on schedule; retransmission re-injections (phase 4) wake the
   //    NI for the next cycle, which is also when always-on would move them.
+  //    A blocked NI sleeps until its router frees an injection VC slot in
+  //    phase 4 (Network::step_finish wakes it for the next cycle).
   std::size_t inject_stepped = req_inj_act_.drain_sorted([&](std::size_t i) {
     request_inject_[i]->cycle(now);
-    if (!request_inject_[i]->idle()) req_inj_act_.wake(i);
+    if (!request_inject_[i]->can_sleep()) req_inj_act_.wake(i);
   });
   if (!overlay_) {
     inject_stepped += rep_inj_act_.drain_sorted([&](std::size_t i) {
       reply_inject_[i]->cycle(now);
-      if (!reply_inject_[i]->idle()) rep_inj_act_.wake(i);
+      if (!reply_inject_[i]->can_sleep()) rep_inj_act_.wake(i);
     });
   }
   if (prof_) {

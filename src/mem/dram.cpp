@@ -112,10 +112,4 @@ void GddrDram::tick(bool output_blocked) {
   }
 }
 
-std::vector<DramCompletion> GddrDram::drain_completed() {
-  std::vector<DramCompletion> out;
-  out.swap(completed_);
-  return out;
-}
-
 }  // namespace arinoc

@@ -57,8 +57,10 @@ class GddrDram {
   /// issued (the MC reply stage is full) but writes still drain.
   void tick(bool output_blocked);
 
-  /// Completions since the last drain (in completion order).
-  std::vector<DramCompletion> drain_completed();
+  /// Completions since the last clear_completed() (in completion order),
+  /// read in place; clearing keeps the capacity for the next burst.
+  const std::vector<DramCompletion>& completed() const { return completed_; }
+  void clear_completed() { completed_.clear(); }
 
   /// True when tick() would only advance the clock: nothing queued, nothing
   /// in service, nothing awaiting drain. The activity layer may then skip

@@ -129,7 +129,7 @@ void MemController::cycle(Cycle now) {
   for (std::uint32_t t = 0; t < ticks; ++t) {
     dram_.tick(reply_blocked);
   }
-  for (const DramCompletion& c : dram_.drain_completed()) {
+  for (const DramCompletion& c : dram_.completed()) {
     if (c.write) continue;  // Posted writes were acknowledged already.
     const Addr line = txns_->at(c.txn).line;
     l2_.fill(line);
@@ -140,6 +140,7 @@ void MemController::cycle(Cycle now) {
     }
     pending_reads_.erase(it);
   }
+  dram_.clear_completed();
 }
 
 void MemController::reset_stats() {

@@ -149,12 +149,14 @@ void Network::merge_outboxes() {
   }
 }
 
-void Network::step_router_domain(NodeId n, Cycle now, std::size_t send_slot,
+bool Network::step_router_domain(NodeId n, Cycle now, std::size_t send_slot,
                                  Domain& dom) {
   dom.scratch_flits.clear();
   dom.scratch_credits.clear();
-  routers_[static_cast<std::size_t>(n)]->step(now, &dom.scratch_flits,
-                                              &dom.scratch_credits);
+  Router& r = *routers_[static_cast<std::size_t>(n)];
+  const bool progressed =
+      r.step(now, &dom.scratch_flits, &dom.scratch_credits);
+  if (r.take_injection_freed()) dom.ni_wakes.push_back(n);
   for (const OutboundFlit& of : dom.scratch_flits) {
     const NodeId dst = fabric_->neighbor(n, of.out_dir);
     assert(dst != kInvalidNode);
@@ -218,6 +220,7 @@ void Network::step_router_domain(NodeId n, Cycle now, std::size_t send_slot,
       dom.out_credits.emplace_back(slot, ev);
     }
   }
+  return progressed;
 }
 
 void Network::step_begin(Cycle now) {
@@ -230,9 +233,9 @@ void Network::step_begin(Cycle now) {
     for (const auto& [src, dir] : fault_->changed_links()) {
       routers_[static_cast<std::size_t>(src)]->set_output_blocked(
           dir, fault_->link_blocked(src, dir));
-      // Defensive wake: a link transition can re-enable VC allocation at
-      // the upstream router. A router holding flits is awake anyway, and
-      // waking an empty router is always a no-op.
+      // A link transition can re-enable VC allocation and switch traversal
+      // at the upstream router, which may be asleep on the blocked link;
+      // waking an empty router is a no-op.
       const std::size_t sn = static_cast<std::size_t>(src);
       dom_[part_->domain_of[sn]].act.wake(part_->local_of[sn]);
     }
@@ -242,9 +245,8 @@ void Network::step_begin(Cycle now) {
 void Network::step_domain(std::uint32_t d, Cycle now) {
   Domain& dom = dom_[d];
   // 1) Deliver flits and credits that finished traversing their links.
-  // receive_flit wakes the destination router; credits never give an empty
-  // router work (every credit-consuming action needs a buffered flit), so
-  // credit delivery needs no wake.
+  // receive_flit wakes the destination router; receive_credit wakes it only
+  // while it holds flits (every credit-consuming action needs one).
   auto& due_flits = dom.flit_ring[ring_pos_];
   for (const FlitEvent& e : due_flits) {
     routers_[static_cast<std::size_t>(e.dst)]->receive_flit(e.in_dir, e.vc,
@@ -262,16 +264,16 @@ void Network::step_domain(std::uint32_t d, Cycle now) {
   // full loop, so arena free-list recycling and trace-event order cannot
   // diverge — and stage their outputs onto the link pipelines. Events
   // pushed into the just-cleared slot resurface after exactly
-  // `link_latency` ring advances. A router sleeps only when it holds no
-  // flits at all; anything buffered (even unmovable under backpressure)
-  // keeps it stepping so fairness pointers rotate exactly as in always-on
-  // mode.
+  // `link_latency` ring advances. A router stays awake only while it holds
+  // flits and its step made progress; an empty or blocked router sleeps
+  // until a wake edge (Router::set_activity_hook), and step() replays the
+  // fairness-pointer rotations of the slept span.
   const std::size_t send_slot = ring_pos_;
   const std::vector<NodeId>& members = part_->members[d];
   dom.routers_stepped += dom.act.drain_sorted([&](std::size_t i) {
     const NodeId n = members[i];
-    step_router_domain(n, now, send_slot, dom);
-    if (routers_[static_cast<std::size_t>(n)]->buffered_flits_total() > 0) {
+    if (step_router_domain(n, now, send_slot, dom) &&
+        routers_[static_cast<std::size_t>(n)]->buffered_flits_total() > 0) {
       dom.act.wake(i);
     }
   });
@@ -292,6 +294,14 @@ void Network::step_finish(Cycle now) {
       fault_->note_credits_dropped(dom.credit_drops);
       dom.credit_drops = 0;
     }
+    // Injection NIs sleep in other subsystems' active sets, so domain
+    // workers stage their wakes and this serial pass raises them. The NIs
+    // stepped before the network, so they act on the freed slot next
+    // cycle, as in always-on mode.
+    for (const NodeId n : dom.ni_wakes) {
+      routers_[static_cast<std::size_t>(n)]->wake_injection_ni();
+    }
+    dom.ni_wakes.clear();
   }
   merge_outboxes();
   // Advance the link pipeline (compare-and-wrap; the ring is tiny and a

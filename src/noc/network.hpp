@@ -49,7 +49,7 @@ struct NetworkParams {
   /// injector or tracker is even constructed — a strict no-op.
   FaultParams fault;
   /// Activity-driven stepping: step() iterates only routers that can do
-  /// work this cycle (woken by flit delivery/injection). Host-side execution
+  /// work this cycle (see Router::set_activity_hook). Host-side execution
   /// strategy only — simulated behaviour is bit-identical either way.
   bool activity_driven = false;
 };
@@ -215,6 +215,9 @@ class Network {
     /// event), merged into the destination domain's ring at step_finish.
     std::vector<std::pair<std::size_t, FlitEvent>> out_flits;
     std::vector<std::pair<std::size_t, CreditEvent>> out_credits;
+    /// Routers whose waiting injection NI got a free slot this cycle,
+    /// woken at step_finish.
+    std::vector<NodeId> ni_wakes;
     // Stats staged thread-locally, folded at step_finish.
     std::uint64_t corrupted = 0;
     std::uint64_t credit_drops = 0;
@@ -222,8 +225,9 @@ class Network {
   };
 
   /// Steps router `n` of domain `dom`: per-domain scratch, staged fault
-  /// counters, cross-domain events go to the outbox.
-  void step_router_domain(NodeId n, Cycle now, std::size_t send_slot,
+  /// counters, cross-domain events go to the outbox. Returns whether the
+  /// router made progress (Router::step).
+  bool step_router_domain(NodeId n, Cycle now, std::size_t send_slot,
                           Domain& dom);
   /// Drains every domain's outboxes into the destination domains' rings,
   /// in ascending domain order.

@@ -84,6 +84,7 @@ inline bool InjectNi::lock_head(Router& r, std::size_t qi) {
 
 void InjectNi::cycle(Cycle now) {
   ++steps_;
+  blocked_ = false;
   if (incoming_ != kInvalidPacket && --incoming_remaining_ == 0) {
     queues_.push(0, incoming_, net_->arena().at(incoming_).num_flits);
     incoming_ = kInvalidPacket;
@@ -91,6 +92,7 @@ void InjectNi::cycle(Cycle now) {
   if (queues_.flits() == 0) return;
   Router& r = net_->router(node_);
   // Each queue drives its own narrow link: at most one flit per queue.
+  bool moved = false;
   for (std::size_t qi = 0; qi < queues_.size(); ++qi) {
     if (queues_[qi].empty()) continue;
     if (locked_vc_[qi] < 0 && !lock_head(r, qi)) continue;
@@ -99,6 +101,13 @@ void InjectNi::cycle(Cycle now) {
     const Flit f = queues_.pop(qi);
     r.inject_flit(port_, vc, f, now);
     if (f.tail) locked_vc_[qi] = -1;
+    moved = true;
+  }
+  if (!moved && incoming_ == kInvalidPacket) {
+    // Every queued head waits for an injection VC slot: sleep until the
+    // router frees one (or an accept wakes the NI).
+    blocked_ = true;
+    r.wait_for_injection();
   }
 }
 
@@ -121,12 +130,18 @@ void EjectNi::cycle(Cycle now) {
     if (!r.has_ejected_flit()) return;
     const Flit f = r.pop_ejected_flit();
     const Packet& pkt = net_->arena().at(f.pkt);
-    Partial& part = partial_[f.pkt];
-    ++part.have;
-    if (f.corrupted) part.corrupted = true;
-    if (part.have == pkt.num_flits) {
-      const bool corrupted = part.corrupted;
-      partial_.erase(f.pkt);
+    auto part = std::find_if(partial_.begin(), partial_.end(),
+                             [&](const Partial& p) { return p.pkt == f.pkt; });
+    if (part == partial_.end()) {
+      partial_.push_back({f.pkt, 0, false});
+      part = partial_.end() - 1;
+    }
+    ++part->have;
+    if (f.corrupted) part->corrupted = true;
+    if (part->have == pkt.num_flits) {
+      const bool corrupted = part->corrupted;
+      *part = partial_.back();
+      partial_.pop_back();
       if (const obs::PacketSink* sink = net_->sink()) {
         sink->eject(f.pkt, pkt.type, node_, corrupted, now);
       }

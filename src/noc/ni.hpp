@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/active_set.hpp"
@@ -108,6 +107,12 @@ class InjectNi {
   InjectNi(NiArch arch, Network* net, NodeId node, std::uint32_t queue_flits,
            std::uint32_t split_queues = 1);
 
+  /// True when try_accept would take a packet of `flits` flits now: the
+  /// node->NI link is free and some queue has room for it. Lets a sender
+  /// skip creating a packet it would only abandon.
+  bool can_accept(std::uint32_t flits) const {
+    return incoming_ == kInvalidPacket && queues_.find_room(flits) >= 0;
+  }
   /// Offers a packet for injection. On success the NI owns the packet and
   /// stamps pkt.created = now (latency measurement starts at the NI queue,
   /// matching §7.4). Returns false when the NI cannot accept this cycle —
@@ -132,11 +137,19 @@ class InjectNi {
   bool idle() const {
     return queues_.flits() == 0 && incoming_ == kInvalidPacket;
   }
+  /// True when cycle() stays a strict no-op until a wake edge: the NI is
+  /// idle, or its last cycle() moved no flit with nothing on the node->NI
+  /// link. A blocked NI only waits for its router to move a flit out of an
+  /// injection VC (lock_head and the free-slot check read nothing else), and
+  /// it asked the router to wake it then.
+  bool can_sleep() const { return idle() || blocked_; }
 
-  /// Registers this NI in `set` (as member `idx`) on every accept.
+  /// Registers this NI in `set` (as member `idx`) on every accept, and with
+  /// its router for the injection-slot wake.
   void set_activity_hook(ActiveSet* set, std::size_t idx) {
     act_set_ = set;
     act_idx_ = idx;
+    net_->router(node_).set_injection_hook(set, idx);
   }
 
   /// Per-cycle occupancy sampling for Fig. 6.
@@ -179,6 +192,8 @@ class InjectNi {
   /// kBaseline: the packet serializing over the narrow node->NI link.
   PacketId incoming_ = kInvalidPacket;
   std::uint32_t incoming_remaining_ = 0;
+  /// The last cycle() moved no flit and left nothing on the node->NI link.
+  bool blocked_ = false;
   std::uint64_t steps_ = 0;
   std::uint64_t samples_ = 0;
   double occupancy_sum_ = 0.0;
@@ -203,18 +218,21 @@ class EjectNi {
   std::uint64_t steps() const { return steps_; }
 
  private:
-  /// Reassembly state: flit count plus the sticky CRC verdict (any corrupted
-  /// flit taints the whole packet).
+  /// Reassembly state of one packet: flit count plus the sticky CRC verdict
+  /// (any corrupted flit taints the whole packet).
   struct Partial {
-    std::uint16_t have = 0;
-    bool corrupted = false;
+    PacketId pkt;
+    std::uint16_t have;
+    bool corrupted;
   };
 
   Network* net_;
   NodeId node_;
   PacketSink* sink_;
   std::uint32_t drain_rate_;
-  std::unordered_map<PacketId, Partial> partial_;
+  /// Packets mid-reassembly, unordered. Only packets interleaved across
+  /// the ejection VCs are open at once, so a linear search beats hashing.
+  std::vector<Partial> partial_;
   std::uint64_t steps_ = 0;
 };
 

@@ -81,6 +81,9 @@ void Router::receive_credit(int dir, int vc) {
   if (o.owner == kInvalidPacket) {
     ++out_ports_[static_cast<std::size_t>(dir)].opened;
   }
+  // A credit can unblock a VC or a switch request, and it arrives before
+  // this cycle's drain, so the router steps when always-on would.
+  if (act_set_ && buffered_total_ > 0) act_set_->wake(act_idx_);
 }
 
 std::uint32_t Router::injection_free(std::uint32_t ip, std::uint32_t vc) const {
@@ -121,6 +124,9 @@ void Router::inject_flit(std::uint32_t ip, std::uint32_t vc, const Flit& flit,
 
 Flit Router::pop_ejected_flit() {
   ++out_ports_[static_cast<std::size_t>(num_dirs_)].opened;
+  // The pop follows the network step, so the wake lands next cycle: the
+  // first step that sees the freed slot in always-on mode too.
+  if (act_set_ && buffered_total_ > 0) act_set_->wake(act_idx_);
   return ejection_buf_.pop();
 }
 
@@ -415,9 +421,12 @@ void Router::switch_stage(Cycle now, std::vector<OutboundFlit>* out_flits,
       ++out_flit_count_[o];
     }
     // Return a credit upstream for direction inputs; injection buffers are
-    // observed directly by the same-tile NI.
+    // observed directly by the same-tile NI, which may be waiting for one.
     if (!is_injection_port(static_cast<int>(p))) {
       out_credits->push_back({static_cast<int>(p), static_cast<int>(vc)});
+    } else if (ni_waiting_) {
+      ni_waiting_ = false;
+      ni_freed_ = true;
     }
     if (f.tail) {
       ovc(static_cast<int>(o), v.out_vc).owner = kInvalidPacket;
@@ -431,13 +440,16 @@ void Router::switch_stage(Cycle now, std::vector<OutboundFlit>* out_flits,
   }
 }
 
-void Router::step(Cycle now, std::vector<OutboundFlit>* out_flits,
+bool Router::step(Cycle now, std::vector<OutboundFlit>* out_flits,
                   std::vector<OutboundCredit>* out_credits) {
-  // Activity catch-up: a step of an empty router mutates exactly one thing —
-  // the fairness pointers rotate once (va_rr_ and input_rr_; the priority
-  // arbiters are not consulted without a request). Replaying those
-  // rotations for the slept span makes sleeping bit-identical to always-on
-  // stepping. In always-on mode the gap is always zero.
+  // Activity catch-up: a step of an empty or blocked router (one whose last
+  // step made no progress, with no wake edge since) mutates exactly one
+  // thing — the fairness pointers rotate once (va_rr_ and input_rr_; the
+  // priority arbiters are not consulted without a request, and VC
+  // allocation skips every waiting VC because `opened` has not moved).
+  // Replaying those rotations for the slept span makes sleeping
+  // bit-identical to always-on stepping. In always-on mode the gap is
+  // always zero.
   ++steps_;
   if (now > next_cycle_) {
     const Cycle gap = now - next_cycle_;
@@ -446,13 +458,20 @@ void Router::step(Cycle now, std::vector<OutboundFlit>* out_flits,
   }
   next_cycle_ = now + 1;
   // Without a buffered flit no VC can route, wait or request the switch.
+  // A grant lowers num_waiting_ and a switch traversal bumps
+  // crossbar_count_; neither changes otherwise within a step.
+  bool progressed = false;
   if (buffered_total_ > 0) {
     route_stage(now);
+    const std::size_t waiting = num_waiting_;
+    const std::uint64_t crossed = crossbar_count_;
     vc_alloc_stage(now);
     switch_stage(now, out_flits, out_credits);
+    progressed = num_waiting_ != waiting || crossbar_count_ != crossed;
   }
   if (++va_rr_ == input_vcs_.size()) va_rr_ = 0;
   if (++input_rr_ == params_.num_vcs) input_rr_ = 0;
+  return progressed;
 }
 
 }  // namespace arinoc

@@ -79,8 +79,10 @@ class Router {
   void receive_credit(int dir, int vc);
 
   /// Executes RC + VA + SA/ST for this cycle. Outbound flits/credits are
-  /// appended to the vectors (cleared by the caller each cycle).
-  void step(Cycle now, std::vector<OutboundFlit>* out_flits,
+  /// appended to the vectors (cleared by the caller each cycle). Returns
+  /// whether the step made progress: moved a flit through the switch or
+  /// granted an output VC.
+  bool step(Cycle now, std::vector<OutboundFlit>* out_flits,
             std::vector<OutboundCredit>* out_credits);
 
   // ---- Injection-side interface (used by NIs; same-tile, no credit lag) ----
@@ -134,14 +136,36 @@ class Router {
   /// Calls to step() so far: the ground truth for the self-profiler's
   /// wake totals.
   std::uint64_t steps() const { return steps_; }
-  /// Registers this router in `set` (as member `idx`) whenever a flit
-  /// arrives or is injected — the only events that can give an empty router
-  /// work. An empty router's step mutates nothing but its round-robin
-  /// pointers, which step() replays exactly on wake, so a router sleeps iff
-  /// buffered_flits_total() == 0.
+  /// Registers this router in `set` (as member `idx`). A router sleeps
+  /// after a step unless it still holds flits and the step made progress.
+  /// A step without progress changed nothing but the round-robin pointers
+  /// (which step() replays on wake) and VA failure stamps (a retry fails
+  /// until `opened` moves), so the router next acts only on an edge that
+  /// wakes it: a flit arriving or injected, a blocked-link transition
+  /// (Network::step_begin), or — while it holds flits — a credit returned
+  /// or an ejection-buffer pop.
   void set_activity_hook(ActiveSet* set, std::size_t idx) {
     act_set_ = set;
     act_idx_ = idx;
+  }
+  /// Registers the same-tile injection NI as member `idx` of `set`. An NI
+  /// whose head packet cannot enter calls wait_for_injection() and sleeps;
+  /// the next flit leaving any injection VC marks the router, and the
+  /// network wakes the NI (wake_injection_ni) once every domain has stepped.
+  void set_injection_hook(ActiveSet* set, std::size_t idx) {
+    ni_set_ = set;
+    ni_idx_ = idx;
+  }
+  void wait_for_injection() { ni_waiting_ = true; }
+  /// True once per step in which a flit left an injection VC while the NI
+  /// was waiting.
+  bool take_injection_freed() {
+    const bool freed = ni_freed_;
+    ni_freed_ = false;
+    return freed;
+  }
+  void wake_injection_ni() {
+    if (ni_set_) ni_set_->wake(ni_idx_);
   }
 
   /// Attaches the owning network's per-packet event sink (null detaches).
@@ -293,6 +317,11 @@ class Router {
   // router stepped on its own).
   ActiveSet* act_set_ = nullptr;
   std::size_t act_idx_ = 0;
+  // The injection NI's wake hook (set_injection_hook) and its handshake.
+  ActiveSet* ni_set_ = nullptr;
+  std::size_t ni_idx_ = 0;
+  bool ni_waiting_ = false;
+  bool ni_freed_ = false;
   /// Next cycle this router expects to step; the gap to `now` is the slept
   /// span whose idle round-robin rotations step() replays on wake.
   Cycle next_cycle_ = 0;

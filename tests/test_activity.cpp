@@ -134,8 +134,11 @@ void expect_identical(const RunOutputs& on, const RunOutputs& off,
 }
 
 TEST(ActivityBitIdentity, AllSchemesWithObservers) {
+  // Raw-Baseline is the one scheme whose reply NIs serialize packets over
+  // the narrow node->NI link.
   for (Scheme s : {Scheme::kXYBaseline, Scheme::kAdaBaseline,
-                   Scheme::kAdaMultiPort, Scheme::kAdaARI}) {
+                   Scheme::kAdaMultiPort, Scheme::kAdaARI,
+                   Scheme::kRawBaseline}) {
     const Config cfg = apply_scheme(tiny_config(), s);
     expect_identical(run_instrumented(cfg, "bfs", true),
                      run_instrumented(cfg, "bfs", false), scheme_name(s));
@@ -169,6 +172,41 @@ TEST(ActivityBitIdentity, Da2MeshOverlay) {
   expect_identical(
       run_instrumented(cfg, "hotspot", true, /*da2mesh=*/true),
       run_instrumented(cfg, "hotspot", false, /*da2mesh=*/true), "da2mesh");
+}
+
+TEST(ActivityBitIdentity, SaturatedChipletTableRouted) {
+  // 144 routers on up*/down* tables with serdes links, saturated by bfs:
+  // most routers hold flits they cannot move, so blocked routers and
+  // head-blocked NIs sleep and wake on credits, pops and freed VCs.
+  Config cfg = apply_scheme(tiny_config(), Scheme::kAdaARI);
+  cfg.fabric = "chiplet";
+  cfg.chiplets_x = 2;
+  cfg.chiplets_y = 2;
+  cfg.serdes_latency = 4;
+  expect_identical(run_instrumented(cfg, "bfs", true),
+                   run_instrumented(cfg, "bfs", false), "chiplet 2x2");
+}
+
+TEST(ActivityBitIdentity, AtomicVcAllocation) {
+  // Atomic VC allocation waits for an empty downstream VC, so a VA retry
+  // depends on credits alone: the credit wake must not be missed.
+  for (Scheme s : {Scheme::kAdaBaseline, Scheme::kAdaMultiPort,
+                   Scheme::kAdaARI}) {
+    Config cfg = apply_scheme(tiny_config(), s);
+    cfg.non_atomic_vc = false;
+    expect_identical(run_instrumented(cfg, "bfs", true),
+                     run_instrumented(cfg, "bfs", false), scheme_name(s));
+  }
+}
+
+TEST(ActivityBitIdentity, TwoPacketVcDepth) {
+  // Two packets per VC: a VC holds a draining packet and a waiting one.
+  for (Scheme s : {Scheme::kXYBaseline, Scheme::kAdaARI}) {
+    Config cfg = apply_scheme(tiny_config(), s);
+    cfg.vc_depth_pkts = 2;
+    expect_identical(run_instrumented(cfg, "bfs", true),
+                     run_instrumented(cfg, "bfs", false), scheme_name(s));
+  }
 }
 
 TEST(ActivityBitIdentity, MidRunObserverReadsMatch) {

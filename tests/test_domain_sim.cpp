@@ -96,6 +96,24 @@ TEST(DomainSim, ChipletSerdesBitIdentical) {
   EXPECT_EQ(serial, run_snapshot(cfg, Scheme::kAdaARI, "hotspot", 4));
 }
 
+TEST(DomainSim, SaturatedChipletTableRoutedBitIdentical) {
+  // The ActivityBitIdentity chiplet cell at 4 threads: blocked routers
+  // sleep inside domain workers, and head-blocked NIs are woken from the
+  // serial end of the cycle.
+  Config cfg;
+  cfg.warmup_cycles = 300;
+  cfg.run_cycles = 1500;
+  cfg.fabric = "chiplet";
+  cfg.chiplets_x = 2;
+  cfg.chiplets_y = 2;
+  cfg.serdes_latency = 4;
+  const Snapshot serial = run_snapshot(cfg, Scheme::kAdaARI, "bfs", 1);
+  EXPECT_EQ(serial, run_snapshot(cfg, Scheme::kAdaARI, "bfs", 4));
+  Config always_on = cfg;
+  always_on.activity_driven = false;
+  EXPECT_EQ(serial, run_snapshot(always_on, Scheme::kAdaARI, "bfs", 4));
+}
+
 TEST(DomainSim, OpenLoopServingBitIdentical) {
   Config cfg = small_config();
   cfg.open_loop = true;

@@ -1,11 +1,20 @@
 // GDDR5 timing model and FR-FCFS scheduling invariants.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "mem/dram.hpp"
 
 namespace arinoc {
 namespace {
+
+/// The completions since the last call, in completion order.
+std::vector<DramCompletion> drain(GddrDram& d) {
+  std::vector<DramCompletion> out = d.completed();
+  d.clear_completed();
+  return out;
+}
 
 DramTimings table1_timings() {
   return DramTimings{12, 40, 6, 28, 12, 12, 4};
@@ -16,7 +25,7 @@ std::pair<TxnId, std::uint64_t> run_until_completion(GddrDram& d,
                                                      std::uint64_t limit) {
   for (std::uint64_t t = 0; t < limit; ++t) {
     d.tick(false);
-    const auto done = d.drain_completed();
+    const auto done = drain(d);
     if (!done.empty()) return {done[0].txn, t + 1};
   }
   return {~TxnId{0}, 0};
@@ -76,7 +85,7 @@ TEST(Dram, BankParallelismBeatsSingleBank) {
     std::uint64_t done = 0, t = 0;
     while (done < 4 && t < 2000) {
       d.tick(false);
-      done += d.drain_completed().size();
+      done += drain(d).size();
       ++t;
     }
     return t;
@@ -97,7 +106,7 @@ TEST(Dram, TrrdLimitsActivateRate) {
                  rng.next_below(5000), false, 0});
     }
     d.tick(false);
-    d.drain_completed();
+    drain(d);
   }
   const double act_rate = static_cast<double>(d.activates()) / ticks;
   EXPECT_LE(act_rate, 1.0 / table1_timings().t_rrd + 0.01);
@@ -123,7 +132,7 @@ TEST(Dram, BusLimitsStreamingThroughput) {
       }
     }
     d.tick(false);
-    completed += d.drain_completed().size();
+    completed += drain(d).size();
   }
   const double rate = static_cast<double>(completed) / ticks;
   EXPECT_LE(rate, 1.0 / table1_timings().burst + 0.01);
@@ -138,7 +147,7 @@ TEST(Dram, OutputBlockedStopsReadsNotWrites) {
   std::uint64_t done_reads = 0, done_writes = 0;
   for (std::uint64_t t = 0; t < 100; ++t) {
     d.tick(/*output_blocked=*/true);
-    for (const auto& c : d.drain_completed()) {
+    for (const auto& c : drain(d)) {
       if (c.write) {
         ++done_writes;
       } else {
@@ -151,7 +160,7 @@ TEST(Dram, OutputBlockedStopsReadsNotWrites) {
   // Unblock: the read proceeds.
   for (std::uint64_t t = 0; t < 100 && done_reads == 0; ++t) {
     d.tick(false);
-    for (const auto& c : d.drain_completed()) {
+    for (const auto& c : drain(d)) {
       if (!c.write) ++done_reads;
     }
   }
@@ -173,7 +182,7 @@ TEST(Dram, StarvationCapForcesOldestFirst) {
   for (std::uint64_t tick = 0; tick < 2000 && !conflict_done; ++tick) {
     if (d.can_enqueue()) d.enqueue({next_hit++, 0, 5, false, 0});
     d.tick(false);
-    for (const auto& c : d.drain_completed()) {
+    for (const auto& c : drain(d)) {
       if (c.txn == 2) conflict_done = true;
     }
   }
@@ -194,7 +203,7 @@ TEST(Dram, WithoutCapHitsBypassConflictLonger) {
     for (std::uint64_t tick = 0; tick < 5000; ++tick) {
       if (d.can_enqueue()) d.enqueue({next_hit++, 0, 5, false, 0});
       d.tick(false);
-      for (const auto& c : d.drain_completed()) {
+      for (const auto& c : drain(d)) {
         if (c.txn == 2) return tick;
       }
     }
@@ -235,11 +244,11 @@ TEST(Dram, NoRequestIsLost) {
                  rng.next_below(50), rng.chance(0.3), 0});
     }
     d.tick(rng.chance(0.2));  // Occasional output blockage.
-    completed += d.drain_completed().size();
+    completed += drain(d).size();
   }
   for (std::uint64_t t = 0; t < 5000 && completed < id; ++t) {
     d.tick(false);
-    completed += d.drain_completed().size();
+    completed += drain(d).size();
   }
   EXPECT_EQ(completed, id);
 }

@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/active_set.hpp"
 #include "common/rng.hpp"
 #include "noc/network.hpp"
 #include "noc/ni.hpp"
@@ -333,6 +334,68 @@ TEST(BaselineNi, NotIdleWhileSerializing) {
   ni->cycle(4);  // Last flit arrives; the head enters the router.
   EXPECT_EQ(ni->occupancy_flits(), 4u);
   EXPECT_FALSE(ni->idle());
+}
+
+/// A head-blocked NI sleeps until its router moves a flit out of an
+/// injection VC. The MC router of a 2x2 mesh (with `injection_ports` ports)
+/// starts with the VCs the NI may use full; the network is not stepped, so
+/// nothing frees them until the test steps it once.
+void expect_sleeps_until_injection_vc_frees(NiArch arch,
+                                            std::uint32_t injection_ports) {
+  SCOPED_TRACE(static_cast<int>(arch));
+  NetworkParams p = NiHarness::params();
+  p.activity_driven = true;
+  p.treat_mcs_specially = true;
+  p.mc_injection_ports = injection_ports;
+  const topo::Fabric mesh(topo::make_mesh_graph(2, 2, 1));
+  Network net(p, &mesh);
+  const NodeId mc = mesh.mc_nodes()[0];
+  const NodeId dst = mc == 0 ? 3 : 0;
+  Router& r = net.router(mc);
+  // Split queue 0 may only enter VC 0; the other NIs may take any VC.
+  const std::uint32_t vcs = arch == NiArch::kSplitQueue ? 1 : r.num_vcs();
+  for (std::uint32_t port = 0; port < injection_ports; ++port) {
+    for (std::uint32_t vc = 0; vc < vcs; ++vc) {
+      const PacketId id =
+          net.make_packet(PacketType::kReadReply, mc, dst, 0, 0, 0);
+      for (std::uint16_t s = 0; s < 5; ++s) {
+        r.inject_flit(port, vc, PacketArena::flit_of(id, s, 5), 0);
+      }
+    }
+  }
+  std::unique_ptr<InjectNi> ni = make_inject_ni(arch, &net, mc, ni_config());
+  ActiveSet set;
+  set.resize(1);
+  ni->set_activity_hook(&set, 0);
+  // A 1-flit packet: any single freed slot admits it.
+  ASSERT_TRUE(ni->try_accept(
+      net.make_packet(PacketType::kWriteReply, mc, dst, 0, 0, 0), 0));
+  Cycle t = 0;
+  const auto ni_cycle = [&] {
+    set.drain_sorted([&](std::size_t) {
+      ni->cycle(t);
+      if (!ni->can_sleep()) set.wake(0);
+    });
+    ++t;
+  };
+  ni_cycle();
+  EXPECT_EQ(ni->steps(), 1u);
+  EXPECT_EQ(ni->occupancy_packets(), 1u);
+  for (int k = 0; k < 10; ++k) ni_cycle();
+  EXPECT_EQ(ni->steps(), 1u) << "a head-blocked NI kept stepping";
+  // The router sends one injected flit on: the NI wakes for the next cycle
+  // and its packet enters the freed slot.
+  net.step(t);
+  EXPECT_EQ(set.pending(), 1u);
+  ni_cycle();
+  EXPECT_EQ(ni->steps(), 2u);
+  EXPECT_EQ(ni->occupancy_packets(), 0u);
+}
+
+TEST(InjectNiActivity, HeadBlockedNiSleepsUntilItsRouterFreesAVc) {
+  expect_sleeps_until_injection_vc_frees(NiArch::kEnhanced, 1);
+  expect_sleeps_until_injection_vc_frees(NiArch::kSplitQueue, 1);
+  expect_sleeps_until_injection_vc_frees(NiArch::kMultiPort, 2);
 }
 
 TEST(InjectNiFactory, BuildsRequestedArchitecture) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <utility>
+#include <vector>
 
 #include "noc/network.hpp"
 #include "noc/packet.hpp"
@@ -317,6 +318,109 @@ TEST(Router, AdaptiveVaPrefersMoreFreeSpace) {
 TEST(Router, AdaptiveVaTieKeepsXBeforeY) {
   // VC 0 is the escape lane, so the adaptive grant is VC 1.
   EXPECT_EQ(first_hop(5, 5), std::make_pair(int{topo::kEast}, 1));
+}
+
+// ---------------------------------------------------------------------------
+// Activity-driven stepping: a blocked router sleeps until the edge that can
+// free it, and the schedule still matches always-on stepping.
+// ---------------------------------------------------------------------------
+
+/// A one-VC 2x2 mesh whose (1,0) router never drains its ejection buffer
+/// unless told to. Six 5-flit packets from (0,0): four fill the 20-flit
+/// ejection buffer, the fifth waits in (1,0)'s west input VC for ejection
+/// room, and the sixth waits at (0,0) with zero credits. Both routers hold
+/// flits and can make no progress.
+struct BlockedPair {
+  explicit BlockedPair(bool activity) : h(params(activity)) {
+    int sent = 0;
+    for (Cycle t = 0; t < 100; ++t) {
+      if (sent < 6 && src().injection_vc_ready(0, 0, 5)) {
+        h.inject_packet(src_node(), dst_node(), PacketType::kReadReply, 0, 0,
+                        h.now_);
+        ++sent;
+      }
+      step();
+    }
+  }
+  static NetworkParams params(bool activity) {
+    NetworkParams p = base_params();
+    p.num_vcs = 1;
+    p.activity_driven = activity;
+    return p;
+  }
+  NodeId src_node() const { return h.mesh_.node_at(0, 0); }
+  NodeId dst_node() const { return h.mesh_.node_at(1, 0); }
+  Router& src() { return h.net_.router(src_node()); }
+  Router& dst() { return h.net_.router(dst_node()); }
+  std::uint32_t src_credits() const {
+    return h.net_.router(src_node()).output_credits(topo::kEast, 0);
+  }
+  void step() { h.net_.step(h.now_++); }
+
+  RouterHarness h;
+};
+
+TEST(RouterActivity, CreditStarvedRouterSleepsUntilACreditArrives) {
+  BlockedPair b(/*activity=*/true);
+  Router& s = b.src();
+  ASSERT_EQ(b.src_credits(), 0u);
+  ASSERT_EQ(s.buffered_flits_total(), 5u);
+  ASSERT_EQ(b.dst().buffered_flits_total(), 5u);
+  const std::uint64_t slept = s.steps();
+  for (int k = 0; k < 20; ++k) b.step();
+  EXPECT_EQ(s.steps(), slept) << "a blocked router kept stepping";
+  // Room for the parked packet: (1,0) forwards it into its ejection buffer
+  // and returns one credit per flit. (0,0) steps in the cycle the first
+  // credit arrives, not before.
+  for (int k = 0; k < 5; ++k) b.dst().pop_ejected_flit();
+  for (int k = 0; k < 10 && b.src_credits() == 0; ++k) {
+    b.step();
+    EXPECT_EQ(s.steps(), slept + (b.src_credits() > 0 ? 1 : 0)) << "cycle " << k;
+  }
+  EXPECT_EQ(b.src_credits(), 1u);
+  EXPECT_EQ(s.buffered_flits_total(), 5u);  // Still waits for 5 credits.
+}
+
+TEST(RouterActivity, FullEjectionBufferSleepsUntilAPop) {
+  BlockedPair b(/*activity=*/true);
+  Router& d = b.dst();
+  ASSERT_EQ(d.ejection_backlog(), 20u);
+  const std::uint64_t slept = d.steps();
+  for (int k = 0; k < 20; ++k) b.step();
+  EXPECT_EQ(d.steps(), slept) << "a blocked router kept stepping";
+  // One free slot wakes the router for the next cycle; the 5-flit packet
+  // still does not fit, so it goes back to sleep.
+  d.pop_ejected_flit();
+  b.step();
+  EXPECT_EQ(d.steps(), slept + 1);
+  for (int k = 0; k < 20; ++k) b.step();
+  EXPECT_EQ(d.steps(), slept + 1);
+  // Room for the whole packet: granted and its head moves on the next step.
+  for (int k = 0; k < 4; ++k) d.pop_ejected_flit();
+  b.step();
+  EXPECT_EQ(d.steps(), slept + 2);
+  EXPECT_EQ(d.buffered_flits_total(), 4u);
+}
+
+TEST(RouterActivity, BlockedRoutersMatchAlwaysOnStepping) {
+  // The same pop schedule with and without sleeping: every cycle's credits,
+  // buffers and ejection backlog agree, through the blocked span and the
+  // drain that follows.
+  const auto run = [](bool activity) {
+    BlockedPair b(activity);
+    std::vector<std::size_t> trace;
+    for (Cycle t = 0; t < 120; ++t) {
+      if (t >= 30 && t % 7 == 0 && b.dst().has_ejected_flit()) {
+        b.dst().pop_ejected_flit();
+      }
+      b.step();
+      trace.insert(trace.end(), {b.src_credits(), b.src().buffered_flits_total(),
+                                 b.dst().buffered_flits_total(),
+                                 b.dst().ejection_backlog()});
+    }
+    return trace;
+  };
+  EXPECT_EQ(run(true), run(false));
 }
 
 }  // namespace
