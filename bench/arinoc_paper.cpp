@@ -1070,7 +1070,7 @@ const Figure kFigures[] = {
 int usage_error(const std::string& message) {
   std::fprintf(stderr,
                "%s\nusage: arinoc_paper --figure <id>|all [--jobs N] "
-               "[--threads N] [--no-cache] [--cache-dir D] "
+               "[--no-cache] [--cache-dir D] "
                "[--sample-interval N] [--telemetry-dir D] [--attr-dir D]\n"
                "figures:",
                message.c_str());
@@ -1092,8 +1092,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--figure") == 0 && i + 1 < argc) {
       id = argv[++i];
     } else {
-      return bench::usage_error(std::string("unknown option '") + argv[i] +
-                                "'");
+      return exec::unknown_option(argv[i], "--figure <id>|all");
     }
   }
   if (id.empty()) return bench::usage_error("missing --figure");

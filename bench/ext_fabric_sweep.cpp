@@ -33,8 +33,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
-      return 2;
+      return exec::unknown_option(argv[i], "--out F, --quick");
     }
   }
 

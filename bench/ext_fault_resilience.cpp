@@ -33,10 +33,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: ext_fault_resilience [--fabric <f>] "
-                   "[--out <file>]\n");
-      return 2;
+      return exec::unknown_option(argv[i], "--fabric F, --out F");
     }
   }
   bench::banner("Extension — fault resilience (corruption rate x scheme)",

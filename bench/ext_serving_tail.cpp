@@ -46,10 +46,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--out" && i + 1 < argc) {
       out = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: ext_serving_tail [--quick] [--fabric <f>] "
-                   "[--out <file>]\n");
-      return 2;
+      return exec::unknown_option(argv[i], "--quick, --fabric F, --out F");
     }
   }
 

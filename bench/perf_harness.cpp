@@ -1,8 +1,8 @@
-// Host-parallelism and observer-cost harness.
+// Cycles/sec and observer-cost harness.
 //
-// perfbench (perfbench/run.py) times the simulator's activity-driven cells
-// at one network thread. This harness holds what perfbench cannot: the
-// domain-decomposition thread matrix and the cost of latency attribution.
+// perfbench (perfbench/run.py) is the speed benchmark. This harness holds
+// what perfbench does not: a byte gate over a wider cell grid and the cost
+// of latency attribution.
 //
 // The first section times latency attribution (src/obs/attr): the same cell
 // with and without an attached LatencyAttributor. Attribution must not
@@ -11,14 +11,11 @@
 // < 5% budget (a warning, not a gate: shared CI machines are too noisy for
 // a hard wall-clock threshold).
 //
-// The second section sweeps the thread matrix: every cell, plus a 144-node
-// 2x2 chiplet cell, at 1/2/4/8 network threads with activity-driven
-// stepping. Each point's metrics JSON is byte-compared against one untimed
-// always-on, 1-thread run of the same cell (a hard gate: a divergence is a
-// missed-wake or domain-merge bug and fails the harness with exit 1). The
-// report carries cycles/sec per point plus the host's hardware concurrency;
-// speedup is reported, not gated — a 1-core CI runner cannot scale
-// wall-clock no matter how correct the decomposition is.
+// The second section times every cell, plus a 144-node 2x2 chiplet cell,
+// with activity-driven stepping. Each cell's metrics JSON is byte-compared
+// against one untimed always-on run of the same cell (a hard gate: a
+// divergence is a missed-wake bug and fails the harness with exit 1). The
+// report carries cycles/sec per cell plus the host's hardware concurrency.
 //
 // Usage:
 //   perf_harness [--quick] [--out <file>]
@@ -102,13 +99,11 @@ std::string fabric_label(const Cell& c) {
   return fabric;
 }
 
-/// One (cell, thread-count) point of the domain-decomposition matrix.
-struct ThreadResult {
+/// One cell of the activity-driven cycles/sec table.
+struct CellResult {
   Cell cell;
-  unsigned threads = 0;
   double cps = 0.0;
-  double speedup = 0.0;    ///< vs the same cell at threads == 1.
-  /// Metrics JSON byte-equal to the always-on 1-thread reference run.
+  /// Metrics JSON byte-equal to the always-on reference run.
   bool identical = false;
 };
 
@@ -197,45 +192,31 @@ int main(int argc, char** argv) {
     attr_results.push_back(a);
   }
 
-  // Thread matrix: every cell at 1/2/4/8 network threads (activity-driven
-  // stepping, the production mode). Byte-identity against the cell's
-  // untimed always-on 1-thread run is the gate — neither activity gating
-  // nor parallelism may change the model. The speedups are reported, not
-  // gated: wall-clock scaling needs real cores, so hw_concurrency rides
-  // along and numbers from a 1-core CI runner honestly show ~1.0x (barrier
-  // overhead included). The overlay cell always steps serially (its
-  // endpoint coupling is not decomposable), so its rows are a serial
-  // control. The 144-node chiplet cell is where splitting should pay: four
-  // dies, one per domain at 4 threads, joined only by serdes links.
-  std::vector<Cell> matrix_cells = cells;
-  matrix_cells.push_back({"saturated-bfs-chiplet", "bfs", Scheme::kAdaARI,
-                          false, false, /*chiplet=*/true});
+  // Cells: activity-driven stepping, the production mode, timed once per
+  // cell. Byte-identity against the cell's untimed always-on run is the
+  // gate: activity gating may not change the model. The 144-node chiplet
+  // cell is the largest fabric; the overlay cell steps the DA2mesh reply
+  // side.
+  std::vector<Cell> timed_cells = cells;
+  timed_cells.push_back({"saturated-bfs-chiplet", "bfs", Scheme::kAdaARI,
+                         false, false, /*chiplet=*/true});
   const unsigned hw = exec::hardware_threads();
-  std::printf("\ndomain decomposition (threads x cells, hw_concurrency=%u):\n",
-              hw);
-  std::vector<ThreadResult> thread_results;
-  bool threads_identical = true;
-  for (const Cell& cell : matrix_cells) {
-    const std::string reference = metrics_to_json(
-        timed_run(cell, cell_config(cell, quick), /*activity=*/false).first);
-    double base_cps = 0.0;
-    for (const unsigned t : {1u, 2u, 4u, 8u}) {
-      Config cfg = cell_config(cell, quick);
-      cfg.threads = t;
-      const auto run = timed_run(cell, cfg, /*activity=*/true);
-      ThreadResult r;
-      r.cell = cell;
-      r.threads = t;
-      r.cps = run.second;
-      if (t == 1) base_cps = run.second;
-      r.speedup = run.second / std::max(base_cps, 1e-9);
-      r.identical = metrics_to_json(run.first) == reference;
-      threads_identical = threads_identical && r.identical;
-      std::printf("%-28s threads=%u %9.0f cyc/s  (%.2fx)%s\n",
-                  cell.name.c_str(), t, r.cps, r.speedup,
-                  r.identical ? "" : "  ** METRICS DIVERGED **");
-      thread_results.push_back(r);
-    }
+  std::printf("\ncells (activity-driven, hw_concurrency=%u):\n", hw);
+  std::vector<CellResult> cell_results;
+  bool cells_identical = true;
+  for (const Cell& cell : timed_cells) {
+    const Config cfg = cell_config(cell, quick);
+    const std::string reference =
+        metrics_to_json(timed_run(cell, cfg, /*activity=*/false).first);
+    const auto run = timed_run(cell, cfg, /*activity=*/true);
+    CellResult r;
+    r.cell = cell;
+    r.cps = run.second;
+    r.identical = metrics_to_json(run.first) == reference;
+    cells_identical = cells_identical && r.identical;
+    std::printf("%-28s %9.0f cyc/s%s\n", cell.name.c_str(), r.cps,
+                r.identical ? "" : "  ** METRICS DIVERGED **");
+    cell_results.push_back(r);
   }
 
   std::ostringstream js;
@@ -254,18 +235,15 @@ int main(int argc, char** argv) {
        << ", \"attr_violations\": " << a.violations << "}"
        << (i + 1 < attr_results.size() ? "," : "") << "\n";
   }
-  js << "  ],\n  \"hw_concurrency\": " << hw
-     << ",\n  \"thread_matrix\": [\n";
-  for (std::size_t i = 0; i < thread_results.size(); ++i) {
-    const ThreadResult& r = thread_results[i];
+  js << "  ],\n  \"hw_concurrency\": " << hw << ",\n  \"cells\": [\n";
+  for (std::size_t i = 0; i < cell_results.size(); ++i) {
+    const CellResult& r = cell_results[i];
     js << "    {\"name\": \"" << r.cell.name << "\", \"workload\": \""
        << r.cell.workload << "\", \"scheme\": \""
        << scheme_name(r.cell.scheme) << "\", \"fabric\": \""
-       << fabric_label(r.cell) << "\", \"threads\": " << r.threads
-       << ", \"cps\": " << std::llround(r.cps)
-       << ", \"speedup_vs_1t\": " << r.speedup << ", \"bit_identical\": "
-       << (r.identical ? "true" : "false") << "}"
-       << (i + 1 < thread_results.size() ? "," : "") << "\n";
+       << fabric_label(r.cell) << "\", \"cps\": " << std::llround(r.cps)
+       << ", \"bit_identical\": " << (r.identical ? "true" : "false") << "}"
+       << (i + 1 < cell_results.size() ? "," : "") << "\n";
   }
   js << "  ]\n}\n";
   std::ofstream(out) << js.str();
@@ -277,10 +255,10 @@ int main(int argc, char** argv) {
                  "broke latency conservation\n");
     return 1;
   }
-  if (!threads_identical) {
+  if (!cells_identical) {
     std::fprintf(stderr,
-                 "FAIL: thread-matrix metrics diverged from the always-on "
-                 "1-thread run\n");
+                 "FAIL: activity-driven metrics diverged from the always-on "
+                 "run\n");
     return 1;
   }
   return 0;

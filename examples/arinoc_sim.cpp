@@ -75,11 +75,6 @@
 //     --no-activity           step every component every cycle instead of
 //                             only active ones (bit-identical results,
 //                             slower; see docs/performance.md)
-//     --threads <n>           network threads (spatial domain decomposition;
-//                             1 = serial, 0 = one per hardware core; results
-//                             are bit-identical across thread counts; n >
-//                             node count is a usage error; see
-//                             docs/performance.md). Env: ARINOC_THREADS.
 //
 //   Watchdog (on by default):
 //     --no-watchdog           disable deadlock/livelock detection
@@ -562,16 +557,10 @@ int main(int argc, char** argv) {
       }
       return 0;
     } else {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      return 2;
+      return exec::unknown_option(
+          arg.c_str(), "the run flags listed atop examples/arinoc_sim.cpp");
     }
   }
-
-  // Intra-simulation parallelism (--threads / ARINOC_THREADS, parsed by the
-  // shared exec flags above). Results are bit-identical across thread
-  // counts and `threads` is excluded from the canonical config hash, so
-  // result caches and baseline stores are shared with serial runs.
-  cfg.threads = exec_opts.threads;
 
   if (!obs.sample_out.empty() && exec_opts.sample_interval == 0) {
     std::fprintf(stderr, "--sample-out requires --sample-interval <n>\n");

@@ -4,8 +4,8 @@
 //
 //   ./sweep_csv [exec flags] > speedup_sweep.csv
 //
-// Takes the shared exec flags (src/exec/options.hpp): --jobs, --threads,
-// --no-cache, --cache-dir, --sample-interval, --telemetry-dir, --attr-dir
+// Takes the shared exec flags (src/exec/options.hpp): --jobs, --no-cache,
+// --cache-dir, --sample-interval, --telemetry-dir, --attr-dir
 // (the last fills the CSV `bottleneck` column).
 //
 // The grid runs in parallel on the exec pool (deterministic: the CSV is

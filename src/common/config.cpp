@@ -100,6 +100,9 @@ std::string Config::validate() const {
   if (warps_per_core == 0) err << "warps_per_core must be > 0 (got 0); ";
   if (dram_banks == 0) err << "dram_banks must be > 0 (got 0); ";
   if (link_latency == 0) err << "link_latency must be >= 1 cycle (got 0); ";
+  if (threads != 1)
+    err << "threads must be 1 (got " << threads
+        << "): one simulation steps serially; ";
 
   auto check_rate = [&err](const char* name, double v) {
     if (v < 0.0 || v > 1.0)
@@ -231,9 +234,9 @@ std::string Config::canonical_string() const {
   u("warmup_cycles", warmup_cycles);
   u("run_cycles", run_cycles);
   u("seed", seed);
-  // activity_driven and threads are deliberately absent: they are
-  // host-side execution strategies with bit-identical results, so caches
-  // and golden baselines stay valid across both.
+  // activity_driven is deliberately absent: it is a host-side execution
+  // strategy with bit-identical results, so caches and golden baselines
+  // stay valid across both modes. threads (always 1) is absent too.
   d("fault_corrupt_rate", fault_corrupt_rate);
   d("fault_link_stall_rate", fault_link_stall_rate);
   u("fault_link_stall_len", fault_link_stall_len);

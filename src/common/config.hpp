@@ -142,15 +142,7 @@ struct Config {
   /// canonical_string(): cached results are valid across both modes. Turn
   /// off with --no-activity (arinoc_sim) to cross-check or bisect.
   bool activity_driven = true;
-  /// Worker threads stepping ONE simulation: the fabric is partitioned into
-  /// this many spatial domains (src/topo/partition) stepped in parallel
-  /// each cycle with cross-domain traffic merged at a deterministic barrier
-  /// (docs/performance.md "Domain decomposition"). 1 = the classic serial
-  /// loop; 0 = one thread per hardware core, clamped to the node count;
-  /// N > nodes is a configuration error. Bit-identical to serial stepping
-  /// for every artifact, so — like activity_driven — it is excluded from
-  /// canonical_string(): caches and golden baselines are shared across
-  /// thread counts.
+  /// Only 1 is valid (validate()); goes with the next benchmark change.
   std::uint32_t threads = 1;
 
   // ---- Fault injection & recovery (robustness subsystem) ----

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "exec/thread_team.hpp"
 #include "obs/attr.hpp"
 #include "obs/selfprof.hpp"
 #include "obs/sink.hpp"
@@ -290,27 +289,6 @@ void GpgpuSim::build(bool use_da2mesh, InstrSource* source) {
     watchdog_ = std::make_unique<Watchdog>(wp);
   }
 
-  // Domain-parallel network stepping: partition the fabric into one spatial
-  // domain per thread and spin up the persistent team. threads == 1 (the
-  // default) keeps both networks on their one-domain partition.
-  // threads == 0 auto-sizes to the host, clamped to the node count; an
-  // explicit count larger than the node count is a configuration error
-  // (partition_fabric throws). The DA2mesh overlay's same-cycle endpoint
-  // coupling is not decomposable, so overlay runs always step serially.
-  std::uint32_t threads = cfg.threads;
-  if (threads == 0) {
-    threads = std::min<std::uint32_t>(
-        exec::hardware_threads(),
-        static_cast<std::uint32_t>(fabric_.nodes()));
-  }
-  if (threads > 1 && !overlay_) {
-    part_ = std::make_unique<topo::DomainPartition>(
-        topo::partition_fabric(fabric_, threads));
-    team_ = std::make_unique<exec::ThreadTeam>(threads);
-    request_net_->set_partition(*part_);
-    reply_net_->set_partition(*part_);
-  }
-
   // Activity hooks: register every sleepable component in its subsystem's
   // active set and wire the wake edges (reply delivery -> core, request
   // delivery -> MC, packet accept -> injection NI; router wake edges and
@@ -402,7 +380,7 @@ void GpgpuSim::step() {
   //    always-on schedule; retransmission re-injections (phase 4) wake the
   //    NI for the next cycle, which is also when always-on would move them.
   //    A blocked NI sleeps until its router frees an injection VC slot in
-  //    phase 4 (Network::step_finish wakes it for the next cycle).
+  //    phase 4 (Router::step wakes it for the next cycle).
   std::size_t inject_stepped = req_inj_act_.drain_sorted([&](std::size_t i) {
     request_inject_[i]->cycle(now);
     if (!request_inject_[i]->can_sleep()) req_inj_act_.wake(i);
@@ -533,27 +511,6 @@ void GpgpuSim::step() {
 }
 
 void GpgpuSim::step_networks(Cycle now) {
-  if (team_ && request_net_->num_domains() > 1) {
-    // Fork-join over 2K tasks: K request-net domains + K reply-net domains,
-    // all independent (domains own disjoint routers; the two networks share
-    // nothing but the fabric graph, which is read-only). The serial
-    // begin/finish brackets handle fault scheduling, mailbox merging, and
-    // counter fold-in — see Network::step_begin/step_domain/step_finish.
-    request_net_->step_begin(now);
-    reply_net_->step_begin(now);
-    const std::uint32_t k = part_->num_domains;
-    team_->run(2 * static_cast<std::size_t>(k), [&](std::size_t i) {
-      if (i < k) {
-        request_net_->step_domain(static_cast<std::uint32_t>(i), now);
-      } else {
-        reply_net_->step_domain(static_cast<std::uint32_t>(i - k), now);
-      }
-    });
-    request_net_->step_finish(now);
-    reply_net_->step_finish(now);
-    return;
-  }
-  // No team, or an observer holds the networks on one domain: step inline.
   request_net_->step(now);
   if (overlay_) {
     overlay_->step(now);
@@ -625,14 +582,6 @@ void GpgpuSim::attach_attributor(obs::LatencyAttributor* a) {
 void GpgpuSim::attach_observers() {
   request_net_->set_observers({tracer_, attr_, 0});
   reply_net_->set_observers({tracer_, attr_, 1});
-  if (!part_) return;
-  // Per-event observers need the globally ordered one-domain schedule;
-  // set_partition migrates in-flight state exactly in both directions, so
-  // attaching or detaching mid-run stays bit-identical with a serial run.
-  const bool serial = tracer_ || attr_;
-  for (Network* net : {request_net_.get(), reply_net_.get()}) {
-    net->set_partition(serial ? net->serial_partition() : *part_);
-  }
 }
 
 void GpgpuSim::enable_sampling(Cycle interval) {

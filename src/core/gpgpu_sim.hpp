@@ -32,10 +32,6 @@
 
 namespace arinoc {
 
-namespace exec {
-class ThreadTeam;
-}
-
 namespace obs {
 class PacketTracer;
 class LatencyAttributor;
@@ -229,13 +225,10 @@ class GpgpuSim {
   class McReplyPort;
 
   void build(bool use_da2mesh, InstrSource* source);
-  /// Phase 4 of step(): advances both networks one cycle — in parallel
-  /// across spatial domains when the thread team is active and no
-  /// per-event observer (tracer/attributor) holds them on one domain.
+  /// Phase 4 of step(): advances the request network, then the reply
+  /// network (or the DA2mesh overlay), one cycle each.
   void step_networks(Cycle now);
-  /// Hands the attached tracer/attributor to both networks' event sinks and
-  /// puts both networks on the one-domain partition while either observer
-  /// is attached, and on the thread partition otherwise.
+  /// Hands the attached tracer/attributor to both networks' event sinks.
   void attach_observers();
   /// Marks every member of every active set pending.
   void wake_all();
@@ -272,15 +265,6 @@ class GpgpuSim {
   std::vector<std::unique_ptr<EjectNi>> reply_eject_;      // Per CC.
 
   std::unique_ptr<Watchdog> watchdog_;
-
-  // ---- Domain-parallel network stepping (cfg.threads > 1) ----
-  /// Both non-null iff the resolved thread count exceeds 1 and the DA2mesh
-  /// overlay is not active (the overlay's single-cycle endpoint coupling is
-  /// not decomposable, so it always runs serial). The same partition drives
-  /// both networks: they share the fabric, so domain d owns the same router
-  /// set in each. Otherwise each network steps its one-domain partition.
-  std::unique_ptr<topo::DomainPartition> part_;
-  std::unique_ptr<exec::ThreadTeam> team_;
 
   // ---- Active sets: the one loop body of step() ----
   /// One active set per stepped subsystem; each is drained once per cycle

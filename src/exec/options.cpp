@@ -20,7 +20,6 @@ namespace arinoc::exec {
 ExecOptions options_from_env(bool default_cache) {
   ExecOptions opts;
   count_from_env("ARINOC_JOBS", &opts.jobs);
-  count_from_env("ARINOC_THREADS", &opts.threads);
   opts.cache_enabled = default_cache;
   if (std::getenv("ARINOC_NO_CACHE") != nullptr) opts.cache_enabled = false;
   if (const char* dir = std::getenv("ARINOC_CACHE_DIR")) opts.cache_dir = dir;
@@ -50,8 +49,6 @@ bool parse_exec_flags(int& argc, char** argv, ExecOptions& opts) {
     };
     if (std::strcmp(arg, "--jobs") == 0) {
       if (!count("--jobs", &opts.jobs)) return false;
-    } else if (std::strcmp(arg, "--threads") == 0) {
-      if (!count("--threads", &opts.threads)) return false;
     } else if (std::strcmp(arg, "--no-cache") == 0) {
       opts.cache_enabled = false;
     } else if (std::strcmp(arg, "--cache-dir") == 0) {
@@ -77,17 +74,19 @@ bool parse_exec_flags(int& argc, char** argv, ExecOptions& opts) {
   return true;
 }
 
+int unknown_option(const char* arg, const char* own_flags) {
+  std::fprintf(stderr,
+               "unknown option '%s' (supported: %s%s--jobs N, --no-cache, "
+               "--cache-dir D, --sample-interval N, --telemetry-dir D, "
+               "--attr-dir D)\n",
+               arg, own_flags, *own_flags != '\0' ? ", " : "");
+  return 2;
+}
+
 ExecOptions require_exec_flags(int argc, char** argv, bool default_cache) {
   ExecOptions opts = options_from_env(default_cache);
   if (!parse_exec_flags(argc, argv, opts)) std::exit(2);
-  if (argc > 1) {
-    std::fprintf(stderr,
-                 "unknown option '%s' (supported: --jobs N, --threads N, "
-                 "--no-cache, --cache-dir D, --sample-interval N, "
-                 "--telemetry-dir D, --attr-dir D)\n",
-                 argv[1]);
-    std::exit(2);
-  }
+  if (argc > 1) std::exit(unknown_option(argv[1], ""));
   return opts;
 }
 

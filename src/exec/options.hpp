@@ -3,8 +3,6 @@
 // dialect:
 //
 //   --jobs N             worker threads (0 = hardware concurrency)
-//   --threads N          network threads per simulation (1 = serial,
-//                        0 = auto; bit-identical across values)
 //   --no-cache           disable the on-disk result cache
 //   --cache-dir D        result-cache directory
 //   --sample-interval N  telemetry sample every N cycles (0 = off)
@@ -13,7 +11,6 @@
 //                        (setting it turns attribution on for every cell)
 //
 // Environment fallbacks (read first, flags override): ARINOC_JOBS,
-// ARINOC_THREADS,
 // ARINOC_NO_CACHE (any value), ARINOC_CACHE_DIR, ARINOC_SAMPLE_INTERVAL,
 // ARINOC_TELEMETRY_DIR, ARINOC_ATTR_DIR. Progress/ETA reporting defaults to
 // on when stderr is a terminal.
@@ -32,6 +29,12 @@ ExecOptions options_from_env(bool default_cache);
 /// argc) on top of env defaults; leaves unrelated flags for the caller.
 /// Returns false (after printing to stderr) on a malformed exec flag.
 bool parse_exec_flags(int& argc, char** argv, ExecOptions& opts);
+
+/// Reports an argument no parser consumed: prints "unknown option '<arg>'
+/// (supported: <own_flags>, <the exec flags>)" on stderr and returns 2, the
+/// usage-error exit status. `own_flags` lists the caller's flags (may be
+/// empty).
+int unknown_option(const char* arg, const char* own_flags);
 
 /// One-call convenience for binaries whose only flags are the exec flags:
 /// env + argv, exits(2) on malformed or leftover unknown arguments.

@@ -91,7 +91,11 @@ std::string write_cell_artifact(const std::string& dir, const CellResult& r,
 }  // namespace
 
 ExperimentRunner::ExperimentRunner(Config base, ExecOptions opts)
-    : base_(std::move(base)), opts_(std::move(opts)) {}
+    : base_(std::move(base)), opts_(std::move(opts)) {
+  // A threads value other than 1 reaches every cell's Config::validate and
+  // fails it as a configuration error.
+  if (opts_.threads != 1) base_.threads = opts_.threads;
+}
 
 Config ExperimentRunner::resolve(const CellSpec& cell) const {
   return resolve_cell_config(base_, cell.scheme, cell.benchmark, cell.tweak);
@@ -148,31 +152,7 @@ std::vector<CellResult> ExperimentRunner::run(
     if (first[i] == i) tasks.push_back(i);
   }
 
-  // Intra-simulation threads ride along on every resolved config, after the
-  // cache keys above were computed: `threads` is excluded from the canonical
-  // config string, so keys (and golden baselines) are identical across
-  // thread counts — as are the results themselves.
-  if (opts_.threads != 1) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (runnable[i]) configs[i].threads = opts_.threads;
-    }
-  }
-  // Cap the team so jobs x per-simulation threads never oversubscribes the
-  // host: cell parallelism and domain parallelism compete for the same
-  // cores, and oversubscription just adds barrier jitter.
-  const unsigned hw = hardware_threads();
-  unsigned jobs = opts_.jobs == 0 ? hw : opts_.jobs;
-  const unsigned per_cell = opts_.threads == 0 ? hw : opts_.threads;
-  if (per_cell > 1) {
-    const unsigned capped = std::max(1u, hw / per_cell);
-    if (capped < jobs) {
-      std::fprintf(stderr,
-                   "exec: capping jobs %u -> %u (%u simulation threads per "
-                   "cell, %u hardware threads)\n",
-                   jobs, capped, per_cell, hw);
-      jobs = capped;
-    }
-  }
+  const unsigned jobs = opts_.jobs == 0 ? hardware_threads() : opts_.jobs;
 
   // Phase 2 (parallel): each task owns exactly one result slot, and no
   // exception leaves a task (ThreadTeam has no exception channel).

@@ -34,13 +34,7 @@ namespace arinoc::exec {
 
 struct ExecOptions {
   unsigned jobs = 0;          ///< Worker threads; 0 = hardware concurrency.
-  /// Intra-simulation network threads, applied to every cell's resolved
-  /// Config: 1 = serial (default), 0 = auto (one per hardware core, clamped
-  /// to the cell's node count), N > 1 = N spatial domains. Results are
-  /// bit-identical across values, and `threads` is excluded from the
-  /// canonical config string, so cache keys and baselines are unaffected.
-  /// The runner caps jobs so jobs x threads never exceeds hardware
-  /// concurrency (with a stderr warning).
+  /// Only 1 is valid (Config::validate); goes with the next benchmark change.
   unsigned threads = 1;
   bool cache_enabled = false;
   std::string cache_dir;      ///< Empty = ResultCache::default_dir().

@@ -1,18 +1,16 @@
 // Persistent fork-join worker team: the one thread pool of the simulator.
 //
-// It serves both levels of parallelism. The domain-decomposed stepping loop
-// forks once per simulated cycle (tens of thousands of forks per run); the
-// experiment runner forks once per sweep, one task per grid cell. A
-// ThreadTeam keeps its workers parked on a condition variable between forks
-// and wakes them all with a single generation bump; joins spin briefly and
-// then yield so oversubscribed or single-core hosts degrade gracefully
-// instead of burning the core the workers need.
+// The experiment runner forks it once per sweep, one task per grid cell; one
+// simulation always steps on a single thread. A ThreadTeam keeps its
+// workers parked on a condition variable between forks and wakes them all
+// with a single generation bump; joins spin briefly and then yield so
+// oversubscribed or single-core hosts degrade gracefully instead of burning
+// the core the workers need.
 //
 // Determinism contract: run() distributes task indices dynamically (an
 // atomic cursor), so WHICH thread runs a task is not reproducible — only
 // tasks that touch disjoint state may share a team. Bit-identity therefore
-// lives in the callers: each stepping task owns its domain's routers and
-// mailboxes, and each runner task owns its cell's result slot.
+// lives in the caller: each runner task owns its cell's result slot.
 #pragma once
 
 #include <atomic>

@@ -111,20 +111,13 @@ class FaultInjector {
     return link(src, dir).corrupt_now;
   }
   /// Consumes the pending single-credit-loss event on link (src, dir); at
-  /// most one credit per link per cycle is dropped. Leaves the shared
-  /// counter alone: domain stepping calls this concurrently — each link's
-  /// state is written only by the domain owning its downstream router, but
-  /// the counter would be a shared write — and folds the per-domain tallies
-  /// back in at the cycle barrier via note_credits_dropped().
-  bool take_credit_drop_uncounted(NodeId src, int dir) {
+  /// most one credit per link per cycle is dropped.
+  bool take_credit_drop(NodeId src, int dir) {
     LinkState& l = link(src, dir);
     if (!l.drop_credit_now) return false;
     l.drop_credit_now = false;
+    ++counters_.credits_dropped;
     return true;
-  }
-  /// Folds credit drops tallied off to the side (serial context only).
-  void note_credits_dropped(std::uint64_t n) {
-    counters_.credits_dropped += n;
   }
   /// True while link (src, dir) is stalled or permanently failed.
   bool link_blocked(NodeId src, int dir) const {

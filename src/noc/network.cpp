@@ -32,6 +32,7 @@ Network::Network(const NetworkParams& params, const topo::Fabric* fabric)
     rp.injection_speedup = special ? params.mc_injection_speedup : 1;
     rp.num_injection_ports = special ? params.mc_injection_ports : 1;
     routers_.push_back(std::make_unique<Router>(rp, fabric, &arena_));
+    routers_.back()->set_activity_hook(&act_, static_cast<std::size_t>(n));
   }
   // Wire neighbouring routers.
   for (NodeId n = 0; n < static_cast<NodeId>(nodes); ++n) {
@@ -46,10 +47,11 @@ Network::Network(const NetworkParams& params, const topo::Fabric* fabric)
   // Ring size covers the slowest link (base + worst serdes extra); uniform
   // fabrics keep the original max(1, link_latency) size and slot math.
   ring_slots_ = base_link_latency_ + fabric->max_extra_latency();
-  // Every network starts on one domain, with all routers running the first
-  // cycle; empty ones go straight to sleep.
-  serial_ = topo::partition_fabric(*fabric, 1);
-  set_partition(serial_);
+  flit_ring_.resize(ring_slots_);
+  credit_ring_.resize(ring_slots_);
+  // Every router runs the first cycle; empty ones go straight to sleep.
+  act_.resize(static_cast<std::size_t>(nodes));
+  act_.wake_all();
 
   if (params.fault.any_enabled()) {
     fault_ = std::make_unique<FaultInjector>(params.fault, fabric);
@@ -89,84 +91,19 @@ void Network::finish_packet(PacketId id, Cycle now) {
   arena_.retire(id);
 }
 
-void Network::set_partition(const topo::DomainPartition& part) {
-  if (&part == part_) return;
-  assert(part.domain_of.size() == static_cast<std::size_t>(fabric_->nodes()));
-  // Merging ahead of schedule is exact: events sit in the destination ring
-  // until their slot fires.
-  merge_outboxes();
-  std::vector<Domain> old = std::move(dom_);
-  dom_.assign(part.num_domains, Domain{});
-  for (std::uint32_t d = 0; d < part.num_domains; ++d) {
-    dom_[d].flit_ring.resize(ring_slots_);
-    dom_[d].credit_ring.resize(ring_slots_);
-    dom_[d].act.resize(part.members[d].size());
-  }
-  // Re-bucket in-flight events by destination domain. The scan visits the
-  // old domains in ascending order and is stable, so per-(dst, port)
-  // arrival order is preserved.
-  for (std::size_t s = 0; s < ring_slots_; ++s) {
-    for (const Domain& od : old) {
-      for (const FlitEvent& e : od.flit_ring[s]) {
-        dom_[part.domain_of[static_cast<std::size_t>(e.dst)]]
-            .flit_ring[s]
-            .push_back(e);
-      }
-      for (const CreditEvent& e : od.credit_ring[s]) {
-        dom_[part.domain_of[static_cast<std::size_t>(e.dst)]]
-            .credit_ring[s]
-            .push_back(e);
-      }
-    }
-  }
-  // Move every router's wake hook and pending wake (all pending at
-  // construction).
-  for (NodeId n = 0; n < static_cast<NodeId>(fabric_->nodes()); ++n) {
-    const std::size_t sn = static_cast<std::size_t>(n);
-    const bool awake =
-        !part_ || old[part_->domain_of[sn]].act.contains(part_->local_of[sn]);
-    Domain& dom = dom_[part.domain_of[sn]];
-    routers_[sn]->set_activity_hook(&dom.act, part.local_of[sn]);
-    if (awake) dom.act.wake(part.local_of[sn]);
-  }
-  part_ = &part;
-}
-
-void Network::merge_outboxes() {
-  for (Domain& dom : dom_) {
-    for (const auto& [slot, e] : dom.out_flits) {
-      dom_[part_->domain_of[static_cast<std::size_t>(e.dst)]]
-          .flit_ring[slot]
-          .push_back(e);
-    }
-    dom.out_flits.clear();
-    for (const auto& [slot, e] : dom.out_credits) {
-      dom_[part_->domain_of[static_cast<std::size_t>(e.dst)]]
-          .credit_ring[slot]
-          .push_back(e);
-    }
-    dom.out_credits.clear();
-  }
-}
-
-bool Network::step_router_domain(NodeId n, Cycle now, std::size_t send_slot,
-                                 Domain& dom) {
-  dom.scratch_flits.clear();
-  dom.scratch_credits.clear();
-  Router& r = *routers_[static_cast<std::size_t>(n)];
-  const bool progressed =
-      r.step(now, &dom.scratch_flits, &dom.scratch_credits);
-  if (r.take_injection_freed()) dom.ni_wakes.push_back(n);
-  for (const OutboundFlit& of : dom.scratch_flits) {
+bool Network::step_router(NodeId n, Cycle now, std::size_t send_slot) {
+  scratch_flits_.clear();
+  scratch_credits_.clear();
+  const bool progressed = routers_[static_cast<std::size_t>(n)]->step(
+      now, &scratch_flits_, &scratch_credits_);
+  for (const OutboundFlit& of : scratch_flits_) {
     const NodeId dst = fabric_->neighbor(n, of.out_dir);
     assert(dst != kInvalidNode);
     FlitEvent ev{dst, fabric_->peer_port(n, of.out_dir), of.out_vc, of.flit};
-    // corrupt_link is a const read of state drawn serially in step_begin;
-    // the corruption tally is staged per-domain and folded at the barrier.
     const bool corrupted = fault_ && fault_->corrupt_link(n, of.out_dir);
     if (corrupted) {
       ev.flit.corrupted = true;
-      ++dom.corrupted;
+      ++stats_.flits_corrupted;
     }
     if (sink_) {
       sink_->link_depart(ev.flit.pkt, arena_.at(ev.flit.pkt).type, n,
@@ -174,31 +111,20 @@ bool Network::step_router_domain(NodeId n, Cycle now, std::size_t send_slot,
     }
     // Serdes (chiplet-boundary) links deliver extra cycles later; uniform
     // links land in send_slot itself.
-    const std::size_t slot = slot_after(
-        send_slot,
-        base_link_latency_ + fabric_->link_extra_latency(n, of.out_dir));
-    Domain& dd = dom_[part_->domain_of[static_cast<std::size_t>(dst)]];
-    if (&dd == &dom) {
-      dom.flit_ring[slot].push_back(ev);
-    } else {
-      dom.out_flits.emplace_back(slot, ev);
-    }
+    flit_ring_[slot_after(send_slot,
+                          base_link_latency_ +
+                              fabric_->link_extra_latency(n, of.out_dir))]
+        .push_back(ev);
   }
-  for (const OutboundCredit& oc : dom.scratch_credits) {
+  for (const OutboundCredit& oc : scratch_credits_) {
     const NodeId up = fabric_->neighbor(n, oc.in_dir);
     assert(up != kInvalidNode);
     const int up_dir = fabric_->peer_port(n, oc.in_dir);
-    // Credit-drop state for link (up, up_dir) is consumed only here — the
-    // domain owning the downstream router n — so the write is exclusive;
-    // only the injector's shared counter must be staged.
-    if (fault_ && fault_->take_credit_drop_uncounted(up, up_dir)) {
+    if (fault_ && fault_->take_credit_drop(up, up_dir)) {
       // The credit vanishes in flight: the upstream (up, up_dir, vc)
       // counter permanently shrinks. Recorded so the invariant audit can
       // tell intentional loss from a protocol bug.
-      ++dom.credit_drops;
       if (!credits_lost_.empty()) {
-        // Same exclusivity: this (up, up_dir, vc) entry belongs to link
-        // up->n, and only n's domain writes it.
         ++credits_lost_[(static_cast<std::size_t>(up) *
                              static_cast<std::size_t>(fabric_->max_ports()) +
                          static_cast<std::size_t>(up_dir)) *
@@ -209,25 +135,20 @@ bool Network::step_router_domain(NodeId n, Cycle now, std::size_t send_slot,
     }
     // Credits cross the same physical channel, so they take the same
     // latency (link attributes are symmetric by validation).
-    const std::size_t slot = slot_after(
-        send_slot,
-        base_link_latency_ + fabric_->link_extra_latency(n, oc.in_dir));
-    CreditEvent ev{up, up_dir, oc.vc};
-    Domain& dd = dom_[part_->domain_of[static_cast<std::size_t>(up)]];
-    if (&dd == &dom) {
-      dom.credit_ring[slot].push_back(ev);
-    } else {
-      dom.out_credits.emplace_back(slot, ev);
-    }
+    credit_ring_[slot_after(send_slot,
+                            base_link_latency_ +
+                                fabric_->link_extra_latency(n, oc.in_dir))]
+        .push_back({up, up_dir, oc.vc});
   }
   return progressed;
 }
 
-void Network::step_begin(Cycle now) {
-  // Draw this cycle's fault events and push blocked-link transitions into
-  // the affected upstream routers (fault-aware routing sees them during VA).
-  // begin_cycle runs unconditionally every cycle so the fault RNG stream is
-  // a pure function of the cycle number, independent of router activity.
+void Network::step(Cycle now) {
+  // 1) Draw this cycle's fault events and push blocked-link transitions
+  // into the affected upstream routers (fault-aware routing sees them
+  // during VA). begin_cycle runs unconditionally every cycle so the fault
+  // RNG stream is a pure function of the cycle number, independent of
+  // router activity.
   if (fault_) {
     fault_->begin_cycle(now);
     for (const auto& [src, dir] : fault_->changed_links()) {
@@ -236,87 +157,53 @@ void Network::step_begin(Cycle now) {
       // A link transition can re-enable VC allocation and switch traversal
       // at the upstream router, which may be asleep on the blocked link;
       // waking an empty router is a no-op.
-      const std::size_t sn = static_cast<std::size_t>(src);
-      dom_[part_->domain_of[sn]].act.wake(part_->local_of[sn]);
+      act_.wake(static_cast<std::size_t>(src));
     }
   }
-}
 
-void Network::step_domain(std::uint32_t d, Cycle now) {
-  Domain& dom = dom_[d];
-  // 1) Deliver flits and credits that finished traversing their links.
+  // 2) Deliver flits and credits that finished traversing their links.
   // receive_flit wakes the destination router; receive_credit wakes it only
   // while it holds flits (every credit-consuming action needs one).
-  auto& due_flits = dom.flit_ring[ring_pos_];
+  auto& due_flits = flit_ring_[ring_pos_];
   for (const FlitEvent& e : due_flits) {
     routers_[static_cast<std::size_t>(e.dst)]->receive_flit(e.in_dir, e.vc,
                                                             e.flit);
     if (sink_ && e.flit.head) sink_->head_arrive(e.flit.pkt, e.dst, now);
   }
   due_flits.clear();
-  auto& due_credits = dom.credit_ring[ring_pos_];
+  auto& due_credits = credit_ring_[ring_pos_];
   for (const CreditEvent& e : due_credits) {
     routers_[static_cast<std::size_t>(e.dst)]->receive_credit(e.out_dir, e.vc);
   }
   due_credits.clear();
 
-  // 2) Step the woken routers in ascending node order — the order of the
+  // 3) Step the woken routers in ascending node order — the order of the
   // full loop, so arena free-list recycling and trace-event order cannot
-  // diverge — and stage their outputs onto the link pipelines. Events
+  // diverge — and stage their outputs onto the link pipeline. Events
   // pushed into the just-cleared slot resurface after exactly
   // `link_latency` ring advances. A router stays awake only while it holds
   // flits and its step made progress; an empty or blocked router sleeps
   // until a wake edge (Router::set_activity_hook), and step() replays the
   // fairness-pointer rotations of the slept span.
   const std::size_t send_slot = ring_pos_;
-  const std::vector<NodeId>& members = part_->members[d];
-  dom.routers_stepped += dom.act.drain_sorted([&](std::size_t i) {
-    const NodeId n = members[i];
-    if (step_router_domain(n, now, send_slot, dom) &&
-        routers_[static_cast<std::size_t>(n)]->buffered_flits_total() > 0) {
-      dom.act.wake(i);
+  routers_stepped_ = act_.drain_sorted([&](std::size_t i) {
+    const NodeId n = static_cast<NodeId>(i);
+    if (step_router(n, now, send_slot) &&
+        routers_[i]->buffered_flits_total() > 0) {
+      act_.wake(i);
     }
   });
   // Always-on stepping is the same drain with every router pending.
-  if (!params_.activity_driven) dom.act.wake_all();
-}
+  if (!params_.activity_driven) act_.wake_all();
 
-void Network::step_finish(Cycle now) {
-  // Fold the per-domain stat staging every cycle: observers (watchdog,
-  // telemetry, collect(), the self-profiler) read these between cycles.
-  routers_stepped_ = 0;
-  for (Domain& dom : dom_) {
-    stats_.flits_corrupted += dom.corrupted;
-    dom.corrupted = 0;
-    routers_stepped_ += dom.routers_stepped;
-    dom.routers_stepped = 0;
-    if (fault_ && dom.credit_drops > 0) {
-      fault_->note_credits_dropped(dom.credit_drops);
-      dom.credit_drops = 0;
-    }
-    // Injection NIs sleep in other subsystems' active sets, so domain
-    // workers stage their wakes and this serial pass raises them. The NIs
-    // stepped before the network, so they act on the freed slot next
-    // cycle, as in always-on mode.
-    for (const NodeId n : dom.ni_wakes) {
-      routers_[static_cast<std::size_t>(n)]->wake_injection_ni();
-    }
-    dom.ni_wakes.clear();
-  }
-  merge_outboxes();
-  // Advance the link pipeline (compare-and-wrap; the ring is tiny and a
+  // 4) Advance the link pipeline (compare-and-wrap; the ring is tiny and a
   // division per cycle is measurable in the hot loop).
   if (++ring_pos_ == ring_slots_) ring_pos_ = 0;
-  // Recovery bookkeeping: retire acked retransmission entries and fire
+
+  // 5) Recovery bookkeeping: retire acked retransmission entries and fire
   // NACK/timeout-driven re-injections. Runs unconditionally: timer expiry
   // must re-inject (and wake the injection NI) even when the fabric idles.
   if (rtx_) rtx_->step(now);
-}
-
-void Network::step(Cycle now) {
-  step_begin(now);
-  for (std::uint32_t d = 0; d < part_->num_domains; ++d) step_domain(d, now);
-  step_finish(now);
 }
 
 double Network::internal_link_utilization(Cycle elapsed) const {
@@ -422,24 +309,19 @@ std::string Network::validate_credit_invariants() const {
       const Router& down = *routers_[static_cast<std::size_t>(v)];
       const int in_dir = fabric_->peer_port(u, dir);
       for (std::uint32_t vc = 0; vc < params_.num_vcs; ++vc) {
-        // In-flight events live in the per-domain rings (the outboxes are
-        // empty between cycles).
         std::uint32_t inflight_flits = 0;
         std::uint32_t inflight_credits = 0;
-        const auto match_flit = [&](const FlitEvent& e) {
-          if (e.dst == v && e.in_dir == in_dir && e.vc == static_cast<int>(vc))
-            ++inflight_flits;
-        };
-        const auto match_credit = [&](const CreditEvent& e) {
-          if (e.dst == u && e.out_dir == dir && e.vc == static_cast<int>(vc))
-            ++inflight_credits;
-        };
-        for (const Domain& dom : dom_) {
-          for (const auto& slot : dom.flit_ring) {
-            for (const FlitEvent& e : slot) match_flit(e);
+        for (const auto& slot : flit_ring_) {
+          for (const FlitEvent& e : slot) {
+            if (e.dst == v && e.in_dir == in_dir &&
+                e.vc == static_cast<int>(vc))
+              ++inflight_flits;
           }
-          for (const auto& slot : dom.credit_ring) {
-            for (const CreditEvent& e : slot) match_credit(e);
+        }
+        for (const auto& slot : credit_ring_) {
+          for (const CreditEvent& e : slot) {
+            if (e.dst == u && e.out_dir == dir && e.vc == static_cast<int>(vc))
+              ++inflight_credits;
           }
         }
         // Credits the fault injector destroyed on this link are accounted

@@ -15,7 +15,6 @@
 #include "noc/packet.hpp"
 #include "noc/router.hpp"
 #include "topo/fabric.hpp"
-#include "topo/partition.hpp"
 
 namespace arinoc {
 
@@ -59,43 +58,14 @@ class Network {
   /// Builds the network over an externally owned fabric (any topology).
   Network(const NetworkParams& params, const topo::Fabric* fabric);
   ~Network();
-  /// Routers and the current partition point into this object.
+  /// Routers hold wake hooks into this object's active set.
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Advances the network by one cycle: step_begin, every step_domain in
-  /// ascending order, then step_finish — serially, no threads.
+  /// Advances the network by one cycle: draws this cycle's faults, delivers
+  /// the due link-pipeline slot, steps the woken routers in ascending node
+  /// order, advances the pipeline and steps the retransmission tracker.
   void step(Cycle now);
-
-  // ---- Domain stepping (spatial decomposition) ----
-  //
-  // The network always steps through a DomainPartition; serial stepping is
-  // the one-domain partition. One cycle is
-  //   step_begin(now);                    // serial: fault draw + blocked links
-  //   step_domain(d, now) for every d;    // parallel: domains are disjoint
-  //   step_finish(now);                   // serial: mailbox merge + barrier
-  // Each domain owns its routers, its slice of the link-pipeline rings, and
-  // its own ActiveSet; flits/credits crossing a boundary are staged into the
-  // source domain's outbox and merged into the destination domain's ring at
-  // step_finish, in ascending domain order. Within one ring slot every
-  // (router, input port) pair receives from exactly one upstream router, so
-  // the slot-internal order shuffle this introduces is unobservable and the
-  // results stay bit-identical for ANY partition (see docs/performance.md
-  // "Domain decomposition").
-
-  /// Moves the network onto `part` (not owned; must outlive its use),
-  /// migrating every in-flight ring event and router wake. Exact in any
-  /// direction. Per-event observers (tracer, attributor) need the one-domain
-  /// partition: their hook order is the ascending-node router schedule.
-  void set_partition(const topo::DomainPartition& part);
-  /// The one-domain partition every network starts on.
-  const topo::DomainPartition& serial_partition() const { return serial_; }
-  std::uint32_t num_domains() const { return part_->num_domains; }
-  void step_begin(Cycle now);
-  /// Steps domain `d` for one cycle. Thread-safe against other domains of
-  /// the same cycle; everything it mutates is owned by domain d.
-  void step_domain(std::uint32_t d, Cycle now);
-  void step_finish(Cycle now);
 
   Router& router(NodeId n) { return *routers_[static_cast<std::size_t>(n)]; }
   const Router& router(NodeId n) const {
@@ -167,8 +137,8 @@ class Network {
   /// attached.
   const obs::PacketSink* sink() const { return sink_.get(); }
 
-  /// Routers stepped in the last cycle, every domain's drain included (the
-  /// self-profiler's wake statistic; every router in always-on mode).
+  /// Routers stepped in the last cycle (the self-profiler's wake
+  /// statistic; every router in always-on mode).
   std::uint64_t routers_stepped() const { return routers_stepped_; }
 
   std::uint32_t num_internal_links() const { return num_internal_links_; }
@@ -199,39 +169,9 @@ class Network {
     int vc;
   };
 
-  /// One spatial domain's private stepping state. Everything here is
-  /// touched only by the thread running step_domain for this domain within
-  /// a cycle; the outboxes are drained serially at step_finish. Cache-line
-  /// aligned so neighbouring domains' threads never write one line.
-  struct alignas(64) Domain {
-    ActiveSet act;  ///< Local indices into the partition's members[d].
-    /// This domain's slice of the link pipeline: events whose destination
-    /// router it owns. Every domain has the same slot geometry.
-    std::vector<std::vector<FlitEvent>> flit_ring;
-    std::vector<std::vector<CreditEvent>> credit_ring;
-    std::vector<OutboundFlit> scratch_flits;
-    std::vector<OutboundCredit> scratch_credits;
-    /// Cross-domain deliveries staged this cycle: (absolute ring slot,
-    /// event), merged into the destination domain's ring at step_finish.
-    std::vector<std::pair<std::size_t, FlitEvent>> out_flits;
-    std::vector<std::pair<std::size_t, CreditEvent>> out_credits;
-    /// Routers whose waiting injection NI got a free slot this cycle,
-    /// woken at step_finish.
-    std::vector<NodeId> ni_wakes;
-    // Stats staged thread-locally, folded at step_finish.
-    std::uint64_t corrupted = 0;
-    std::uint64_t credit_drops = 0;
-    std::uint64_t routers_stepped = 0;
-  };
-
-  /// Steps router `n` of domain `dom`: per-domain scratch, staged fault
-  /// counters, cross-domain events go to the outbox. Returns whether the
-  /// router made progress (Router::step).
-  bool step_router_domain(NodeId n, Cycle now, std::size_t send_slot,
-                          Domain& dom);
-  /// Drains every domain's outboxes into the destination domains' rings,
-  /// in ascending domain order.
-  void merge_outboxes();
+  /// Steps router `n` and stages its outputs onto the link pipeline.
+  /// Returns whether the router made progress (Router::step).
+  bool step_router(NodeId n, Cycle now, std::size_t send_slot);
   /// Ring slot that delivers `lat` cycles after `send_slot` (lat is in
   /// [1, ring size]; lat == ring size lands back on send_slot itself, the
   /// uniform-latency fast path).
@@ -248,8 +188,15 @@ class Network {
   /// slot delivering this cycle.
   std::size_t ring_slots_ = 1;
   std::size_t ring_pos_ = 0;
+  /// Events in flight on the link pipeline, indexed by delivery slot.
+  std::vector<std::vector<FlitEvent>> flit_ring_;
+  std::vector<std::vector<CreditEvent>> credit_ring_;
+  /// Routers that may do work this cycle, by node id.
+  ActiveSet act_;
+  std::vector<OutboundFlit> scratch_flits_;
+  std::vector<OutboundCredit> scratch_credits_;
   std::uint32_t num_internal_links_ = 0;
-  std::uint64_t routers_stepped_ = 0;  ///< Last cycle, all domains.
+  std::uint64_t routers_stepped_ = 0;  ///< Last cycle.
   NocStats stats_;
   // Fault subsystem (null unless some fault class is enabled).
   std::unique_ptr<FaultInjector> fault_;
@@ -258,10 +205,6 @@ class Network {
   std::vector<std::uint32_t> credits_lost_;
   // Observability (null unless an observer is attached).
   std::unique_ptr<obs::PacketSink> sink_;
-  // Domain stepping (set_partition).
-  topo::DomainPartition serial_;
-  const topo::DomainPartition* part_ = nullptr;
-  std::vector<Domain> dom_;
 };
 
 }  // namespace arinoc

@@ -426,7 +426,7 @@ void Router::switch_stage(Cycle now, std::vector<OutboundFlit>* out_flits,
       out_credits->push_back({static_cast<int>(p), static_cast<int>(vc)});
     } else if (ni_waiting_) {
       ni_waiting_ = false;
-      ni_freed_ = true;
+      if (ni_set_) ni_set_->wake(ni_idx_);
     }
     if (f.tail) {
       ovc(static_cast<int>(o), v.out_vc).owner = kInvalidPacket;

@@ -142,7 +142,7 @@ class Router {
   /// (which step() replays on wake) and VA failure stamps (a retry fails
   /// until `opened` moves), so the router next acts only on an edge that
   /// wakes it: a flit arriving or injected, a blocked-link transition
-  /// (Network::step_begin), or — while it holds flits — a credit returned
+  /// (Network::step), or — while it holds flits — a credit returned
   /// or an ejection-buffer pop.
   void set_activity_hook(ActiveSet* set, std::size_t idx) {
     act_set_ = set;
@@ -150,23 +150,14 @@ class Router {
   }
   /// Registers the same-tile injection NI as member `idx` of `set`. An NI
   /// whose head packet cannot enter calls wait_for_injection() and sleeps;
-  /// the next flit leaving any injection VC marks the router, and the
-  /// network wakes the NI (wake_injection_ni) once every domain has stepped.
+  /// the next flit leaving any injection VC wakes it. The NIs step before
+  /// the network, so a woken NI acts on the freed slot next cycle, as in
+  /// always-on mode.
   void set_injection_hook(ActiveSet* set, std::size_t idx) {
     ni_set_ = set;
     ni_idx_ = idx;
   }
   void wait_for_injection() { ni_waiting_ = true; }
-  /// True once per step in which a flit left an injection VC while the NI
-  /// was waiting.
-  bool take_injection_freed() {
-    const bool freed = ni_freed_;
-    ni_freed_ = false;
-    return freed;
-  }
-  void wake_injection_ni() {
-    if (ni_set_) ni_set_->wake(ni_idx_);
-  }
 
   /// Attaches the owning network's per-packet event sink (null detaches).
   /// Observers are pure: hooks fire next to existing bookkeeping and never
@@ -200,8 +191,8 @@ class Router {
     /// the head leaves (no other router holds the head), so waiting VCs
     /// see the live value; active VCs keep it while later routers decrement
     /// the arena field, as hardware sees the priority the head flit carried
-    /// through here. The latch keeps VC and switch allocation free of arena
-    /// reads, which are cross-router under domain-parallel stepping.
+    /// through here. The latch also keeps VC and switch allocation free of
+    /// arena reads.
     std::uint32_t latched_priority = 0;
     std::uint32_t latched_flits = 0;
   };
@@ -313,15 +304,14 @@ class Router {
 
   const obs::PacketSink* sink_ = nullptr;
 
-  // Wake hook into the owning network domain's active set (null for a
-  // router stepped on its own).
+  // Wake hook into the owning network's active set (null for a router
+  // stepped on its own).
   ActiveSet* act_set_ = nullptr;
   std::size_t act_idx_ = 0;
   // The injection NI's wake hook (set_injection_hook) and its handshake.
   ActiveSet* ni_set_ = nullptr;
   std::size_t ni_idx_ = 0;
   bool ni_waiting_ = false;
-  bool ni_freed_ = false;
   /// Next cycle this router expects to step; the gap to `now` is the slept
   /// span whose idle round-robin rotations step() replays on wake.
   Cycle next_cycle_ = 0;

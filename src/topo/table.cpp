@@ -21,14 +21,18 @@ RoutingTable::RoutingTable(const FabricGraph& g) {
   max_ports_ = g.num_ports();
 
   // Adjacency by (node, out_port) for deterministic ascending-port
-  // iteration when filling port masks.
+  // iteration when filling port masks. `down` is set once the BFS levels
+  // are known.
   struct Out {
     int port;
     NodeId dst;
+    int dst_port;
+    bool down;
   };
   std::vector<std::vector<Out>> out(nodes_);
   for (const GraphLink& l : g.links) {
-    out[static_cast<std::size_t>(l.src)].push_back(Out{l.src_port, l.dst});
+    out[static_cast<std::size_t>(l.src)].push_back(
+        Out{l.src_port, l.dst, l.dst_port, false});
   }
   for (auto& v : out) {
     std::sort(v.begin(), v.end(),
@@ -50,15 +54,24 @@ RoutingTable::RoutingTable(const FabricGraph& g) {
     }
   }
 
+  // A link is down when it moves away from the root in the spanning-tree
+  // order; the phase, reverse-graph and port-mask passes all read this flag.
+  for (NodeId u = 0; u < static_cast<NodeId>(nodes_); ++u) {
+    for (Out& o : out[static_cast<std::size_t>(u)]) {
+      o.down = tree_key(level_, o.dst) > tree_key(level_, u);
+    }
+  }
+
   // Arrival phase per (node, in_port): arriving over a down link puts the
   // packet in the down phase. Ports without an incoming link stay kPhaseUp
   // (covers injection).
   phase_in_.assign(nodes_ * static_cast<std::size_t>(max_ports_), kPhaseUp);
-  for (const GraphLink& l : g.links) {
-    if (tree_key(level_, l.dst) > tree_key(level_, l.src)) {
-      phase_in_[static_cast<std::size_t>(l.dst) *
+  for (const auto& links : out) {
+    for (const Out& o : links) {
+      if (!o.down) continue;
+      phase_in_[static_cast<std::size_t>(o.dst) *
                     static_cast<std::size_t>(max_ports_) +
-                static_cast<std::size_t>(l.dst_port)] = kPhaseDown;
+                static_cast<std::size_t>(o.dst_port)] = kPhaseDown;
     }
   }
 
@@ -74,17 +87,19 @@ RoutingTable::RoutingTable(const FabricGraph& g) {
   auto state = [](NodeId n, int phase) {
     return static_cast<std::size_t>(n) * 2 + static_cast<std::size_t>(phase);
   };
-  for (const GraphLink& l : g.links) {
-    if (tree_key(level_, l.dst) < tree_key(level_, l.src)) {
-      // Up link: only usable from the up phase, lands in the up phase.
-      rev[state(l.dst, kPhaseUp)].push_back(
-          RevEdge{l.src, static_cast<std::int8_t>(kPhaseUp)});
-    } else {
-      // Down link: usable from either phase, lands in the down phase.
-      rev[state(l.dst, kPhaseDown)].push_back(
-          RevEdge{l.src, static_cast<std::int8_t>(kPhaseUp)});
-      rev[state(l.dst, kPhaseDown)].push_back(
-          RevEdge{l.src, static_cast<std::int8_t>(kPhaseDown)});
+  for (NodeId u = 0; u < static_cast<NodeId>(nodes_); ++u) {
+    for (const Out& o : out[static_cast<std::size_t>(u)]) {
+      if (!o.down) {
+        // Up link: only usable from the up phase, lands in the up phase.
+        rev[state(o.dst, kPhaseUp)].push_back(
+            RevEdge{u, static_cast<std::int8_t>(kPhaseUp)});
+      } else {
+        // Down link: usable from either phase, lands in the down phase.
+        rev[state(o.dst, kPhaseDown)].push_back(
+            RevEdge{u, static_cast<std::int8_t>(kPhaseUp)});
+        rev[state(o.dst, kPhaseDown)].push_back(
+            RevEdge{u, static_cast<std::int8_t>(kPhaseDown)});
+      }
     }
   }
 
@@ -120,10 +135,9 @@ RoutingTable::RoutingTable(const FabricGraph& g) {
         e.dist = d;
         if (u == dest || d == RouteEntry::kUnreachable) continue;
         for (const Out& o : out[static_cast<std::size_t>(u)]) {
-          const bool down = tree_key(level_, o.dst) > tree_key(level_, u);
-          if (phase == kPhaseDown && !down) continue;
+          if (phase == kPhaseDown && !o.down) continue;
           const std::uint32_t next =
-              dist[state(o.dst, down ? kPhaseDown : kPhaseUp)];
+              dist[state(o.dst, o.down ? kPhaseDown : kPhaseUp)];
           if (next != RouteEntry::kUnreachable && next + 1 == d) {
             e.port_mask |= 1u << o.port;
             if (e.escape < 0) e.escape = static_cast<std::int8_t>(o.port);

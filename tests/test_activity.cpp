@@ -1,17 +1,21 @@
 // Activity-driven simulation core: ActiveSet semantics and the sweep-level
 // bit-identity contract — activity-gated stepping must produce byte-identical
 // metrics, traces, telemetry, and counter dumps to always-on stepping for
-// every scheme, with faults active, with observers attached, and across the
-// warmup/measure reset boundary. A single diverging byte is a missed-wake or
-// catch-up bug, never an acceptable approximation.
+// every scheme and generated fabric, with faults active, in open-loop
+// serving, with observers attached (also mid-run), across the warmup/measure
+// reset boundary, and in a watchdog trip dump. A single diverging byte is a
+// missed-wake or catch-up bug, never an acceptable approximation.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "common/active_set.hpp"
+#include "core/experiment.hpp"
 #include "core/gpgpu_sim.hpp"
 #include "core/report.hpp"
+#include "core/watchdog.hpp"
+#include "obs/attr.hpp"
 #include "obs/trace.hpp"
 #include "workloads/benchmark.hpp"
 
@@ -22,6 +26,16 @@ Config tiny_config() {
   Config cfg;
   cfg.warmup_cycles = 300;
   cfg.run_cycles = 1500;
+  return cfg;
+}
+
+/// tiny_config on a 4x4 fabric with 4 MCs (cmesh: 2 endpoints per hub).
+Config small_config(const char* fabric = "mesh") {
+  Config cfg = tiny_config();
+  cfg.fabric = fabric;
+  cfg.mesh_width = cfg.mesh_height = 4;
+  cfg.num_mcs = 4;
+  cfg.cmesh_concentration = 2;
   return cfg;
 }
 
@@ -134,14 +148,27 @@ void expect_identical(const RunOutputs& on, const RunOutputs& off,
 }
 
 TEST(ActivityBitIdentity, AllSchemesWithObservers) {
-  // Raw-Baseline is the one scheme whose reply NIs serialize packets over
-  // the narrow node->NI link.
-  for (Scheme s : {Scheme::kXYBaseline, Scheme::kAdaBaseline,
-                   Scheme::kAdaMultiPort, Scheme::kAdaARI,
-                   Scheme::kRawBaseline}) {
+  // The five Fig. 11 schemes on the mesh, torus and cmesh, plus
+  // Raw-Baseline, the one scheme whose reply NIs serialize packets over the
+  // narrow node->NI link. Every run also compares the telemetry series.
+  const Scheme fig11[] = {Scheme::kXYBaseline, Scheme::kXYARI,
+                          Scheme::kAdaBaseline, Scheme::kAdaMultiPort,
+                          Scheme::kAdaARI};
+  for (Scheme s : fig11) {
     const Config cfg = apply_scheme(tiny_config(), s);
     expect_identical(run_instrumented(cfg, "bfs", true),
                      run_instrumented(cfg, "bfs", false), scheme_name(s));
+  }
+  const Config raw = apply_scheme(tiny_config(), Scheme::kRawBaseline);
+  expect_identical(run_instrumented(raw, "bfs", true),
+                   run_instrumented(raw, "bfs", false), "Raw-Baseline");
+  for (const char* fabric : {"torus", "cmesh"}) {
+    for (Scheme s : fig11) {
+      const Config cfg = apply_scheme(small_config(fabric), s);
+      expect_identical(run_instrumented(cfg, "bfs", true),
+                       run_instrumented(cfg, "bfs", false),
+                       std::string(fabric) + "/" + scheme_name(s));
+    }
   }
 }
 
@@ -178,13 +205,30 @@ TEST(ActivityBitIdentity, SaturatedChipletTableRouted) {
   // 144 routers on up*/down* tables with serdes links, saturated by bfs:
   // most routers hold flits they cannot move, so blocked routers and
   // head-blocked NIs sleep and wake on credits, pops and freed VCs.
+  // hotspot concentrates the load on a few MCs, so the serdes links
+  // between dies carry most of it.
   Config cfg = apply_scheme(tiny_config(), Scheme::kAdaARI);
   cfg.fabric = "chiplet";
   cfg.chiplets_x = 2;
   cfg.chiplets_y = 2;
   cfg.serdes_latency = 4;
+  for (const char* bench : {"bfs", "hotspot"}) {
+    expect_identical(run_instrumented(cfg, bench, true),
+                     run_instrumented(cfg, bench, false),
+                     std::string("chiplet 2x2 ") + bench);
+  }
+}
+
+TEST(ActivityBitIdentity, OpenLoopServingWithAdmission) {
+  // Open-loop clients replace the cores, and a flash crowd makes the
+  // admission gates defer requests: both sleep and wake on other edges than
+  // a core does.
+  Config cfg = apply_scheme(small_config(), Scheme::kAdaARI);
+  cfg.open_loop = true;
+  cfg.pace_spec = "flash:0.03,at=400,len=1000,mult=20";
+  cfg.admission_enabled = true;
   expect_identical(run_instrumented(cfg, "bfs", true),
-                   run_instrumented(cfg, "bfs", false), "chiplet 2x2");
+                   run_instrumented(cfg, "bfs", false), "open loop");
 }
 
 TEST(ActivityBitIdentity, AtomicVcAllocation) {
@@ -223,6 +267,67 @@ TEST(ActivityBitIdentity, MidRunObserverReadsMatch) {
     return mid + sim.counters().to_json();
   };
   EXPECT_EQ(dump_between_runs(true), dump_between_runs(false));
+}
+
+TEST(ActivityBitIdentity, ObserversAttachedAfterWarmupAndDetachedMidRun) {
+  // Attaching the tracer and the attributor to a loaded network (flits and
+  // credits on the links, routers asleep and awake) and detaching them
+  // halfway through the measured run changes no byte of the metrics, the
+  // trace or the attribution.
+  struct Outputs {
+    std::string metrics, trace, attr;
+  };
+  const auto observed = [](bool activity) {
+    Config cfg = apply_scheme(small_config(), Scheme::kAdaARI);
+    cfg.activity_driven = activity;
+    GpgpuSim sim(cfg, *find_benchmark("bfs"));
+    obs::PacketTracer tracer;
+    obs::LatencyAttributor attr;
+    sim.run(cfg.warmup_cycles);
+    sim.reset_stats();
+    EXPECT_GT(sim.reply_net().buffered_flits_total(), 0u);
+    sim.attach_tracer(&tracer);
+    sim.attach_attributor(&attr);
+    sim.run(cfg.run_cycles / 2);
+    sim.attach_tracer(nullptr);
+    sim.attach_attributor(nullptr);
+    sim.run(cfg.run_cycles - cfg.run_cycles / 2);
+    return Outputs{metrics_to_json(sim.collect()), tracer.to_chrome_json(),
+                   attr.to_json()};
+  };
+  const Outputs on = observed(true);
+  const Outputs off = observed(false);
+  EXPECT_EQ(on.metrics, off.metrics);
+  EXPECT_EQ(on.trace, off.trace);
+  EXPECT_EQ(on.attr, off.attr);
+}
+
+TEST(ActivityBitIdentity, WatchdogTripDump) {
+  // Permanent port failures without recovery wedge the reply network; the
+  // deadlock trip (kind, message, diagnostic dump) reads the state of
+  // sleeping components and must not depend on the stepping mode.
+  const auto trip = [](bool activity) {
+    Config cfg = small_config();
+    cfg.activity_driven = activity;
+    cfg.warmup_cycles = 0;
+    cfg.run_cycles = 6000;
+    cfg.fault_port_fail_rate = 0.002;
+    cfg.fault_recovery = false;
+    cfg.watchdog_deadlock_window = 400;
+    const Config resolved = resolve_cell_config(cfg, Scheme::kAdaARI, "bfs");
+    GpgpuSim sim(resolved, *find_benchmark("bfs"));
+    std::string text;
+    try {
+      sim.run(cfg.run_cycles);
+    } catch (const WatchdogTrip& t) {
+      text = std::string(watchdog_trip_name(t.kind())) + "\n" + t.what() +
+             "\n" + t.dump();
+    }
+    return text;
+  };
+  const std::string on = trip(true);
+  ASSERT_FALSE(on.empty()) << "scenario no longer trips the watchdog";
+  EXPECT_EQ(on, trip(false));
 }
 
 }  // namespace

@@ -414,7 +414,7 @@ void expect_wakes_match_steps(const Config& cfg, bool da2mesh,
 // The wake totals count what was stepped, including members woken within
 // the cycle: routers woken by NI injection or link delivery, NIs woken by
 // this cycle's accepts or ejections. Every scheme, both stepping modes, the
-// DA2mesh overlay, and domain-parallel network stepping on four threads.
+// DA2mesh overlay, and a table-routed chiplet fabric.
 TEST(SelfProfiler, WakeTotalsEqualComponentSteps) {
   for (int s = 0; s <= static_cast<int>(Scheme::kRawBaseline); ++s) {
     const auto scheme = static_cast<Scheme>(s);
@@ -433,8 +433,7 @@ TEST(SelfProfiler, WakeTotalsEqualComponentSteps) {
   chip.chiplets_x = chip.chiplets_y = 2;
   chip.mesh_width = chip.mesh_height = 2;
   chip.num_mcs = 4;
-  chip.threads = 4;
-  expect_wakes_match_steps(chip, false, "chiplet, 4 threads");
+  expect_wakes_match_steps(chip, false, "chiplet");
 }
 
 // ---------------------------------------------------------------------------
