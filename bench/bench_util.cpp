@@ -1,7 +1,9 @@
 #include "bench_util.hpp"
 
+#include <fstream>
 #include <sstream>
 
+#include "obs/regress/baseline.hpp"
 #include "obs/regress/provenance.hpp"
 #include "obs/regress/trend.hpp"
 
@@ -57,6 +59,25 @@ bool apply_fabric(const std::string& fabric, Config& c) {
   std::fprintf(stderr, "unknown fabric '%s' (want mesh|torus|cmesh|chiplet)\n",
                fabric.c_str());
   return false;
+}
+
+bool out_dir_exists(const std::string& path) {
+  if (obs::regress::parent_dir_exists(path)) return true;
+  std::fprintf(stderr,
+               "error: --out '%s': parent directory '%s' does not exist\n",
+               path.c_str(), obs::regress::parent_dir_of(path).c_str());
+  return false;
+}
+
+bool write_bench_json(const std::string& path, const std::string& body) {
+  std::ofstream out(path, std::ios::trunc);
+  if (out) out << body;
+  if (!out) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace arinoc::bench

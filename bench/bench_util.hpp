@@ -58,4 +58,14 @@ bool apply_fabric(const std::string& fabric, Config& c);
 /// stale files instead of silently trending them.
 std::string bench_json_stamp(const char* kind, const Config& base);
 
+/// Fail-fast check for a bench's `--out` path: false (after printing an
+/// error naming the path) when its parent directory does not exist, so the
+/// bench exits 2 before simulating anything.
+bool out_dir_exists(const std::string& path);
+
+/// Writes a BENCH_*.json document and prints "wrote <path>". Returns false
+/// (after printing an error naming the path) when the file cannot be
+/// opened or the write fails.
+bool write_bench_json(const std::string& path, const std::string& body);
+
 }  // namespace arinoc::bench

@@ -9,7 +9,6 @@
 //   --quick      short runs (CI smoke; marked "quick": true in the JSON)
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,6 +35,7 @@ int main(int argc, char** argv) {
       return exec::unknown_option(argv[i], "--out F, --quick");
     }
   }
+  if (!bench::out_dir_exists(out_path)) return 2;
 
   bench::banner("Extension — ARI across fabrics (mesh/torus/cmesh/chiplet)",
                 "the reply bottleneck is topological, not mesh-specific: "
@@ -115,12 +115,6 @@ int main(int argc, char** argv) {
               "concentrated fabrics (cmesh, chiplet) funnel replies through\n"
               "fewer links, so their baselines sit deeper in saturation.\n");
 
-  std::ofstream out(out_path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  out << json.str();
-  std::printf("wrote %s\n", out_path.c_str());
+  if (!bench::write_bench_json(out_path, json.str())) return 1;
   return failures == 0 ? 0 : 1;
 }

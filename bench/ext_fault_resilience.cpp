@@ -12,7 +12,6 @@
 //     --out     cell-grid JSON path (default: BENCH_fault_resilience.json)
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "bench_util.hpp"
@@ -36,6 +35,7 @@ int main(int argc, char** argv) {
       return exec::unknown_option(argv[i], "--fabric F, --out F");
     }
   }
+  if (!bench::out_dir_exists(out_path)) return 2;
   bench::banner("Extension — fault resilience (corruption rate x scheme)",
                 "reply-side CRC + retransmission recovers >=99% of corrupted "
                 "packets; IPC degrades gracefully and monotonically");
@@ -143,8 +143,7 @@ int main(int argc, char** argv) {
                 t.to_string().c_str());
   }
   js << "\n  ]\n}\n";
-  std::ofstream(out_path) << js.str();
-  std::printf("wrote %s\n", out_path.c_str());
+  if (!bench::write_bench_json(out_path, js.str())) return 1;
   std::printf("shape check: %s\n", shape_ok ? "ok" : "FAILED");
   return shape_ok ? 0 : 1;
 }

@@ -21,7 +21,6 @@
 //     --out     output JSON path (default: BENCH_serving_tail.json)
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -49,6 +48,7 @@ int main(int argc, char** argv) {
       return exec::unknown_option(argv[i], "--quick, --fabric F, --out F");
     }
   }
+  if (!bench::out_dir_exists(out)) return 2;
 
   bench::banner(
       "Extension — serving tail latency (load factor x scheme, open loop)",
@@ -213,8 +213,7 @@ int main(int argc, char** argv) {
   }
 
   js << "\n  ]\n}\n";
-  std::ofstream(out) << js.str();
-  std::printf("wrote %s\n", out.c_str());
+  if (!bench::write_bench_json(out, js.str())) return 1;
   std::printf("shape check: %s\n", shape_ok ? "ok" : "FAILED");
   return shape_ok ? 0 : 1;
 }

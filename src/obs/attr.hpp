@@ -34,7 +34,8 @@
 // The hooks arrive through the NoC's one per-packet event sink
 // (obs/sink.hpp), shared with the PacketTracer; with no observer attached
 // every hook is one branch on a null sink and results are bit-identical to
-// an unattributed run (guarded by tests and perf_harness).
+// an unattributed run (guarded by the Attr.* tests and the CI attribution
+// smoke).
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
 // Perf-trend layer: folds a history of stamped BENCH_*.json snapshots
-// (perf_harness, ext_fabric_sweep, ext_fault_resilience, ext_serving_tail —
-// anything carrying the "arinoc-bench-v1" stamp) into per-(cell, metric)
+// (ext_fabric_sweep, ext_fault_resilience, ext_serving_tail — anything
+// carrying the "arinoc-bench-v1" stamp) into per-(cell, metric)
 // time series, emitted as "arinoc-trend-v1" JSON and as a self-contained
 // HTML sparkline dashboard.
 //

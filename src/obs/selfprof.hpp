@@ -10,8 +10,9 @@
 // "arinoc-selfprof-v1") so long runs stream instead of buffering one huge
 // document. This is host-side measurement only: it never touches simulated
 // state, so simulation results are identical with or without it (the <5%
-// wall-clock budget in perf_harness covers attribution, not this — the
-// profiler is the tool you use to find where that budget goes).
+// wall-clock budget, measured by perfbench's obs.attr_overhead_pct, covers
+// attribution, not this — the profiler is the tool you use to find where
+// that budget goes).
 #pragma once
 
 #include <chrono>

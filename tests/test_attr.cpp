@@ -129,25 +129,37 @@ Metrics scrub_attr(Metrics m) {
 }
 
 TEST(Attr, AttributorDoesNotPerturbSimulationResults) {
-  const Config cfg = apply_scheme(tiny_config(), Scheme::kAdaARI);
-  const BenchmarkTraits* traits = find_benchmark("hotspot");
-  ASSERT_NE(traits, nullptr);
+  // A mid-injection, a light and a saturated cell cover the per-packet hook
+  // paths at both ends of the injection range.
+  const struct {
+    const char* benchmark;
+    Scheme scheme;
+  } cells[] = {{"hotspot", Scheme::kAdaARI},
+               {"matrixMul", Scheme::kAdaBaseline},
+               {"bfs", Scheme::kAdaARI}};
+  for (const auto& c : cells) {
+    SCOPED_TRACE(c.benchmark);
+    const Config cfg = apply_scheme(tiny_config(), c.scheme);
+    const BenchmarkTraits* traits = find_benchmark(c.benchmark);
+    ASSERT_NE(traits, nullptr);
 
-  GpgpuSim plain(cfg, *traits);
-  plain.run_with_warmup();
-  const std::string plain_json = metrics_to_json(plain.collect());
-  // Attribution off => no attr block in the report at all.
-  EXPECT_EQ(plain_json.find("stage_share"), std::string::npos);
-  EXPECT_EQ(plain_json.find("\"bottleneck\""), std::string::npos);
+    GpgpuSim plain(cfg, *traits);
+    plain.run_with_warmup();
+    const std::string plain_json = metrics_to_json(plain.collect());
+    // Attribution off => no attr block in the report at all.
+    EXPECT_EQ(plain_json.find("stage_share"), std::string::npos);
+    EXPECT_EQ(plain_json.find("\"bottleneck\""), std::string::npos);
 
-  GpgpuSim observed(cfg, *traits);
-  LatencyAttributor attr;
-  observed.attach_attributor(&attr);
-  observed.run_with_warmup();
-  const Metrics with_attr = observed.collect();
-  EXPECT_TRUE(with_attr.attr_enabled);
-  EXPECT_FALSE(with_attr.bottleneck.empty());
-  EXPECT_EQ(metrics_to_json(scrub_attr(with_attr)), plain_json);
+    GpgpuSim observed(cfg, *traits);
+    LatencyAttributor attr;
+    observed.attach_attributor(&attr);
+    observed.run_with_warmup();
+    const Metrics with_attr = observed.collect();
+    EXPECT_TRUE(with_attr.attr_enabled);
+    EXPECT_FALSE(with_attr.bottleneck.empty());
+    EXPECT_EQ(with_attr.attr_violations, 0u);
+    EXPECT_EQ(metrics_to_json(scrub_attr(with_attr)), plain_json);
+  }
 }
 
 // ---------------------------------------------------------------------------
