@@ -666,42 +666,30 @@ int main(int argc, char** argv) {
   Config resolved_cfg = cfg;
   std::string fabric_tag;
   const auto wall_start = std::chrono::steady_clock::now();
-  if (!replay_path.empty()) {
-    // Replay runs bypass the exec cache: the cache key covers named
-    // benchmarks, not trace file contents.
-    Config replayed = apply_scheme(cfg, scheme);
-    resolved_cfg = replayed;
-    fabric_tag = da2mesh ? "da2mesh" : exec::fabric_cache_tag(replayed);
-    try {
-      Trace trace = Trace::load(replay_path);
-      TraceFileSource source(std::move(trace), replayed.num_ccs(),
-                             replayed.warps_per_core, replayed.line_bytes);
-      GpgpuSim sim(replayed, &source, da2mesh);
-      const int status = run_observed(sim, obs, exec_opts.sample_interval, m);
-      if (status != 0) return status;
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
-  } else if (obs.any()) {
-    // Observed runs execute the simulator directly — the exec workers own
-    // their simulators, so there is nothing to attach a tracer to. The
-    // config goes through the same resolve_cell_config() as the exec path,
-    // so seed derivation (and therefore every metric) matches bit-for-bit.
+  if (!replay_path.empty() || obs.any()) {
+    // Direct runs. Replays bypass the exec cache: its key covers named
+    // benchmarks, not trace file contents. Observed runs need a simulator
+    // to attach to, and the exec workers own theirs; their config goes
+    // through the same resolve_cell_config() as the exec path, so seed
+    // derivation (and therefore every metric) matches bit-for-bit.
+    const bool replay = !replay_path.empty();
     const BenchmarkTraits* traits = find_benchmark(benchmark);
-    if (traits == nullptr) {
+    if (!replay && traits == nullptr) {
       std::fprintf(stderr, "unknown benchmark '%s' (see --list-benchmarks)\n",
                    benchmark.c_str());
       return 2;
     }
     try {
-      const Config resolved = resolve_cell_config(cfg, scheme, benchmark);
-      resolved_cfg = resolved;
-      fabric_tag = da2mesh ? "da2mesh" : exec::fabric_cache_tag(resolved);
-      GpgpuSim sim(resolved, *traits, da2mesh);
+      resolved_cfg = replay ? apply_scheme(cfg, scheme)
+                            : resolve_cell_config(cfg, scheme, benchmark);
+      fabric_tag = da2mesh ? "da2mesh" : exec::fabric_cache_tag(resolved_cfg);
+      std::optional<TraceFileSource> source;
+      if (replay) {
+        source.emplace(Trace::load(replay_path), resolved_cfg.num_ccs(),
+                       resolved_cfg.warps_per_core, resolved_cfg.line_bytes);
+      }
+      GpgpuSim sim = source ? GpgpuSim(resolved_cfg, &*source, da2mesh)
+                            : GpgpuSim(resolved_cfg, *traits, da2mesh);
       const int status = run_observed(sim, obs, exec_opts.sample_interval, m);
       if (status != 0) return status;
     } catch (const std::invalid_argument& e) {

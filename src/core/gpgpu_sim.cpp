@@ -575,7 +575,7 @@ void GpgpuSim::attach_tracer(obs::PacketTracer* t) {
 
 void GpgpuSim::attach_attributor(obs::LatencyAttributor* a) {
   attr_ = a;
-  if (a) a->set_topology(&fabric_.graph());
+  if (a) a->set_topology(fabric_, cfg_.num_vcs);
   attach_observers();
 }
 

@@ -208,13 +208,7 @@ void Network::step(Cycle now) {
 
 double Network::internal_link_utilization(Cycle elapsed) const {
   if (elapsed == 0 || num_internal_links_ == 0) return 0.0;
-  std::uint64_t flits = 0;
-  for (const auto& r : routers_) {
-    for (int dir = 0; dir < fabric_->max_ports(); ++dir) {
-      flits += r->flits_sent(dir);
-    }
-  }
-  return static_cast<double>(flits) /
+  return static_cast<double>(internal_flits_total()) /
          (static_cast<double>(elapsed) * num_internal_links_);
 }
 

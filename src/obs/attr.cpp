@@ -1,11 +1,13 @@
 #include "obs/attr.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
 
 #include "obs/regress/json.hpp"
+#include "topo/fabric.hpp"
 #include "topo/graph.hpp"
 
 namespace arinoc::obs {
@@ -22,21 +24,44 @@ const char* attr_stage_name(AttrStage s) {
   return "?";
 }
 
-LatencyAttributor::LatencyAttributor(Cycle window_cycles,
-                                     std::size_t packet_capacity)
-    : window_(window_cycles == 0 ? kDefaultWindow : window_cycles),
-      packet_capacity_(packet_capacity == 0 ? 1 : packet_capacity) {
-  ring_.resize(packet_capacity_);
+LatencyAttributor::LatencyAttributor(Cycle window_cycles)
+    : window_(window_cycles == 0 ? kDefaultWindow : window_cycles) {
   if ((window_ & (window_ - 1)) == 0) {
     win_shift_ = 0;
     for (Cycle w = window_; w > 1; w >>= 1) ++win_shift_;
   }
 }
 
+void LatencyAttributor::set_topology(const topo::Fabric& fabric,
+                                     std::uint32_t num_vcs) {
+  graph_ = fabric.graph();
+  const auto nodes = static_cast<std::size_t>(fabric.nodes());
+  const auto ports = static_cast<std::size_t>(fabric.local_port()) + 2;
+  const std::size_t vcs = std::size_t{num_vcs} + 1;
+  if (nodes == nodes_ && ports == ports_ && vcs == vcs_) return;
+  nodes_ = nodes;
+  ports_ = ports;
+  vcs_ = vcs;
+  loc_.assign(2 * kNumAttrStages * nodes_ * ports_ * vcs_, LocSums{});
+  win_cur_.assign(2 * nodes_ * ports_ * vcs_ * kNumPacketTypes, WinSums{});
+}
+
+LatencyAttributor::Site LatencyAttributor::site_of(std::size_t index) const {
+  Site s;
+  s.vc = static_cast<int>(index % vcs_) - 1;
+  index /= vcs_;
+  s.port = static_cast<int>(index % ports_) - 1;
+  index /= ports_;
+  s.node = static_cast<NodeId>(index % nodes_);
+  s.outer = index / nodes_;
+  return s;
+}
+
 void LatencyAttributor::add_loc(std::uint8_t net, AttrStage stage,
                                 NodeId node, int port, int vc,
                                 std::uint64_t cycles) {
-  LocSums& s = loc_[loc_key(net, stage, node, port, vc)];
+  LocSums& s = loc_[site_index(
+      net * kNumAttrStages + static_cast<std::size_t>(stage), node, port, vc)];
   s.cycles += cycles;
   ++s.count;
   attributed_net_[net] += cycles;
@@ -128,9 +153,8 @@ void LatencyAttributor::on_link_depart(std::uint8_t net, PacketId id,
   const std::uint64_t d = now - s.last;
   s.stage[static_cast<std::size_t>(AttrStage::kSwWait)] += d;
   add_loc(net, AttrStage::kSwWait, node, out_port, s.pending_vc, d);
-  WinSums& w = win_cell(window_index(now),
-                        win_key(window_index(now), net, node, out_port,
-                                s.pending_vc, s.type));
+  WinSums& w = win_cell(window_index(now), net, node, out_port,
+                        s.pending_vc, s.type);
   w.vc_wait += s.hop_vc_wait;
   w.sw_wait += d;
   ++w.count;
@@ -146,9 +170,8 @@ void LatencyAttributor::on_eject_start(std::uint8_t net, PacketId id,
   s.stage[static_cast<std::size_t>(AttrStage::kSwWait)] += d;
   // port -1 marks the ejection output (it is not a link).
   add_loc(net, AttrStage::kSwWait, node, -1, -1, d);
-  WinSums& w = win_cell(window_index(now),
-                        win_key(window_index(now), net, node, -1,
-                                s.pending_vc, s.type));
+  WinSums& w = win_cell(window_index(now), net, node, -1, s.pending_vc,
+                        s.type);
   w.vc_wait += s.hop_vc_wait;
   w.sw_wait += d;
   ++w.count;
@@ -164,17 +187,8 @@ void LatencyAttributor::on_deliver(std::uint8_t net, PacketId id, Cycle now) {
   s.stage[static_cast<std::size_t>(AttrStage::kEject)] += d;
   add_loc(net, AttrStage::kEject, s.node, -1, -1, d);
 
-  PacketAttr a;
-  a.pkt = id;
-  a.net = net;
-  a.type = s.type;
-  a.src = s.src;
-  a.dest = s.node;
-  a.origin = s.origin;
-  a.delivered = now;
   std::uint64_t sum = 0;
   for (std::size_t i = 0; i < kNumAttrStages; ++i) {
-    a.stage[i] = s.stage[i];
     sum += s.stage[i];
     stage_totals_[net][i] += s.stage[i];
   }
@@ -186,10 +200,6 @@ void LatencyAttributor::on_deliver(std::uint8_t net, PacketId id, Cycle now) {
   ++t.delivered;
   t.e2e += now - s.origin;
   for (std::size_t i = 0; i < kNumAttrStages; ++i) t.stage[i] += s.stage[i];
-
-  ring_[ring_head_] = a;
-  ring_head_ = ring_head_ + 1 == ring_.size() ? 0 : ring_head_ + 1;
-  if (ring_size_ < ring_.size()) ++ring_size_;
   s.active = false;
   --inflight_;
 }
@@ -203,41 +213,19 @@ void LatencyAttributor::on_drop(std::uint8_t net, PacketId id, Cycle now) {
   --inflight_;
 }
 
-std::vector<PacketAttr> LatencyAttributor::packets() const {
-  std::vector<PacketAttr> out;
-  out.reserve(ring_size_);
-  const std::size_t start =
-      ring_size_ < ring_.size() ? 0 : ring_head_;  // Oldest surviving entry.
-  for (std::size_t i = 0; i < ring_size_; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
-  return out;
-}
-
 std::vector<BottleneckEntry> LatencyAttributor::bottlenecks(
     std::size_t k) const {
-  std::vector<std::pair<std::uint64_t, LocSums>> rows;
-  rows.reserve(loc_.size());
-  loc_.for_each([&rows](std::uint64_t key, const LocSums& sums) {
-    rows.push_back({key, sums});
-  });
-  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    if (a.second.cycles != b.second.cycles) {
-      return a.second.cycles > b.second.cycles;
-    }
-    return a.first < b.first;  // Deterministic tie-break on the packed key.
-  });
-  if (rows.size() > k) rows.resize(k);
-
   std::vector<BottleneckEntry> out;
-  out.reserve(rows.size());
-  for (const auto& [key, sums] : rows) {
+  for (std::size_t i = 0; i < loc_.size(); ++i) {
+    const LocSums& sums = loc_[i];
+    if (sums.count == 0) continue;
+    const Site site = site_of(i);
     BottleneckEntry e;
-    e.net = static_cast<std::uint8_t>((key >> 39) & 1);
-    e.stage = static_cast<AttrStage>((key >> 36) & 0x7);
-    e.node = static_cast<NodeId>((key >> 16) & 0xFFFFF);
-    e.port = static_cast<int>((key >> 8) & 0xFF) - 1;
-    e.vc = static_cast<int>(key & 0xFF) - 1;
+    e.net = static_cast<std::uint8_t>(site.outer / kNumAttrStages);
+    e.stage = static_cast<AttrStage>(site.outer % kNumAttrStages);
+    e.node = site.node;
+    e.port = site.port;
+    e.vc = site.vc;
     e.cycles = sums.cycles;
     e.count = sums.count;
     e.share = attributed_net_[e.net] == 0
@@ -246,44 +234,46 @@ std::vector<BottleneckEntry> LatencyAttributor::bottlenecks(
                         static_cast<double>(attributed_net_[e.net]);
     out.push_back(e);
   }
+  // Table order breaks ties, which keeps the ranking deterministic.
+  std::stable_sort(out.begin(), out.end(),
+                   [](const BottleneckEntry& a, const BottleneckEntry& b) {
+                     return a.cycles > b.cycles;
+                   });
+  if (out.size() > k) out.resize(k);
   return out;
 }
 
-std::vector<AttrWindowCell> LatencyAttributor::window_series() const {
-  std::vector<std::pair<std::uint64_t, WinSums>> rows = win_done_;
-  rows.reserve(rows.size() + win_cur_.size());
-  win_cur_.for_each([&rows](std::uint64_t key, const WinSums& sums) {
-    rows.push_back({key, sums});
-  });
-  std::sort(rows.begin(), rows.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  // Merge duplicate keys (a window that reappeared after being flushed).
-  std::size_t w_out = 0;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (w_out > 0 && rows[w_out - 1].first == rows[i].first) {
-      rows[w_out - 1].second.vc_wait += rows[i].second.vc_wait;
-      rows[w_out - 1].second.sw_wait += rows[i].second.sw_wait;
-      rows[w_out - 1].second.count += rows[i].second.count;
-    } else {
-      rows[w_out++] = rows[i];
-    }
-  }
-  rows.resize(w_out);
-  std::vector<AttrWindowCell> out;
-  out.reserve(rows.size());
-  for (const auto& [key, w] : rows) {
+void LatencyAttributor::flush_window(std::uint32_t next_window) {
+  // Windows only move forward between clear()s, so the flushed windows stay
+  // in (window, table index) order and window_series() needs no sort.
+  assert(next_window > win_cur_window_);
+  append_window(win_done_);
+  std::fill(win_cur_.begin(), win_cur_.end(), WinSums{});
+  win_cur_window_ = next_window;
+}
+
+void LatencyAttributor::append_window(std::vector<AttrWindowCell>& out) const {
+  for (std::size_t i = 0; i < win_cur_.size(); ++i) {
+    const WinSums& w = win_cur_[i];
+    if (w.count == 0) continue;
+    const Site site = site_of(i / kNumPacketTypes);
     AttrWindowCell c;
-    c.window = static_cast<std::uint32_t>(key >> 39);
-    c.net = static_cast<std::uint8_t>((key >> 38) & 1);
-    c.node = static_cast<NodeId>((key >> 18) & 0xFFFFF);
-    c.port = static_cast<int>((key >> 10) & 0xFF) - 1;
-    c.vc = static_cast<int>((key >> 2) & 0xFF) - 1;
-    c.type = static_cast<PacketType>(key & 0x3);
+    c.window = win_cur_window_;
+    c.net = static_cast<std::uint8_t>(site.outer);
+    c.node = site.node;
+    c.port = site.port;
+    c.vc = site.vc;
+    c.type = static_cast<PacketType>(i % kNumPacketTypes);
     c.vc_wait = w.vc_wait;
     c.sw_wait = w.sw_wait;
     c.count = w.count;
     out.push_back(c);
   }
+}
+
+std::vector<AttrWindowCell> LatencyAttributor::window_series() const {
+  std::vector<AttrWindowCell> out = win_done_;
+  append_window(out);
   return out;
 }
 
@@ -291,7 +281,7 @@ std::string LatencyAttributor::node_label(std::uint8_t net,
                                           NodeId node) const {
   (void)net;
   if (node == kInvalidNode) return "?";
-  if (has_graph_ && node >= 0 && node < graph_.num_nodes()) {
+  if (node >= 0 && node < graph_.num_nodes()) {
     const topo::NodeRole r = graph_.roles[static_cast<std::size_t>(node)];
     const char* prefix = r == topo::NodeRole::kMC
                              ? "mc"
@@ -308,12 +298,10 @@ std::string LatencyAttributor::entry_label(const BottleneckEntry& e) const {
   if (e.port >= 0) {
     // Resolve the link's downstream endpoint when the graph is available.
     NodeId dst = kInvalidNode;
-    if (has_graph_) {
-      for (const topo::GraphLink& l : graph_.links) {
-        if (l.src == e.node && l.src_port == e.port) {
-          dst = l.dst;
-          break;
-        }
+    for (const topo::GraphLink& l : graph_.links) {
+      if (l.src == e.node && l.src_port == e.port) {
+        dst = l.dst;
+        break;
       }
     }
     if (dst != kInvalidNode) {
@@ -425,8 +413,8 @@ void LatencyAttributor::clear() {
   live_[0].clear();
   live_[1].clear();
   inflight_ = 0;
-  loc_.clear();
-  win_cur_.clear();
+  std::fill(loc_.begin(), loc_.end(), LocSums{});
+  std::fill(win_cur_.begin(), win_cur_.end(), WinSums{});
   win_cur_window_ = 0;
   win_done_.clear();
   for (std::uint8_t net = 0; net < 2; ++net) {
@@ -438,8 +426,6 @@ void LatencyAttributor::clear() {
     attributed_net_[net] = 0;
     for (auto& t : type_sums_[net]) t = TypeSums{};
   }
-  ring_head_ = 0;
-  ring_size_ = 0;
   delivered_ = 0;
   dropped_ = 0;
   violations_ = 0;

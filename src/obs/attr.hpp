@@ -30,6 +30,11 @@
 //    report ("reply ni_queue at mc21: 61% of attributed reply cycles");
 //  * per-(link, vc, type) time-windowed congestion series for the heatmap
 //    dashboard (attr_html_document()).
+// Location totals and the current window's cells are dense tables sized by
+// set_topology() from the fabric's node count, radix and VC count (see
+// docs/observability.md for their size); a hook is an index computation and
+// an add. Per-packet decompositions are not kept: each is checked for
+// conservation at delivery and folded into the totals.
 //
 // The hooks arrive through the NoC's one per-packet event sink
 // (obs/sink.hpp), shared with the PacketTracer; with no observer attached
@@ -38,87 +43,20 @@
 // smoke).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
 #include "noc/packet.hpp"
 #include "topo/graph.hpp"
 
+namespace arinoc::topo {
+class Fabric;
+}  // namespace arinoc::topo
+
 namespace arinoc::obs {
-
-/// Open-addressed u64 -> V accumulator map for the attribution hot paths:
-/// linear probing over a power-of-two slot array, insert-or-find only
-/// (no erase; clear() drops everything). Keys are stored biased by +1 so 0
-/// marks an empty slot — the packed location/window keys can legitimately
-/// be 0 and can never be UINT64_MAX.
-template <typename V>
-class AttrFlatMap {
- public:
-  V& operator[](std::uint64_t key) {
-    if ((size_ + 1) * 4 > slots_.size() * 3) grow();
-    const std::uint64_t k1 = key + 1;
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = mix(key) & mask;
-    while (true) {
-      Slot& s = slots_[i];
-      if (s.key1 == k1) return s.v;
-      if (s.key1 == 0) {
-        s.key1 = k1;
-        ++size_;
-        return s.v;
-      }
-      i = (i + 1) & mask;
-    }
-  }
-
-  std::size_t size() const { return size_; }
-
-  /// Empties the map but keeps the slot array allocated (the window staging
-  /// map is cleared once per window and immediately refilled).
-  void clear() {
-    for (Slot& s : slots_) s = Slot{};
-    size_ = 0;
-  }
-
-  template <typename F>
-  void for_each(F f) const {
-    for (const Slot& s : slots_) {
-      if (s.key1 != 0) f(s.key1 - 1, s.v);
-    }
-  }
-
- private:
-  struct Slot {
-    std::uint64_t key1 = 0;  ///< key + 1; 0 = empty.
-    V v{};
-  };
-
-  // splitmix64 finalizer: the packed keys differ mostly in their low bits.
-  static std::size_t mix(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return static_cast<std::size_t>(x ^ (x >> 31));
-  }
-
-  void grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? 1024 : old.size() * 2, Slot{});
-    const std::size_t mask = slots_.size() - 1;
-    for (const Slot& s : old) {
-      if (s.key1 == 0) continue;
-      std::size_t i = mix(s.key1 - 1) & mask;
-      while (slots_[i].key1 != 0) i = (i + 1) & mask;
-      slots_[i] = s;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t size_ = 0;
-};
 
 enum class AttrStage : std::uint8_t {
   kNiQueue = 0,
@@ -131,25 +69,6 @@ enum class AttrStage : std::uint8_t {
 inline constexpr std::size_t kNumAttrStages = 6;
 
 const char* attr_stage_name(AttrStage s);
-
-/// Finalized decomposition of one delivered packet.
-struct PacketAttr {
-  PacketId pkt = kInvalidPacket;
-  std::uint8_t net = 0;  ///< 0 = request network, 1 = reply network.
-  PacketType type = PacketType::kReadRequest;
-  NodeId src = kInvalidNode;
-  NodeId dest = kInvalidNode;
-  Cycle origin = 0;     ///< First NI accept (of the original incarnation).
-  Cycle delivered = 0;  ///< Handed to the sink.
-  std::uint64_t stage[kNumAttrStages] = {};
-
-  std::uint64_t e2e() const { return delivered - origin; }
-  std::uint64_t stage_sum() const {
-    std::uint64_t s = 0;
-    for (const std::uint64_t v : stage) s += v;
-    return s;
-  }
-};
 
 /// One row of the top-k bottleneck report: total cycles a stage accumulated
 /// at one location, over all packets that crossed it (delivered or not).
@@ -170,8 +89,7 @@ struct AttrWindowCell {
   std::uint32_t window = 0;  ///< Window index (cycle / window_cycles).
   std::uint8_t net = 0;
   NodeId node = kInvalidNode;  ///< Upstream router of the link.
-  int port = -1;               ///< Output port (the link), or the ejection
-                               ///< port sentinel given at construction.
+  int port = -1;               ///< Output port (the link); -1 = ejection.
   int vc = -1;
   PacketType type = PacketType::kReadRequest;
   std::uint64_t vc_wait = 0;
@@ -182,22 +100,16 @@ struct AttrWindowCell {
 class LatencyAttributor {
  public:
   static constexpr Cycle kDefaultWindow = 512;
-  static constexpr std::size_t kDefaultPacketCapacity = 1u << 16;
 
-  explicit LatencyAttributor(Cycle window_cycles = kDefaultWindow,
-                             std::size_t packet_capacity =
-                                 kDefaultPacketCapacity);
+  explicit LatencyAttributor(Cycle window_cycles = kDefaultWindow);
 
-  /// Optional fabric graph for node-role labels and dashboard coordinates.
-  /// Copied, so reports stay valid after the simulator that attached us
-  /// (and the graph it owns) are gone.
-  void set_topology(const topo::FabricGraph* graph) {
-    has_graph_ = graph != nullptr;
-    graph_ = has_graph_ ? *graph : topo::FabricGraph{};
-  }
-  const topo::FabricGraph* topology() const {
-    return has_graph_ ? &graph_ : nullptr;
-  }
+  /// Sizes the location and window tables for `fabric` with `num_vcs` VCs
+  /// per port; must precede the first hook. The fabric's graph is copied
+  /// for node-role labels, so reports stay valid after the simulator that
+  /// attached us (and the fabric it owns) are gone. Re-attaching to a
+  /// fabric of the same shape keeps what was accumulated; another shape
+  /// starts both tables afresh.
+  void set_topology(const topo::Fabric& fabric, std::uint32_t num_vcs);
 
   // ---- Hook points (called by NI / router / network / fault code) ----
   void on_ni_enqueue(std::uint8_t net, PacketId id, PacketType type,
@@ -225,10 +137,6 @@ class LatencyAttributor {
   /// Packets still in flight (attributed but not yet delivered/dropped).
   std::uint64_t inflight() const { return inflight_; }
 
-  /// Finalized per-packet decompositions, oldest first (bounded ring:
-  /// overwrites the oldest entry past `packet_capacity`).
-  std::vector<PacketAttr> packets() const;
-
   /// Total cycles stage `s` accumulated on `net` over delivered packets.
   std::uint64_t stage_total(std::uint8_t net, AttrStage s) const {
     return stage_totals_[net][static_cast<std::size_t>(s)];
@@ -241,7 +149,8 @@ class LatencyAttributor {
   }
 
   /// Top-k locations by accumulated stage cycles, both networks merged,
-  /// ranked by cycles descending (deterministic tie-break on the key).
+  /// ranked by cycles descending (ties in (net, stage, node, port, vc)
+  /// order).
   std::vector<BottleneckEntry> bottlenecks(std::size_t k) const;
 
   /// Windowed congestion series, sorted by (window, net, node, port, vc,
@@ -284,29 +193,23 @@ class LatencyAttributor {
     return &v[id];
   }
 
-  /// Location key: net(1b) | stage(3b) | node(20b) | port+1(8b) | vc+1(8b).
-  static std::uint64_t loc_key(std::uint8_t net, AttrStage stage, NodeId node,
-                               int port, int vc) {
-    return (static_cast<std::uint64_t>(net) << 39) |
-           (static_cast<std::uint64_t>(stage) << 36) |
-           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(node)) <<
-            16) |
-           (static_cast<std::uint64_t>(port + 1) << 8) |
-           static_cast<std::uint64_t>(vc + 1);
+  /// Dense table index of one (outer, node, port, vc) site: `outer` is
+  /// net * kNumAttrStages + stage for location totals and net for window
+  /// cells. Ascending index order is (outer, node, port, vc) order.
+  std::size_t site_index(std::size_t outer, NodeId node, int port,
+                         int vc) const {
+    return ((outer * nodes_ + static_cast<std::size_t>(node)) * ports_ +
+            static_cast<std::size_t>(port + 1)) *
+               vcs_ +
+           static_cast<std::size_t>(vc + 1);
   }
-  /// Window-series key: window(24b) | net(1b) | node(20b) | port+1(8b) |
-  /// vc+1(8b) | type(2b).
-  static std::uint64_t win_key(std::uint32_t window, std::uint8_t net,
-                               NodeId node, int port, int vc,
-                               PacketType type) {
-    return (static_cast<std::uint64_t>(window) << 39) |
-           (static_cast<std::uint64_t>(net) << 38) |
-           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(node)) <<
-            18) |
-           (static_cast<std::uint64_t>(port + 1) << 10) |
-           (static_cast<std::uint64_t>(vc + 1) << 2) |
-           static_cast<std::uint64_t>(type);
-  }
+  struct Site {
+    std::size_t outer = 0;
+    NodeId node = kInvalidNode;
+    int port = -1;
+    int vc = -1;
+  };
+  Site site_of(std::size_t index) const;
 
   struct LocSums {
     std::uint64_t cycles = 0;
@@ -331,33 +234,35 @@ class LatencyAttributor {
     return static_cast<std::uint32_t>(win_shift_ >= 0 ? now >> win_shift_
                                                       : now / window_);
   }
-  /// The window-series cell for `key` in `window`. Writes always land in the
-  /// small current-window staging map (hot in cache); when the window
-  /// advances, the finished window's cells are flushed to `win_done_` so the
-  /// staging map never grows with run length.
-  WinSums& win_cell(std::uint32_t window, std::uint64_t key) {
-    if (window != win_cur_window_) {
-      flush_window();
-      win_cur_window_ = window;
-    }
-    return win_cur_[key];
+  /// The window-series cell of (net, node, port, vc, type) in `window`.
+  /// Writes land in the current window's table; when the window advances,
+  /// flush_window() moves its cells to `win_done_`.
+  WinSums& win_cell(std::uint32_t window, std::uint8_t net, NodeId node,
+                    int port, int vc, PacketType type) {
+    if (window != win_cur_window_) flush_window(window);
+    return win_cur_[site_index(net, node, port, vc) * kNumPacketTypes +
+                    static_cast<std::size_t>(type)];
   }
-  void flush_window() {
-    win_cur_.for_each([this](std::uint64_t key, const WinSums& w) {
-      win_done_.push_back({key, w});
-    });
-    win_cur_.clear();
-  }
+  void flush_window(std::uint32_t next_window);
+  /// Appends the current window's non-empty cells in table order.
+  void append_window(std::vector<AttrWindowCell>& out) const;
 
   Cycle window_;
   int win_shift_ = -1;  ///< log2(window_) when window_ is a power of two.
-  std::size_t packet_capacity_;
   std::vector<Live> live_[2];  ///< Indexed by PacketId (arena slot).
   std::uint64_t inflight_ = 0;
-  AttrFlatMap<LocSums> loc_;
-  AttrFlatMap<WinSums> win_cur_;  ///< Cells of the window being recorded.
+  // Table shape, from set_topology(): ports run from -1 (not port-bound;
+  // ejection in the series) to the local port, VCs from -1 to num_vcs - 1.
+  std::size_t nodes_ = 0;
+  std::size_t ports_ = 0;  ///< local_port() + 2.
+  std::size_t vcs_ = 0;    ///< num_vcs + 1.
+  /// Location totals, indexed site_index(net * kNumAttrStages + stage, ...).
+  std::vector<LocSums> loc_;
+  /// Cells of the window being recorded, indexed site_index(net, ...) *
+  /// kNumPacketTypes + type.
+  std::vector<WinSums> win_cur_;
   std::uint32_t win_cur_window_ = 0;
-  std::vector<std::pair<std::uint64_t, WinSums>> win_done_;
+  std::vector<AttrWindowCell> win_done_;  ///< Flushed windows, in order.
   // Per-net aggregates over delivered packets (exact e2e partition).
   std::uint64_t stage_totals_[2][kNumAttrStages] = {};
   std::uint64_t e2e_totals_[2] = {};
@@ -365,16 +270,11 @@ class LatencyAttributor {
   /// Event-time cycles attributed per net (delivered or not); bottleneck
   /// shares are fractions of this.
   std::uint64_t attributed_net_[2] = {};
-  TypeSums type_sums_[2][4];
-  // Finalized-packet ring.
-  std::vector<PacketAttr> ring_;
-  std::size_t ring_head_ = 0;
-  std::size_t ring_size_ = 0;
+  TypeSums type_sums_[2][kNumPacketTypes];
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t violations_ = 0;
-  topo::FabricGraph graph_{};
-  bool has_graph_ = false;
+  topo::FabricGraph graph_{};  ///< Empty until set_topology().
 };
 
 /// Self-contained HTML dashboard: per-link stage heatmap over the fabric
