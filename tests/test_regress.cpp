@@ -136,6 +136,40 @@ TEST(RegressProvenance, DeterministicRenderingDropsEnvironment) {
   ASSERT_TRUE(json_parse(det).ok);
 }
 
+// Every environment field fixed, so the volatile half is pinned too: an
+// escaped host, a full-range seed, and wall_s on a rounding tie.
+Provenance pinned_provenance() {
+  Provenance p;
+  p.version = "9.9.9-pin";
+  p.config_hash = "0123456789abcdef";
+  p.scheme = "Ada-ARI";
+  p.benchmark = "bfs";
+  p.fabric = "file:00000000deadbeef";
+  p.seed = 18446744073709551615ull;
+  p.host = "node\t7";
+  p.platform = "linux";
+  p.unix_time_s = 1700000000;
+  return p;
+}
+
+TEST(RegressProvenance, JsonBytesArePinned) {
+  const std::string identity =
+      R"({"schema": "arinoc-provenance-v1", "version": "9.9.9-pin", )"
+      R"("config_hash": "0123456789abcdef", "scheme": "Ada-ARI", )"
+      R"("benchmark": "bfs", "fabric": "file:00000000deadbeef", )"
+      R"("seed": 18446744073709551615)";
+  const std::string env =
+      R"(, "host": "node\t7", "platform": "linux", "unix_time_s": 1700000000)";
+  Provenance p = pinned_provenance();
+  p.wall_s = 12.3456;
+  EXPECT_EQ(provenance_json(p), identity + env + R"(, "wall_s": 12.346})");
+  p.wall_s = 0.0625;
+  EXPECT_EQ(provenance_json(p), identity + env + R"(, "wall_s": 0.062})");
+  p.wall_s = -1.0;
+  EXPECT_EQ(provenance_json(p), identity + env + "}");
+  EXPECT_EQ(provenance_json(p, /*deterministic=*/true), identity + "}");
+}
+
 // ---------------------------------------------------------------------------
 // Baseline store: snapshot extraction, byte-exact round trip, error paths.
 
@@ -200,6 +234,27 @@ TEST(RegressBaseline, JsonRoundTripIsByteExact) {
   ASSERT_EQ(back.metrics.size(), e.metrics.size());
   // Render the reparsed entry again: byte-identical (the golden contract).
   EXPECT_EQ(baseline_entry_json(back), once);
+}
+
+TEST(RegressBaseline, EntryJsonBytesArePinned) {
+  BaselineEntry e;
+  e.provenance = pinned_provenance();
+  e.metrics = {{"cycles", 2000.0},        {"ipc", 0.1 * 3},
+               {"request_latency", 1.5e-7}, {"energy_total_nj", 131.625},
+               {"goodput", -0.0},         {"big", 1e21}};
+  EXPECT_EQ(baseline_entry_json(e), R"({
+  "schema": "arinoc-baseline-v1",
+  "provenance": {"schema": "arinoc-provenance-v1", "version": "9.9.9-pin", "config_hash": "0123456789abcdef", "scheme": "Ada-ARI", "benchmark": "bfs", "fabric": "file:00000000deadbeef", "seed": 18446744073709551615},
+  "metrics": {
+    "cycles": 2000,
+    "ipc": 0.30000000000000004,
+    "request_latency": 1.4999999999999999e-07,
+    "energy_total_nj": 131.625,
+    "goodput": -0,
+    "big": 1e+21
+  }
+}
+)");
 }
 
 TEST(RegressBaseline, WriteLoadRoundTripOnDisk) {
@@ -474,6 +529,36 @@ TEST(RegressTrend, JsonAndHtmlRender) {
   EXPECT_NE(html.find("polyline"), std::string::npos);
   EXPECT_NE(html.find("test trend"), std::string::npos);
   EXPECT_NE(html.find("activity_cps"), std::string::npos);
+}
+
+TEST(RegressTrend, JsonBytesArePinned) {
+  TrendBuilder trend;
+  trend.add_snapshot_text("day \"1\"", R"({"schema": "arinoc-bench-v1",
+    "kind": "serving", "quick": false, "cells": [
+      {"scheme": "Ada-ARI", "load": 0.25, "ipc": 0.30000000000000004,
+       "p99": 123456789, "ok": true},
+      {"scheme": "XY-Baseline", "load": 0.25, "ipc": 1.5e-7, "p99": -2.5,
+       "ok": false}],
+    "geomean_speedup": 1.15400000001})");
+  trend.add_snapshot_text("day2", R"({"schema": "arinoc-bench-v1",
+    "kind": "serving", "quick": false, "cells": [
+      {"scheme": "Ada-ARI", "load": 0.25, "ipc": 1234567.5, "p99": 1e21,
+       "ok": true}],
+    "geomean_speedup": 2})");
+  EXPECT_EQ(trend.to_json(), R"({
+  "schema": "arinoc-trend-v1",
+  "snapshots": ["day \"1\"", "day2"],
+  "series": [
+    {"cell": "serving", "metric": "geomean_speedup", "points": [{"snapshot": 0, "value": 1.154}, {"snapshot": 1, "value": 2}]},
+    {"cell": "serving/scheme=Ada-ARI load=0.25", "metric": "ipc", "points": [{"snapshot": 0, "value": 0.3}, {"snapshot": 1, "value": 1.23457e+06}]},
+    {"cell": "serving/scheme=Ada-ARI load=0.25", "metric": "ok", "points": [{"snapshot": 0, "value": 1}, {"snapshot": 1, "value": 1}]},
+    {"cell": "serving/scheme=Ada-ARI load=0.25", "metric": "p99", "points": [{"snapshot": 0, "value": 1.23457e+08}, {"snapshot": 1, "value": 1e+21}]},
+    {"cell": "serving/scheme=XY-Baseline load=0.25", "metric": "ipc", "points": [{"snapshot": 0, "value": 1.5e-07}]},
+    {"cell": "serving/scheme=XY-Baseline load=0.25", "metric": "ok", "points": [{"snapshot": 0, "value": 0}]},
+    {"cell": "serving/scheme=XY-Baseline load=0.25", "metric": "p99", "points": [{"snapshot": 0, "value": -2.5}]}
+  ]
+}
+)");
 }
 
 // ---------------------------------------------------------------------------
