@@ -130,6 +130,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -144,6 +145,7 @@
 #include "obs/attr.hpp"
 #include "obs/regress/baseline.hpp"
 #include "obs/regress/compare.hpp"
+#include "obs/regress/json.hpp"
 #include "obs/regress/provenance.hpp"
 #include "obs/selfprof.hpp"
 #include "obs/trace.hpp"
@@ -329,16 +331,6 @@ bool require_parent_dir(const std::string& path, const char* flag) {
   return false;
 }
 
-bool write_file(const std::string& path, const std::string& body) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (out) out << body;
-  if (!out) {
-    std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
 /// Runs an observed simulation: attaches the requested observers, runs, and
 /// writes every requested artifact — including after a watchdog trip.
 /// Returns the process exit status; fills `m` on success.
@@ -366,34 +358,33 @@ int run_observed(GpgpuSim& sim, const ObsOptions& obs, Cycle sample_interval,
   if (!obs.self_profile.empty()) prof.finish(sim.now());
   if (status == 0) m = sim.collect();
 
+  // Each requested artifact streams into its file; the first one that cannot
+  // be written turns a clean run's status into 1.
+  using obs::regress::JsonWriter;
+  const auto write = [&status](const std::string& path,
+                               const std::function<void(JsonWriter&)>& emit) {
+    if (path.empty() || obs::regress::write_json_file(path, emit)) return;
+    std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
+    if (status == 0) status = 1;
+  };
   if (obs.trace) {
-    const std::string path = obs.trace_out.empty()
-                                 ? std::string("arinoc-trace.json")
-                                 : obs.trace_out;
-    if (!write_file(path, tracer.to_chrome_json()) && status == 0) status = 1;
+    write(obs.trace_out.empty() ? "arinoc-trace.json" : obs.trace_out,
+          [&](JsonWriter& w) { w.raw(tracer.to_chrome_json()); });
   }
-  if (!obs.sample_out.empty() && sim.sampler() != nullptr) {
-    if (!write_file(obs.sample_out, sim.sampler()->to_jsonl()) && status == 0)
-      status = 1;
+  if (sim.sampler() != nullptr) {
+    write(obs.sample_out,
+          [&](JsonWriter& w) { sim.sampler()->write_jsonl(w); });
   }
-  if (!obs.counters_out.empty()) {
-    if (!write_file(obs.counters_out, sim.counters().to_json() + "\n") &&
-        status == 0)
-      status = 1;
-  }
-  if (!obs.attr_out.empty()) {
-    if (!write_file(obs.attr_out, attr.to_json() + "\n") && status == 0)
-      status = 1;
-  }
-  if (!obs.attr_html.empty()) {
-    const std::string html =
-        obs::attr_html_document(attr, &sim.fabric().graph());
-    if (!write_file(obs.attr_html, html) && status == 0) status = 1;
-  }
-  if (!obs.self_profile.empty()) {
-    if (!write_file(obs.self_profile, prof.to_jsonl()) && status == 0)
-      status = 1;
-  }
+  write(obs.counters_out,
+        [&](JsonWriter& w) { w.raw(sim.counters().to_json()).raw("\n"); });
+  write(obs.attr_out, [&](JsonWriter& w) {
+    attr.write_json(w);
+    w.raw("\n");
+  });
+  write(obs.attr_html, [&](JsonWriter& w) {
+    w.raw(obs::attr_html_document(attr, &sim.fabric().graph()));
+  });
+  write(obs.self_profile, [&](JsonWriter& w) { w.raw(prof.to_jsonl()); });
   if (!trip_text.empty()) std::fprintf(stderr, "%s", trip_text.c_str());
   return status;
 }

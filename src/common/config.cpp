@@ -1,9 +1,10 @@
 #include "common/config.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <sstream>
+
+#include "common/hex.hpp"
 
 namespace arinoc {
 
@@ -166,9 +167,7 @@ std::string Config::canonical_string() const {
     os << name << '=' << v << '\n';
   };
   auto d = [&os](const char* name, double v) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%a", v);  // Hexfloat: exact round trip.
-    os << name << '=' << buf << '\n';
+    os << name << '=' << hex_double(v) << '\n';
   };
   u("mesh_width", mesh_width);
   u("mesh_height", mesh_height);

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <string_view>
 #include <type_traits>
 
 #include "core/metric_fields.hpp"
+#include "obs/regress/json.hpp"
 
 namespace arinoc {
 
@@ -59,12 +59,14 @@ std::string fmt_pct(double fraction, int precision) {
 
 std::string metrics_to_json(const Metrics& m, int indent,
                             const std::string& provenance_json) {
-  std::ostringstream os;
+  using obs::regress::NumFormat;
+  std::string out;
+  obs::regress::JsonWriter w(out);
   const std::string pad(static_cast<std::size_t>(indent), ' ');
   const char* sep = "";
-  os << "{\n";
+  w.raw("{\n");
   if (!provenance_json.empty()) {
-    os << pad << "\"provenance\": " << provenance_json;
+    w.raw(pad).raw("\"provenance\": ").raw(provenance_json);
     sep = ",\n";
   }
   for_each_metric(m, [&](std::string_view name, const auto& value,
@@ -73,31 +75,17 @@ std::string metrics_to_json(const Metrics& m, int indent,
         ((flags & kMetricAttr) && !m.attr_enabled)) {
       return;
     }
-    os << sep << pad << '"' << name << "\": ";
+    w.raw(sep).raw(pad).str(name).raw(": ");
     sep = ",\n";
     if constexpr (std::is_same_v<std::remove_cvref_t<decltype(value)>,
                                  std::string>) {
-      os << '"';
-      for (const char c : value) {
-        if (c == '"' || c == '\\') os << '\\';
-        os << c;
-      }
-      os << '"';
+      w.str(value);
     } else {
-      const double v = static_cast<double>(value);
-      // Emit integers without a fraction for cleanliness.
-      if (v == static_cast<double>(static_cast<long long>(v)) &&
-          std::abs(v) < 1e15) {
-        os << static_cast<long long>(v);
-      } else {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.6g", v);
-        os << buf;
-      }
+      w.num(static_cast<double>(value), NumFormat::kIntOrG6);
     }
   });
-  os << "\n}";
-  return os.str();
+  w.raw("\n}");
+  return out;
 }
 
 }  // namespace arinoc

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +10,7 @@
 #include <thread>
 #include <type_traits>
 
+#include "common/hex.hpp"
 #include "common/version.hpp"
 #include "core/metric_fields.hpp"
 
@@ -19,19 +19,6 @@ namespace arinoc::exec {
 namespace {
 
 constexpr const char kFormatTag[] = "arinoc-cache-v2";
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::string fmt_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
 
 // Strict value parsers for cache records: the whole token or nothing.
 bool parse_field(std::string_view s, std::uint64_t& out) {
@@ -78,7 +65,7 @@ std::string fabric_cache_tag(const Config& cfg) {
   if (!in) return "file:unreadable";
   std::ostringstream contents;
   contents << in.rdbuf();
-  return "file:" + hex64(fnv1a64(contents.str()));
+  return "file:" + hex_u64(fnv1a64(contents.str()));
 }
 
 std::string cache_key_string(const Config& cfg, std::string_view scheme,
@@ -101,7 +88,7 @@ std::string serialize_metrics(const Metrics& m) {
     using T = std::remove_cvref_t<decltype(value)>;
     os << name << ' ';
     if constexpr (std::is_same_v<T, double>) {
-      os << fmt_double(value);
+      os << hex_double(value);
     } else if constexpr (std::is_same_v<T, std::string>) {
       // Verbatim: a value runs to the end of its line. A label holding a
       // newline would make the entry unreadable, a miss.
@@ -140,7 +127,7 @@ std::string ResultCache::default_dir() {
 }
 
 std::string ResultCache::entry_path(const std::string& key_material) const {
-  return dir_ + "/" + hex64(fnv1a64(key_material)) + ".cell";
+  return dir_ + "/" + hex_u64(fnv1a64(key_material)) + ".cell";
 }
 
 std::optional<Metrics> ResultCache::load(
@@ -188,7 +175,7 @@ void ResultCache::store(const std::string& key_material,
   // Unique temp name per writer thread so concurrent stores never interleave.
   const std::string tmp =
       path + ".tmp" +
-      hex64(std::hash<std::thread::id>{}(std::this_thread::get_id()));
+      hex_u64(std::hash<std::thread::id>{}(std::this_thread::get_id()));
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return;

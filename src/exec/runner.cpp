@@ -1,25 +1,28 @@
 #include "exec/runner.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <stdexcept>
 #include <string_view>
+#include <thread>
 #include <unordered_map>
 
 #include "core/experiment.hpp"
 #include "core/watchdog.hpp"
 #include "exec/result_cache.hpp"
-#include "exec/thread_team.hpp"
 #include "obs/attr.hpp"
 #include "obs/regress/baseline.hpp"
+#include "obs/regress/json.hpp"
 #include "obs/regress/provenance.hpp"
 #include "workloads/benchmark.hpp"
 
 namespace arinoc::exec {
+
+using obs::regress::JsonWriter;
 
 namespace {
 
@@ -71,10 +74,12 @@ void record_error(CellResult& r, std::string kind, const char* what,
   r.metrics = Metrics{};
 }
 
-/// Writes one per-cell artifact (telemetry series, attribution report) under
-/// `dir` with the cell-identity file name; returns the path, "" on failure.
+/// Streams one per-cell artifact (telemetry series, attribution report)
+/// into `dir` under the cell-identity file name; returns the path, "" on
+/// failure.
 std::string write_cell_artifact(const std::string& dir, const CellResult& r,
-                                const char* ext, const std::string& body) {
+                                const char* ext,
+                                const std::function<void(JsonWriter&)>& emit) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return {};
@@ -82,13 +87,27 @@ std::string write_cell_artifact(const std::string& dir, const CellResult& r,
   const std::string path = dir + "/" + file_slug(r.point) + "_" +
                            file_slug(r.scheme) + "_" + file_slug(r.benchmark) +
                            ext;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return {};
-  out << body;
-  return out ? path : std::string{};
+  return obs::regress::write_json_file(path, emit) ? path : std::string{};
 }
 
 }  // namespace
+
+unsigned hardware_threads() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+void parallel_for(unsigned jobs, std::size_t n,
+                  const std::function<void(std::size_t)>& fn) {
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t i = next++; i < n; i = next++) fn(i);
+  };
+  std::vector<std::jthread> threads;  // Joined on every exit, a throw too.
+  for (std::size_t t = 1; t < std::min<std::size_t>(jobs, n); ++t) {
+    threads.emplace_back(work);
+  }
+  work();
+}
 
 ExperimentRunner::ExperimentRunner(Config base, ExecOptions opts)
     : base_(std::move(base)), opts_(std::move(opts)) {
@@ -155,7 +174,7 @@ std::vector<CellResult> ExperimentRunner::run(
   const unsigned jobs = opts_.jobs == 0 ? hardware_threads() : opts_.jobs;
 
   // Phase 2 (parallel): each task owns exactly one result slot, and no
-  // exception leaves a task (ThreadTeam has no exception channel).
+  // exception leaves a task (parallel_for has no exception channel).
   Progress progress(opts_.progress, tasks.size());
   // Sampling and attribution cells always simulate: a cache hit would
   // return the aggregate Metrics but skip producing the per-cell telemetry
@@ -192,12 +211,14 @@ std::vector<CellResult> ExperimentRunner::run(
           const std::string dir = opts_.telemetry_dir.empty()
                                       ? std::string("arinoc-telemetry")
                                       : opts_.telemetry_dir;
-          r.telemetry_path = write_cell_artifact(dir, r, ".jsonl",
-                                                 sim.sampler()->to_jsonl());
+          r.telemetry_path = write_cell_artifact(
+              dir, r, ".jsonl",
+              [&](JsonWriter& w) { sim.sampler()->write_jsonl(w); });
         }
         if (attributing) {
-          r.attr_path = write_cell_artifact(opts_.attr_dir, r, ".json",
-                                            attr.to_json() + "\n");
+          r.attr_path = write_cell_artifact(
+              opts_.attr_dir, r, ".json",
+              [&](JsonWriter& w) { attr.write_json(w); w.raw("\n"); });
         }
         if (!sampling && !attributing) cache.store(key, r.metrics);
       }
@@ -213,9 +234,8 @@ std::vector<CellResult> ExperimentRunner::run(
     }
     progress.tick(r);
   };
-  ThreadTeam team(static_cast<unsigned>(
-      std::min<std::size_t>(jobs, tasks.size())));
-  team.run(tasks.size(), [&](std::size_t t) { run_cell(tasks[t]); });
+  parallel_for(jobs, tasks.size(),
+               [&](std::size_t t) { run_cell(tasks[t]); });
 
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (first[i] != i) {

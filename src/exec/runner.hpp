@@ -1,4 +1,4 @@
-// ExperimentRunner: runs a grid of simulation cells on a ThreadTeam.
+// ExperimentRunner: runs a grid of simulation cells with parallel_for.
 //
 // Guarantees:
 //  * Deterministic output. Every cell's full Config (including its derived
@@ -31,6 +31,17 @@
 #include "core/gpgpu_sim.hpp"
 
 namespace arinoc::exec {
+
+/// std::thread::hardware_concurrency(), clamped to >= 1.
+unsigned hardware_threads();
+
+/// Runs fn(i) exactly once for every i in [0, n) and returns when all calls
+/// have finished: min(jobs, n) - 1 new threads and the caller claim indices
+/// from one atomic cursor, then the threads join. Which thread runs an index
+/// is not reproducible, so tasks must touch disjoint state. `fn` must not
+/// throw: a throw on a spawned thread calls std::terminate.
+void parallel_for(unsigned jobs, std::size_t n,
+                  const std::function<void(std::size_t)>& fn);
 
 struct ExecOptions {
   unsigned jobs = 0;          ///< Worker threads; 0 = hardware concurrency.

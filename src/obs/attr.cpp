@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cinttypes>
 #include <cstdio>
 #include <sstream>
 
@@ -11,6 +10,14 @@
 #include "topo/graph.hpp"
 
 namespace arinoc::obs {
+
+namespace {
+
+const char* net_name(std::uint8_t net) {
+  return net == 0 ? "request" : "reply";
+}
+
+}  // namespace
 
 const char* attr_stage_name(AttrStage s) {
   switch (s) {
@@ -243,16 +250,8 @@ std::vector<BottleneckEntry> LatencyAttributor::bottlenecks(
   return out;
 }
 
-void LatencyAttributor::flush_window(std::uint32_t next_window) {
-  // Windows only move forward between clear()s, so the flushed windows stay
-  // in (window, table index) order and window_series() needs no sort.
-  assert(next_window > win_cur_window_);
-  append_window(win_done_);
-  std::fill(win_cur_.begin(), win_cur_.end(), WinSums{});
-  win_cur_window_ = next_window;
-}
-
-void LatencyAttributor::append_window(std::vector<AttrWindowCell>& out) const {
+template <typename F>
+void LatencyAttributor::for_each_current_cell(F&& f) const {
   for (std::size_t i = 0; i < win_cur_.size(); ++i) {
     const WinSums& w = win_cur_[i];
     if (w.count == 0) continue;
@@ -267,13 +266,25 @@ void LatencyAttributor::append_window(std::vector<AttrWindowCell>& out) const {
     c.vc_wait = w.vc_wait;
     c.sw_wait = w.sw_wait;
     c.count = w.count;
-    out.push_back(c);
+    f(c);
   }
+}
+
+void LatencyAttributor::flush_window(std::uint32_t next_window) {
+  // Windows only move forward between clear()s, so the flushed windows stay
+  // in (window, table index) order and window_series() needs no sort.
+  assert(next_window > win_cur_window_);
+  for_each_current_cell(
+      [this](const AttrWindowCell& c) { win_done_.push_back(c); });
+  std::fill(win_cur_.begin(), win_cur_.end(), WinSums{});
+  win_cur_window_ = next_window;
 }
 
 std::vector<AttrWindowCell> LatencyAttributor::window_series() const {
   std::vector<AttrWindowCell> out = win_done_;
-  append_window(out);
+  for_each_current_cell([&out](const AttrWindowCell& c) {
+    out.push_back(c);
+  });
   return out;
 }
 
@@ -293,7 +304,7 @@ std::string LatencyAttributor::node_label(std::uint8_t net,
 
 std::string LatencyAttributor::entry_label(const BottleneckEntry& e) const {
   std::ostringstream os;
-  os << (e.net == 0 ? "request" : "reply") << " "
+  os << net_name(e.net) << " "
      << attr_stage_name(e.stage) << " at " << node_label(e.net, e.node);
   if (e.port >= 0) {
     // Resolve the link's downstream endpoint when the graph is available.
@@ -322,91 +333,91 @@ std::string LatencyAttributor::top_label() const {
   return entry_label(top[0]) + pct;
 }
 
-namespace {
-
-std::string fmt_double(double v) {
-  char buf[64];
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      v < 1e15 && v > -1e15) {
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-  }
-  return buf;
-}
-
-}  // namespace
-
-std::string LatencyAttributor::to_json(std::size_t top_k) const {
-  std::ostringstream os;
-  os << "{\n  \"schema\": \"arinoc-attr-v1\",\n  \"window_cycles\": "
-     << window_ << ",\n  \"stages\": [";
-  for (std::size_t i = 0; i < kNumAttrStages; ++i) {
-    os << (i ? ", " : "") << '"'
-       << attr_stage_name(static_cast<AttrStage>(i)) << '"';
-  }
-  os << "],\n  \"conservation\": {\"delivered\": " << delivered_
-     << ", \"violations\": " << violations_ << ", \"dropped\": " << dropped_
-     << ", \"inflight\": " << inflight() << "},\n  \"nets\": [\n";
-  for (std::uint8_t net = 0; net < 2; ++net) {
-    os << "    {\"net\": \"" << (net == 0 ? "request" : "reply")
-       << "\", \"delivered\": " << delivered_net_[net]
-       << ", \"e2e_cycles\": " << e2e_totals_[net]
-       << ", \"stage_totals\": {";
+void LatencyAttributor::write_json(regress::JsonWriter& w,
+                                   std::size_t top_k) const {
+  using regress::NumFormat;
+  const auto stages = [&w](const std::uint64_t (&cycles)[kNumAttrStages]) {
     for (std::size_t i = 0; i < kNumAttrStages; ++i) {
-      os << (i ? ", " : "") << '"'
-         << attr_stage_name(static_cast<AttrStage>(i))
-         << "\": " << stage_totals_[net][i];
+      w.raw(i ? ", " : "{").str(attr_stage_name(static_cast<AttrStage>(i)));
+      w.raw(": ").num(cycles[i]);
     }
-    os << "}, \"by_type\": [";
-    bool first = true;
-    for (std::size_t t = 0; t < 4; ++t) {
+    w.raw("}");
+  };
+  w.raw("{\n  \"schema\": \"arinoc-attr-v1\",\n  \"window_cycles\": ");
+  w.num(window_).raw(",\n  \"stages\": [");
+  for (std::size_t i = 0; i < kNumAttrStages; ++i) {
+    w.raw(i ? ", " : "").str(attr_stage_name(static_cast<AttrStage>(i)));
+  }
+  w.raw("],\n  \"conservation\": {\"delivered\": ").num(delivered_);
+  w.raw(", \"violations\": ").num(violations_);
+  w.raw(", \"dropped\": ").num(dropped_);
+  w.raw(", \"inflight\": ").num(inflight()).raw("},\n  \"nets\": [\n");
+  for (std::uint8_t net = 0; net < 2; ++net) {
+    w.raw("    {\"net\": ").str(net_name(net));
+    w.raw(", \"delivered\": ").num(delivered_net_[net]);
+    w.raw(", \"e2e_cycles\": ").num(e2e_totals_[net]);
+    w.raw(", \"stage_totals\": ");
+    stages(stage_totals_[net]);
+    w.raw(", \"by_type\": [");
+    const char* sep = "";
+    for (std::size_t t = 0; t < kNumPacketTypes; ++t) {
       const TypeSums& ts = type_sums_[net][t];
       if (ts.delivered == 0) continue;
-      if (!first) os << ", ";
-      first = false;
-      os << "{\"type\": \"" << packet_type_name(static_cast<PacketType>(t))
-         << "\", \"delivered\": " << ts.delivered
-         << ", \"e2e_cycles\": " << ts.e2e << ", \"mean_e2e\": "
-         << fmt_double(static_cast<double>(ts.e2e) /
-                       static_cast<double>(ts.delivered))
-         << ", \"stages\": {";
-      for (std::size_t i = 0; i < kNumAttrStages; ++i) {
-        os << (i ? ", " : "") << '"'
-           << attr_stage_name(static_cast<AttrStage>(i))
-           << "\": " << ts.stage[i];
-      }
-      os << "}}";
+      w.raw(sep).raw("{\"type\": ");
+      w.str(packet_type_name(static_cast<PacketType>(t)));
+      w.raw(", \"delivered\": ").num(ts.delivered);
+      w.raw(", \"e2e_cycles\": ").num(ts.e2e).raw(", \"mean_e2e\": ");
+      w.num(static_cast<double>(ts.e2e) / static_cast<double>(ts.delivered),
+            NumFormat::kIntOrG6);
+      w.raw(", \"stages\": ");
+      stages(ts.stage);
+      w.raw("}");
+      sep = ", ";
     }
-    os << "]}" << (net == 0 ? ",\n" : "\n");
+    w.raw(net == 0 ? "]},\n" : "]}\n");
   }
-  os << "  ],\n  \"bottlenecks\": [\n";
+  w.raw("  ],\n  \"bottlenecks\": [\n");
   const std::vector<BottleneckEntry> top = bottlenecks(top_k);
   for (std::size_t i = 0; i < top.size(); ++i) {
     const BottleneckEntry& e = top[i];
-    os << "    {\"rank\": " << (i + 1) << ", \"net\": \""
-       << (e.net == 0 ? "request" : "reply") << "\", \"stage\": \""
-       << attr_stage_name(e.stage) << "\", \"node\": " << e.node
-       << ", \"port\": " << e.port << ", \"vc\": " << e.vc
-       << ", \"cycles\": " << e.cycles << ", \"count\": " << e.count
-       << ", \"share\": " << fmt_double(e.share) << ", \"label\": \""
-       << regress::json_escape(entry_label(e)) << "\"}"
-       << (i + 1 < top.size() ? ",\n" : "\n");
+    w.raw("    {\"rank\": ").num(i + 1);
+    w.raw(", \"net\": ").str(net_name(e.net));
+    w.raw(", \"stage\": ").str(attr_stage_name(e.stage));
+    w.raw(", \"node\": ").num(e.node).raw(", \"port\": ").num(e.port);
+    w.raw(", \"vc\": ").num(e.vc).raw(", \"cycles\": ").num(e.cycles);
+    w.raw(", \"count\": ").num(e.count).raw(", \"share\": ");
+    w.num(e.share, NumFormat::kIntOrG6).raw(", \"label\": ");
+    w.str(entry_label(e)).raw(i + 1 < top.size() ? "},\n" : "}\n");
   }
-  os << "  ],\n  \"series\": [\n";
-  const std::vector<AttrWindowCell> series = window_series();
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    const AttrWindowCell& c = series[i];
-    os << "    {\"window\": " << c.window << ", \"net\": "
-       << static_cast<int>(c.net) << ", \"node\": " << c.node
-       << ", \"port\": " << c.port << ", \"vc\": " << c.vc
-       << ", \"type\": \"" << packet_type_name(c.type)
-       << "\", \"vc_wait\": " << c.vc_wait << ", \"sw_wait\": " << c.sw_wait
-       << ", \"count\": " << c.count << "}"
-       << (i + 1 < series.size() ? ",\n" : "\n");
-  }
-  os << "  ]\n}\n";
-  return os.str();
+  // The series streams in place: flushed windows, then the current one.
+  w.raw("  ],\n  \"series\": [\n");
+  const char* sep = "";
+  const auto cell = [&w, &sep](const AttrWindowCell& c) {
+    w.raw(sep).raw("    {\"window\": ").num(c.window);
+    w.raw(", \"net\": ").num(c.net).raw(", \"node\": ").num(c.node);
+    w.raw(", \"port\": ").num(c.port).raw(", \"vc\": ").num(c.vc);
+    w.raw(", \"type\": ").str(packet_type_name(c.type));
+    w.raw(", \"vc_wait\": ").num(c.vc_wait);
+    w.raw(", \"sw_wait\": ").num(c.sw_wait);
+    w.raw(", \"count\": ").num(c.count).raw("}");
+    sep = ",\n";
+  };
+  for (const AttrWindowCell& c : win_done_) cell(c);
+  for_each_current_cell(cell);
+  w.raw(*sep != '\0' ? "\n  ]\n}\n" : "  ]\n}\n");
+}
+
+std::string LatencyAttributor::to_json(std::size_t top_k) const {
+  // One allocation: a series line is about 125 bytes, and the head and the
+  // bottlenecks fit in a few KiB. Pages reserved but never written cost no
+  // resident memory, so the estimate errs high.
+  std::size_t cells = win_done_.size();
+  for_each_current_cell([&cells](const AttrWindowCell&) { ++cells; });
+  std::string out;
+  out.reserve(4096 + 256 * top_k + 160 * cells);
+  regress::JsonWriter w(out);
+  write_json(w, top_k);
+  return out;
 }
 
 void LatencyAttributor::clear() {

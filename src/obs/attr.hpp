@@ -56,6 +56,10 @@ namespace arinoc::topo {
 class Fabric;
 }  // namespace arinoc::topo
 
+namespace arinoc::obs::regress {
+class JsonWriter;
+}  // namespace arinoc::obs::regress
+
 namespace arinoc::obs {
 
 enum class AttrStage : std::uint8_t {
@@ -165,7 +169,10 @@ class LatencyAttributor {
   /// 61%"); empty when nothing was attributed.
   std::string top_label() const;
 
-  /// The full attribution report as JSON (schema "arinoc-attr-v1").
+  /// Streams the full attribution report as JSON (schema
+  /// "arinoc-attr-v1"), walking the window tables in place.
+  void write_json(regress::JsonWriter& w, std::size_t top_k = 10) const;
+  /// write_json() into a string.
   std::string to_json(std::size_t top_k = 10) const;
 
   void clear();
@@ -244,8 +251,10 @@ class LatencyAttributor {
                     static_cast<std::size_t>(type)];
   }
   void flush_window(std::uint32_t next_window);
-  /// Appends the current window's non-empty cells in table order.
-  void append_window(std::vector<AttrWindowCell>& out) const;
+  /// Calls f(cell) for each non-empty cell of the current window, in table
+  /// order.
+  template <typename F>
+  void for_each_current_cell(F&& f) const;
 
   Cycle window_;
   int win_shift_ = -1;  ///< log2(window_) when window_ is a power of two.

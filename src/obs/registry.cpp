@@ -1,42 +1,43 @@
 #include "obs/registry.hpp"
 
-#include <cstdio>
-#include <sstream>
+#include "obs/regress/json.hpp"
 
 namespace arinoc::obs {
+
+using regress::JsonWriter;
+using regress::NumFormat;
 
 void CounterDump::add(const std::string& name, std::uint64_t value) {
   entries_.emplace(name, std::to_string(value));
 }
 
 void CounterDump::add(const std::string& name, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  entries_.emplace(name, buf);
+  entries_.emplace(name, regress::format_number(value, NumFormat::kG6));
 }
 
 void CounterDump::add(const std::string& name, const LogHistogram& h) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "{\"count\":%llu,\"mean\":%.6g,\"p50\":%.6g,"
-                "\"p95\":%.6g,\"p99\":%.6g,\"max\":%.6g}",
-                static_cast<unsigned long long>(h.count()), h.mean(), h.p50(),
-                h.p95(), h.p99(), h.max());
-  entries_.emplace(name, buf);
+  std::string text;
+  JsonWriter w(text);
+  w.raw("{\"count\":").num(h.count());
+  w.raw(",\"mean\":").num(h.mean(), NumFormat::kG6);
+  w.raw(",\"p50\":").num(h.p50(), NumFormat::kG6);
+  w.raw(",\"p95\":").num(h.p95(), NumFormat::kG6);
+  w.raw(",\"p99\":").num(h.p99(), NumFormat::kG6);
+  w.raw(",\"max\":").num(h.max(), NumFormat::kG6).raw("}");
+  entries_.emplace(name, std::move(text));
 }
 
 std::string CounterDump::to_json() const {
-  // Names are generated internally (no quoting hazards) and values are
-  // numbers, so the JSON can be assembled directly.
-  std::ostringstream os;
-  os << "{";
+  std::string out;
+  JsonWriter w(out);
+  w.raw("{");
   const char* sep = "";
   for (const auto& [name, value] : entries_) {
-    os << sep << "\n  \"" << name << "\": " << value;
+    w.raw(sep).raw("\n  ").str(name).raw(": ").raw(value);
     sep = ",";
   }
-  os << "\n}";
-  return os.str();
+  w.raw("\n}");
+  return out;
 }
 
 }  // namespace arinoc::obs

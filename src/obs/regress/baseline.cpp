@@ -1,6 +1,5 @@
 #include "obs/regress/baseline.hpp"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -62,14 +61,6 @@ constexpr MetricPolicy kPolicies[] = {
     {"attr_reply_retx", MetricDirection::kNeutral, kAttrShareTol},
 };
 
-std::string fmt_metric(double v) {
-  // %.17g: shortest spelling is irrelevant, exact round trip is not — the
-  // golden store's byte-for-byte contract rides on this.
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 }  // namespace
 
 std::string file_slug(const std::string& s) {
@@ -114,18 +105,21 @@ std::string BaselineEntry::file_name() const {
 }
 
 std::string baseline_entry_json(const BaselineEntry& e) {
-  std::ostringstream os;
-  os << "{\n  \"schema\": \"" << kBaselineSchema << "\",\n"
-     << "  \"provenance\": "
-     << provenance_json(e.provenance, /*deterministic=*/true) << ",\n"
-     << "  \"metrics\": {\n";
+  std::string out;
+  JsonWriter w(out);
+  w.raw("{\n  \"schema\": ").str(kBaselineSchema)
+      .raw(",\n  \"provenance\": ")
+      .raw(provenance_json(e.provenance, /*deterministic=*/true))
+      .raw(",\n  \"metrics\": {\n");
   for (std::size_t i = 0; i < e.metrics.size(); ++i) {
-    os << "    \"" << json_escape(e.metrics[i].first)
-       << "\": " << fmt_metric(e.metrics[i].second)
-       << (i + 1 < e.metrics.size() ? "," : "") << "\n";
+    // kG17: shortest spelling is irrelevant, exact round trip is not — the
+    // golden store's byte-for-byte contract rides on this.
+    w.raw("    ").str(e.metrics[i].first).raw(": ")
+        .num(e.metrics[i].second, NumFormat::kG17)
+        .raw(i + 1 < e.metrics.size() ? ",\n" : "\n");
   }
-  os << "  }\n}\n";
-  return os.str();
+  w.raw("  }\n}\n");
+  return out;
 }
 
 BaselineEntry parse_baseline_entry(const std::string& text,

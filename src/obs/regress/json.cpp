@@ -1,6 +1,7 @@
 #include "obs/regress/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 namespace arinoc::obs::regress {
@@ -19,27 +20,100 @@ std::string JsonValue::string_or(const std::string& key,
   return (v != nullptr && v->is_string()) ? v->as_string() : fallback;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
+namespace {
+
+void append_escaped(std::string& out, std::string_view s) {
+  std::size_t plain = 0;  // Start of the pending run of unescaped bytes.
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
+      continue;
+    }
+    out.append(s.substr(plain, i - plain));
+    plain = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
       case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        out += buf;
+      }
     }
   }
+  out.append(s.substr(plain));
+}
+
+/// Longest spelling: "%.3f" of -DBL_MAX, 309 integer digits.
+constexpr std::size_t kMaxSpelling = 320;
+
+char* spell(char* first, double v, NumFormat format) {
+  char* const last = first + kMaxSpelling;
+  switch (format) {
+    case NumFormat::kIntOrG6:
+      if (std::abs(v) < 1e15 && v == std::trunc(v)) {
+        return std::to_chars(first, last, static_cast<long long>(v)).ptr;
+      }
+      [[fallthrough]];
+    case NumFormat::kG6:
+      return std::to_chars(first, last, v, std::chars_format::general, 6).ptr;
+    case NumFormat::kG17:
+      return std::to_chars(first, last, v, std::chars_format::general, 17)
+          .ptr;
+    case NumFormat::kFixed3:
+      return std::to_chars(first, last, v, std::chars_format::fixed, 3).ptr;
+  }
+  return first;
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  append_escaped(out, s);
   return out;
+}
+
+std::string format_number(double v, NumFormat format) {
+  char buf[kMaxSpelling];
+  return std::string(buf, spell(buf, v, format));
+}
+
+JsonWriter& JsonWriter::str(std::string_view s) {
+  out_ += '"';
+  append_escaped(out_, s);
+  out_ += '"';
+  return spill();
+}
+
+JsonWriter& JsonWriter::num(double v, NumFormat format) {
+  char buf[kMaxSpelling];
+  out_.append(buf, spell(buf, v, format));
+  return spill();
+}
+
+bool JsonWriter::finish() {
+  if (file_ == nullptr) return true;
+  if (std::fwrite(buf_.data(), 1, buf_.size(), file_) != buf_.size() ||
+      std::fflush(file_) != 0) {
+    failed_ = true;
+  }
+  buf_.clear();
+  return !failed_;
+}
+
+bool write_json_file(const std::string& path,
+                     const std::function<void(JsonWriter&)>& emit) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) return false;
+  JsonWriter w(file);
+  emit(w);
+  const bool ok = w.finish();
+  return std::fclose(file) == 0 && ok;
 }
 
 class JsonParser {

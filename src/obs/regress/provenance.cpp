@@ -1,9 +1,8 @@
 #include "obs/regress/provenance.hpp"
 
 #include <chrono>
-#include <cstdio>
-#include <sstream>
 
+#include "common/hex.hpp"
 #include "common/version.hpp"
 #include "exec/result_cache.hpp"
 #include "obs/regress/json.hpp"
@@ -17,11 +16,7 @@
 namespace arinoc::obs::regress {
 
 std::string config_hash_hex(const Config& cfg) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(
-                    exec::fnv1a64(cfg.canonical_string())));
-  return buf;
+  return hex_u64(exec::fnv1a64(cfg.canonical_string()));
 }
 
 Provenance collect_provenance() {
@@ -47,36 +42,28 @@ Provenance collect_provenance() {
 }
 
 std::string provenance_json(const Provenance& p, bool deterministic) {
-  std::ostringstream os;
-  os << "{\"schema\": \"" << kProvenanceSchema << "\", \"version\": \""
-     << json_escape(p.version) << '"';
-  if (!p.config_hash.empty()) {
-    os << ", \"config_hash\": \"" << json_escape(p.config_hash) << '"';
-  }
-  if (!p.scheme.empty()) {
-    os << ", \"scheme\": \"" << json_escape(p.scheme) << '"';
-  }
-  if (!p.benchmark.empty()) {
-    os << ", \"benchmark\": \"" << json_escape(p.benchmark) << '"';
-  }
-  if (!p.fabric.empty()) {
-    os << ", \"fabric\": \"" << json_escape(p.fabric) << '"';
-  }
-  os << ", \"seed\": " << p.seed;
+  std::string out;
+  JsonWriter w(out);
+  const auto field = [&w](std::string_view key, const std::string& value) {
+    if (!value.empty()) w.raw(", ").str(key).raw(": ").str(value);
+  };
+  w.raw("{\"schema\": ").str(kProvenanceSchema).raw(", \"version\": ")
+      .str(p.version);
+  field("config_hash", p.config_hash);
+  field("scheme", p.scheme);
+  field("benchmark", p.benchmark);
+  field("fabric", p.fabric);
+  w.raw(", \"seed\": ").num(p.seed);
   if (!deterministic) {
-    if (!p.host.empty()) os << ", \"host\": \"" << json_escape(p.host) << '"';
-    if (!p.platform.empty()) {
-      os << ", \"platform\": \"" << json_escape(p.platform) << '"';
-    }
-    os << ", \"unix_time_s\": " << p.unix_time_s;
+    field("host", p.host);
+    field("platform", p.platform);
+    w.raw(", \"unix_time_s\": ").num(p.unix_time_s);
     if (p.wall_s >= 0.0) {
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "%.3f", p.wall_s);
-      os << ", \"wall_s\": " << buf;
+      w.raw(", \"wall_s\": ").num(p.wall_s, NumFormat::kFixed3);
     }
   }
-  os << '}';
-  return os.str();
+  w.raw("}");
+  return out;
 }
 
 }  // namespace arinoc::obs::regress

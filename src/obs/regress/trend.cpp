@@ -1,8 +1,6 @@
 #include "obs/regress/trend.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
 #include <stdexcept>
 
 namespace arinoc::obs::regress {
@@ -23,12 +21,6 @@ bool is_identity_field(const std::string& key) {
   return false;
 }
 
-std::string fmt_num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
 /// Compact identity string for one row: "scheme=Ada-ARI load=4 ...", in
 /// the row's own field order so it reads like the source document.
 std::string row_identity(const JsonValue& row) {
@@ -41,7 +33,7 @@ std::string row_identity(const JsonValue& row) {
     } else if (v.is_bool()) {
       id += key + "=" + (v.as_bool() ? "on" : "off");
     } else if (v.is_number()) {
-      id += key + "=" + fmt_num(v.as_number());
+      id += key + "=" + format_number(v.as_number(), NumFormat::kG6);
     }
   }
   return id;
@@ -139,25 +131,28 @@ std::vector<TrendSeries> TrendBuilder::series() const {
 }
 
 std::string TrendBuilder::to_json() const {
-  std::ostringstream os;
-  os << "{\n  \"schema\": \"" << kTrendSchema << "\",\n  \"snapshots\": [";
+  std::string out;
+  JsonWriter w(out);
+  w.raw("{\n  \"schema\": ").str(kTrendSchema);
+  w.raw(",\n  \"snapshots\": [");
   for (std::size_t i = 0; i < labels_.size(); ++i) {
-    os << (i == 0 ? "" : ", ") << '"' << json_escape(labels_[i]) << '"';
+    w.raw(i == 0 ? "" : ", ").str(labels_[i]);
   }
-  os << "],\n  \"series\": [\n";
+  w.raw("],\n  \"series\": [\n");
   const std::vector<TrendSeries> sorted = series();
   for (std::size_t i = 0; i < sorted.size(); ++i) {
     const TrendSeries& s = sorted[i];
-    os << "    {\"cell\": \"" << json_escape(s.cell) << "\", \"metric\": \""
-       << json_escape(s.metric) << "\", \"points\": [";
+    w.raw("    {\"cell\": ").str(s.cell).raw(", \"metric\": ");
+    w.str(s.metric).raw(", \"points\": [");
     for (std::size_t p = 0; p < s.points.size(); ++p) {
-      os << (p == 0 ? "" : ", ") << "{\"snapshot\": " << s.points[p].snapshot
-         << ", \"value\": " << fmt_num(s.points[p].value) << "}";
+      w.raw(p == 0 ? "{\"snapshot\": " : ", {\"snapshot\": ");
+      w.num(s.points[p].snapshot).raw(", \"value\": ");
+      w.num(s.points[p].value, NumFormat::kG6).raw("}");
     }
-    os << "]}" << (i + 1 < sorted.size() ? "," : "") << "\n";
+    w.raw("]}").raw(i + 1 < sorted.size() ? ",\n" : "\n");
   }
-  os << "  ]\n}\n";
-  return os.str();
+  w.raw("  ]\n}\n");
+  return out;
 }
 
 }  // namespace arinoc::obs::regress

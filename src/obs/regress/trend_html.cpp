@@ -27,12 +27,6 @@ std::string html_escape(const std::string& s) {
   return out;
 }
 
-std::string fmt_num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
 /// Inline sparkline: a polyline over the series, min/max normalized to the
 /// box, last point marked. Flat series draw as a centered line.
 std::string sparkline_svg(const TrendSeries& s, std::size_t snapshots) {
@@ -121,8 +115,10 @@ std::string trend_html_document(const TrendBuilder& trend,
     std::snprintf(pct, sizeof(pct), "%+.2f%%", drift * 100.0);
     const char* cls = drift > 1e-12 ? "up" : (drift < -1e-12 ? "down" : "flat");
     os << "<tr><td>" << html_escape(s.metric) << "</td><td>"
-       << sparkline_svg(s, snaps.size()) << "</td><td>" << fmt_num(first)
-       << "</td><td>" << fmt_num(last) << "</td><td class=\"" << cls << "\">"
+       << sparkline_svg(s, snaps.size()) << "</td><td>"
+       << format_number(first, NumFormat::kG6) << "</td><td>"
+       << format_number(last, NumFormat::kG6) << "</td><td class=\"" << cls
+       << "\">"
        << (s.points.size() > 1 ? pct : "-") << "</td></tr>\n";
   }
   if (table_open) os << "</table>\n";

@@ -1,49 +1,59 @@
 #include "obs/sampler.hpp"
 
-#include <cstdio>
-#include <sstream>
+#include "obs/regress/json.hpp"
 
 namespace arinoc::obs {
 
+using regress::JsonWriter;
+using regress::NumFormat;
+
 namespace {
 
-std::string sample_json(const TelemetrySample& s) {
-  char buf[640];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"cycle\":%llu,\"window\":%llu,\"ipc\":%.6g,"
-      "\"request_inject_rate\":%.6g,\"request_deliver_rate\":%.6g,"
-      "\"reply_inject_rate\":%.6g,\"reply_deliver_rate\":%.6g,"
-      "\"request_link_util\":%.6g,\"reply_link_util\":%.6g,"
-      "\"ni_occupancy_pkts\":%.6g,\"buffered_flits\":%llu,"
-      "\"mc_stall_rate\":%.6g,\"live_packets\":%llu,"
-      "\"retransmits\":%llu,\"flits_corrupted\":%llu,"
-      "\"degrade_state\":%d,\"requests_shed\":%llu,"
-      "\"pre_trip_warnings\":%llu}",
-      static_cast<unsigned long long>(s.cycle),
-      static_cast<unsigned long long>(s.window), s.ipc,
-      s.request_inject_rate, s.request_deliver_rate, s.reply_inject_rate,
-      s.reply_deliver_rate, s.request_link_util, s.reply_link_util,
-      s.ni_occupancy_pkts, static_cast<unsigned long long>(s.buffered_flits),
-      s.mc_stall_rate, static_cast<unsigned long long>(s.live_packets),
-      static_cast<unsigned long long>(s.retransmits),
-      static_cast<unsigned long long>(s.flits_corrupted), s.degrade_state,
-      static_cast<unsigned long long>(s.requests_shed),
-      static_cast<unsigned long long>(s.pre_trip_warnings));
-  return buf;
+void write_sample(JsonWriter& w, const TelemetrySample& s) {
+  const auto g6 = [&w](const char* key, double v) {
+    w.raw(key).num(v, NumFormat::kG6);
+  };
+  w.raw("{\"cycle\":").num(s.cycle).raw(",\"window\":").num(s.window);
+  g6(",\"ipc\":", s.ipc);
+  g6(",\"request_inject_rate\":", s.request_inject_rate);
+  g6(",\"request_deliver_rate\":", s.request_deliver_rate);
+  g6(",\"reply_inject_rate\":", s.reply_inject_rate);
+  g6(",\"reply_deliver_rate\":", s.reply_deliver_rate);
+  g6(",\"request_link_util\":", s.request_link_util);
+  g6(",\"reply_link_util\":", s.reply_link_util);
+  g6(",\"ni_occupancy_pkts\":", s.ni_occupancy_pkts);
+  w.raw(",\"buffered_flits\":").num(s.buffered_flits);
+  g6(",\"mc_stall_rate\":", s.mc_stall_rate);
+  w.raw(",\"live_packets\":").num(s.live_packets);
+  w.raw(",\"retransmits\":").num(s.retransmits);
+  w.raw(",\"flits_corrupted\":").num(s.flits_corrupted);
+  w.raw(",\"degrade_state\":").num(s.degrade_state);
+  w.raw(",\"requests_shed\":").num(s.requests_shed);
+  w.raw(",\"pre_trip_warnings\":").num(s.pre_trip_warnings).raw("}");
 }
 
 }  // namespace
 
+void TelemetrySampler::write_jsonl(JsonWriter& w) const {
+  for (const TelemetrySample& s : samples_) {
+    write_sample(w, s);
+    w.raw("\n");
+  }
+}
+
 std::string TelemetrySampler::to_jsonl() const {
-  std::ostringstream os;
-  for (const TelemetrySample& s : samples_) os << sample_json(s) << "\n";
-  return os.str();
+  std::string out;
+  JsonWriter w(out);
+  write_jsonl(w);
+  return out;
 }
 
 std::string TelemetrySampler::last_jsonl() const {
-  if (samples_.empty()) return "";
-  return sample_json(samples_.back());
+  std::string out;
+  if (samples_.empty()) return out;
+  JsonWriter w(out);
+  write_sample(w, samples_.back());
+  return out;
 }
 
 }  // namespace arinoc::obs

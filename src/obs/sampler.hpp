@@ -17,6 +17,10 @@
 
 namespace arinoc::obs {
 
+namespace regress {
+class JsonWriter;
+}  // namespace regress
+
 /// One telemetry window. Rates are per-cycle over the window; occupancy
 /// fields are instantaneous probes taken at the window's closing cycle.
 struct TelemetrySample {
@@ -56,6 +60,7 @@ class TelemetrySampler {
   const std::vector<TelemetrySample>& samples() const { return samples_; }
 
   /// All samples, one JSON object per line (JSONL).
+  void write_jsonl(regress::JsonWriter& w) const;
   std::string to_jsonl() const;
   /// The most recent sample as a single JSON line; "" when empty.
   std::string last_jsonl() const;

@@ -1,9 +1,10 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <unordered_map>
+
+#include "obs/regress/json.hpp"
 
 namespace arinoc::obs {
 
@@ -60,27 +61,20 @@ void PacketTracer::clear() {
 }
 
 std::string PacketTracer::to_chrome_json() const {
-  const std::vector<TraceEvent> evs = events();
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  const char* sep = "";
-  auto emit = [&](const std::string& obj) {
-    os << sep << "\n" << obj;
-    sep = ",";
-  };
-  char buf[256];
+  std::string out;
+  regress::JsonWriter w(out);
+  w.raw("{\"traceEvents\":[");
   // Process metadata: one "process" per network keeps Perfetto's track
   // grouping readable (tid = mesh node).
-  for (int net = 0; net < 2; ++net) {
-    std::snprintf(buf, sizeof(buf),
-                  "{\"ph\":\"M\",\"pid\":%d,\"name\":\"process_name\","
-                  "\"args\":{\"name\":\"%s network\"}}",
-                  net, net_name(static_cast<std::uint8_t>(net)));
-    emit(buf);
+  for (std::uint8_t net = 0; net < 2; ++net) {
+    w.raw(net == 0 ? "\n" : ",\n").raw("{\"ph\":\"M\",\"pid\":").num(net);
+    w.raw(",\"name\":\"process_name\",\"args\":{\"name\":\"");
+    w.raw(net_name(net)).raw(" network\"}}");
   }
   std::unordered_map<std::uint64_t, Span> spans;
-  for (const TraceEvent& e : evs) {
+  for (const TraceEvent& e : events()) {
     const std::uint64_t key = span_key(e.net, e.pkt);
+    const char* type = packet_type_name(static_cast<PacketType>(e.type));
     switch (e.kind) {
       case TraceEventKind::kNiEnqueue:
         spans[key] = Span{e.cycle, e.node};
@@ -88,49 +82,35 @@ std::string PacketTracer::to_chrome_json() const {
       case TraceEventKind::kDeliver:
       case TraceEventKind::kDrop: {
         auto it = spans.find(key);
-        if (it != spans.end()) {
-          const Span& s = it->second;
-          std::snprintf(
-              buf, sizeof(buf),
-              "{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%llu,"
-              "\"dur\":%llu,\"name\":\"%s\",\"cat\":\"packet\","
-              "\"args\":{\"pkt\":%u,\"dest\":%d,\"outcome\":\"%s\"}}",
-              static_cast<int>(e.net), static_cast<int>(s.src),
-              static_cast<unsigned long long>(s.enqueue),
-              static_cast<unsigned long long>(e.cycle - s.enqueue),
-              packet_type_name(static_cast<PacketType>(e.type)),
-              static_cast<unsigned>(e.pkt), static_cast<int>(e.node),
-              trace_event_kind_name(e.kind));
-          emit(buf);
-          spans.erase(it);
-        }
+        if (it == spans.end()) break;
+        const Span& s = it->second;
+        w.raw(",\n{\"ph\":\"X\",\"pid\":").num(e.net).raw(",\"tid\":");
+        w.num(s.src).raw(",\"ts\":").num(s.enqueue).raw(",\"dur\":");
+        w.num(e.cycle - s.enqueue).raw(",\"name\":\"").raw(type);
+        w.raw("\",\"cat\":\"packet\",\"args\":{\"pkt\":").num(e.pkt);
+        w.raw(",\"dest\":").num(e.node).raw(",\"outcome\":\"");
+        w.raw(trace_event_kind_name(e.kind)).raw("\"}}");
+        spans.erase(it);
         break;
       }
       case TraceEventKind::kLinkHop:
       case TraceEventKind::kCorrupt:
-      case TraceEventKind::kRetransmit: {
-        std::snprintf(
-            buf, sizeof(buf),
-            "{\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%llu,\"s\":\"t\","
-            "\"name\":\"%s\",\"cat\":\"%s\","
-            "\"args\":{\"pkt\":%u,\"aux\":%d}}",
-            static_cast<int>(e.net), static_cast<int>(e.node),
-            static_cast<unsigned long long>(e.cycle),
-            trace_event_kind_name(e.kind),
-            packet_type_name(static_cast<PacketType>(e.type)),
-            static_cast<unsigned>(e.pkt), static_cast<int>(e.aux));
-        emit(buf);
+      case TraceEventKind::kRetransmit:
+        w.raw(",\n{\"ph\":\"i\",\"pid\":").num(e.net).raw(",\"tid\":");
+        w.num(e.node).raw(",\"ts\":").num(e.cycle);
+        w.raw(",\"s\":\"t\",\"name\":\"").raw(trace_event_kind_name(e.kind));
+        w.raw("\",\"cat\":\"").raw(type).raw("\",\"args\":{\"pkt\":");
+        w.num(e.pkt).raw(",\"aux\":").num(e.aux).raw("}}");
         break;
-      }
       case TraceEventKind::kVcAlloc:
       case TraceEventKind::kInject:
       case TraceEventKind::kEject:
         break;  // Not worth a viewer row each.
     }
   }
-  os << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{"
-     << "\"recorded\":" << recorded_ << ",\"dropped\":" << dropped_ << "}}";
-  return os.str();
+  w.raw("\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"recorded\":");
+  w.num(recorded_).raw(",\"dropped\":").num(dropped_).raw("}}");
+  return out;
 }
 
 std::string PacketTracer::tail_text(std::size_t n) const {

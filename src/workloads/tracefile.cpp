@@ -1,16 +1,39 @@
 #include "workloads/tracefile.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 namespace arinoc {
 
-Trace Trace::parse(std::istream& in) {
+namespace {
+
+/// One address token: an unsigned hex ("0x..."), octal ("0...") or decimal
+/// number filling the whole token. No sign, no trailing text, no overflow.
+bool parse_addr(const std::string& tok, Addr& out) {
+  if (tok.empty() || !std::isdigit(static_cast<unsigned char>(tok[0]))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  out = static_cast<Addr>(std::strtoull(tok.c_str(), &end, 0));
+  return errno == 0 && end == tok.c_str() + tok.size();
+}
+
+}  // namespace
+
+Trace Trace::parse(std::istream& in, const std::string& origin) {
   Trace trace;
   std::string line;
   std::size_t lineno = 0;
+  const auto fail = [&](const std::string& msg) {
+    throw std::invalid_argument(origin + ":" + std::to_string(lineno) + ": " +
+                                msg);
+  };
   while (std::getline(in, line)) {
     ++lineno;
     const auto hash = line.find('#');
@@ -23,44 +46,27 @@ Trace Trace::parse(std::istream& in) {
       trace.append(instr);
       continue;
     }
-    if (op != "L" && op != "S") {
-      throw std::runtime_error("trace line " + std::to_string(lineno) +
-                               ": unknown op '" + op + "'");
-    }
+    if (op != "L" && op != "S") fail("unknown op '" + op + "'");
     instr.is_mem = true;
     instr.is_store = (op == "S");
     std::string tok;
     while (ls >> tok) {
-      if (instr.num_lines >= Instr::kMaxLines) {
-        throw std::runtime_error("trace line " + std::to_string(lineno) +
-                                 ": more than 4 addresses");
-      }
-      try {
-        instr.lines[instr.num_lines++] =
-            static_cast<Addr>(std::stoull(tok, nullptr, 0));
-      } catch (const std::exception&) {
-        throw std::runtime_error("trace line " + std::to_string(lineno) +
-                                 ": bad address '" + tok + "'");
+      if (instr.num_lines >= Instr::kMaxLines) fail("more than 4 addresses");
+      if (!parse_addr(tok, instr.lines[instr.num_lines++])) {
+        fail("bad address '" + tok + "'");
       }
     }
-    if (instr.num_lines == 0) {
-      throw std::runtime_error("trace line " + std::to_string(lineno) +
-                               ": memory op without address");
-    }
+    if (instr.num_lines == 0) fail("memory op without address");
     trace.append(instr);
   }
-  if (trace.empty()) throw std::runtime_error("empty trace");
+  if (trace.empty()) throw std::invalid_argument(origin + ": empty trace");
   return trace;
 }
 
 Trace Trace::load(const std::string& path) {
   std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open trace file: " + path);
-  try {
-    return parse(in);
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
+  if (!in) throw std::invalid_argument("cannot open trace file: " + path);
+  return parse(in, path);
 }
 
 std::string Trace::to_text() const {

@@ -5,8 +5,9 @@
 //
 // Format (text, one record per line, '#' comments):
 //   A                          — ALU warp instruction
-//   L <addr> [<addr> ...]      — load touching up to 4 line addresses (hex
-//                                 or decimal)
+//   L <addr> [<addr> ...]      — load touching up to 4 line addresses
+//                                 (unsigned hex "0x..." or decimal; no
+//                                 sign or trailing text)
 //   S <addr> [<addr> ...]      — store
 //
 // The file holds one canonical warp stream; TraceFileSource hands each
@@ -31,9 +32,10 @@ namespace arinoc {
 /// Parsed trace: a sequence of warp instructions.
 class Trace {
  public:
-  /// Parses from a stream; throws std::runtime_error on malformed input.
-  static Trace parse(std::istream& in);
-  /// Parses a file; throws std::runtime_error (includes the path).
+  /// Parses from a stream. Malformed input throws std::invalid_argument as
+  /// "<origin>:<line>: <what>" (a configuration error, exit 2 in the CLI).
+  static Trace parse(std::istream& in, const std::string& origin = "trace");
+  /// Parses a file; errors name `path` as their origin.
   static Trace load(const std::string& path);
 
   /// Serializes back to the trace text format (round-trip safe).

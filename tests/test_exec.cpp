@@ -1,4 +1,4 @@
-// Execution engine: ThreadTeam, deterministic parallel sweeps, the on-disk
+// Execution engine: parallel_for, deterministic parallel sweeps, the on-disk
 // result cache, and per-cell crash isolation.
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 #include "exec/options.hpp"
 #include "exec/result_cache.hpp"
 #include "exec/runner.hpp"
-#include "exec/thread_team.hpp"
 #include "workloads/benchmark.hpp"
 
 namespace arinoc {
@@ -44,31 +43,31 @@ std::filesystem::path fresh_cache_dir(const std::string& name) {
   return dir;
 }
 
-TEST(ThreadTeam, RunsEveryIndexExactlyOnce) {
-  exec::ThreadTeam team(4);
-  EXPECT_EQ(team.threads(), 4u);
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
   EXPECT_GE(exec::hardware_threads(), 1u);
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
-                              std::size_t{200}}) {
-    std::vector<std::atomic<int>> hits(n);
-    team.run(n, [&hits](std::size_t i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " index " << i;
+  for (const unsigned jobs : {0u, 1u, 4u}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                std::size_t{200}}) {
+      std::vector<std::atomic<int>> hits(n);
+      exec::parallel_for(jobs, n, [&hits](std::size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "jobs=" << jobs << " n=" << n << " index " << i;
+      }
     }
   }
 }
 
-TEST(ThreadTeam, RunsTasksConcurrently) {
+TEST(ParallelFor, RunsTasksConcurrently) {
   // All four tasks must be in flight at once to release each other; a serial
-  // team would leave `started` stuck below 4 until the deadline.
-  exec::ThreadTeam team(4);
+  // loop would leave `started` stuck below 4 until the deadline.
   std::atomic<int> started{0};
   std::atomic<bool> all_running{false};
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  team.run(4, [&](std::size_t) {
+  exec::parallel_for(4, 4, [&](std::size_t) {
     started.fetch_add(1);
     while (started.load() < 4 &&
            std::chrono::steady_clock::now() < deadline) {
@@ -77,22 +76,6 @@ TEST(ThreadTeam, RunsTasksConcurrently) {
     if (started.load() == 4) all_running.store(true);
   });
   EXPECT_TRUE(all_running.load());
-}
-
-TEST(ThreadTeam, BackToBackGenerationsSumCorrectly) {
-  // Per-cycle stepping forks the team tens of thousands of times; a worker
-  // that wakes late must not claim a task of the next generation with the
-  // previous generation's closure (the generation-tagged cursor).
-  exec::ThreadTeam team(4);
-  std::atomic<std::uint64_t> sum{0};
-  std::uint64_t want = 0;
-  for (std::uint64_t g = 0; g < 10000; ++g) {
-    team.run(4, [&sum, g](std::size_t i) {
-      sum.fetch_add(g * 4 + i, std::memory_order_relaxed);
-    });
-    want += g * 16 + 6;
-  }
-  EXPECT_EQ(sum.load(), want);
 }
 
 TEST(ExecOptions, CountsAreStrictNonNegativeIntegers) {

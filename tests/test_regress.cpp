@@ -5,10 +5,17 @@
 // fail-fast helpers shared by the CLI drivers.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <map>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +24,7 @@
 #include "core/experiment.hpp"
 #include "core/gpgpu_sim.hpp"
 #include "core/report.hpp"
+#include "obs/attr.hpp"
 #include "obs/regress/baseline.hpp"
 #include "obs/regress/compare.hpp"
 #include "obs/regress/json.hpp"
@@ -78,6 +86,136 @@ TEST(RegressJson, EscapeCoversControlCharacters) {
   EXPECT_EQ(escaped, "a\\\"b\\\\c\\nd\\te\\u0001");
   EXPECT_TRUE(json_parse("\"" + escaped + "\"").ok);
   EXPECT_EQ(json_escape("plain-name_1.0"), "plain-name_1.0");
+}
+
+// ---------------------------------------------------------------------------
+// JSON writer: named number formats against printf, the one escape, and
+// string and file sinks giving the same bytes.
+
+// The printf spelling each NumFormat is named after.
+std::string printf_spelling(double v, NumFormat format) {
+  char buf[400];
+  switch (format) {
+    case NumFormat::kIntOrG6:
+      if (std::abs(v) < 1e15 && v == static_cast<double>(
+                                         static_cast<long long>(v))) {
+        std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
+        break;
+      }
+      [[fallthrough]];
+    case NumFormat::kG6: std::snprintf(buf, sizeof buf, "%.6g", v); break;
+    case NumFormat::kG17: std::snprintf(buf, sizeof buf, "%.17g", v); break;
+    case NumFormat::kFixed3: std::snprintf(buf, sizeof buf, "%.3f", v); break;
+  }
+  return buf;
+}
+
+TEST(RegressJson, NumFormatsMatchPrintf) {
+  // 1M seeded doubles in five shapes: raw bit patterns (every exponent,
+  // subnormals, inf and NaN of both signs), integers up to 2^60, values
+  // near the 1e15 integer cut, decimals with few digits, and sixteenths
+  // (exact rounding ties for "%.3f" and "%.6g").
+  std::mt19937_64 rng(20261020);
+  std::vector<double> values = {0.0, -0.0, 1e15, -1e15, 999999999999999.0,
+                                5e-324, -2.2250738585072009e-308,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN(),
+                                -std::numeric_limits<double>::quiet_NaN()};
+  while (values.size() < 1000000) {
+    const std::uint64_t r = rng();
+    const double sign = (r & 1) ? -1.0 : 1.0;
+    switch (values.size() % 5) {
+      case 0: values.push_back(std::bit_cast<double>(r)); break;
+      case 1:
+        values.push_back(sign * static_cast<double>(r >> (4 + r % 60)));
+        break;
+      case 2:
+        values.push_back(sign * (1e15 + static_cast<double>(r % 4001) -
+                                 2000.0 + ((r >> 20) % 2 ? 0.5 : 0.0)));
+        break;
+      case 3:
+        values.push_back(sign * static_cast<double>(r % 10000000) /
+                         std::pow(10.0, static_cast<double>((r >> 32) % 12)));
+        break;
+      default:
+        values.push_back(sign * static_cast<double>(r % 1000000) / 16.0);
+    }
+  }
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    for (const NumFormat f : {NumFormat::kG6, NumFormat::kIntOrG6,
+                              NumFormat::kG17, NumFormat::kFixed3}) {
+      const std::string want = printf_spelling(v, f);
+      const std::string got = format_number(v, f);
+      if (got != want && ++mismatches <= 5) {
+        ADD_FAILURE() << "format " << static_cast<int>(f) << " of "
+                      << printf_spelling(v, NumFormat::kG17) << ": got "
+                      << got << ", printf " << want;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(RegressJson, WriterEscapesEveryControlByte) {
+  for (int c = 0; c < 0x20; ++c) {
+    std::string out;
+    JsonWriter(out).str(std::string(1, static_cast<char>(c)));
+    char want[16];
+    std::snprintf(want, sizeof want, "\"\\u%04x\"", c);
+    const std::string expected = c == '\n'   ? "\"\\n\""
+                                 : c == '\t' ? "\"\\t\""
+                                 : c == '\r' ? "\"\\r\""
+                                              : want;
+    EXPECT_EQ(out, expected) << "byte " << c;
+    EXPECT_TRUE(json_parse(out).ok) << "byte " << c;
+  }
+  std::string out;
+  JsonWriter(out).str("q\"b\\ \x7f\xc3\xa9");
+  EXPECT_EQ(out, "\"q\\\"b\\\\ \x7f\xc3\xa9\"");
+}
+
+TEST(RegressJson, FileSinkMatchesStringSinkAndReportsWriteErrors) {
+  // One observed cell; the attribution report is larger than the file
+  // sink's buffer, so it drains mid-document.
+  Config cfg;
+  cfg.mesh_width = cfg.mesh_height = 4;
+  cfg.num_mcs = 4;
+  cfg.warmup_cycles = 500;
+  cfg.run_cycles = 3000;
+  const Config resolved = resolve_cell_config(cfg, Scheme::kAdaBaseline, "bfs");
+  GpgpuSim sim(resolved, *find_benchmark("bfs"));
+  obs::LatencyAttributor attr(64);
+  sim.attach_attributor(&attr);
+  sim.enable_sampling(200);
+  sim.run_with_warmup();
+  sim.flush_sampler();
+  const std::string report = attr.to_json();
+  const std::string telemetry = sim.sampler()->to_jsonl();
+  ASSERT_GT(report.size(), std::size_t{1} << 17);
+  ASSERT_FALSE(telemetry.empty());
+
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "arinoc_json_sink";
+  std::filesystem::create_directories(dir);
+  const auto file_bytes = [&dir](const std::function<void(JsonWriter&)>& emit) {
+    const std::string path = (dir / "doc.json").string();
+    EXPECT_TRUE(write_json_file(path, emit));
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  EXPECT_EQ(file_bytes([&](JsonWriter& w) { attr.write_json(w); }), report);
+  EXPECT_EQ(file_bytes([&](JsonWriter& w) { sim.sampler()->write_jsonl(w); }),
+            telemetry);
+  std::filesystem::remove_all(dir);
+
+  const auto emit = [&](JsonWriter& w) { attr.write_json(w); };
+  EXPECT_FALSE(write_json_file((dir / "missing" / "doc.json").string(), emit));
+  if (std::filesystem::exists("/dev/full")) {
+    EXPECT_FALSE(write_json_file("/dev/full", emit));
+  }
 }
 
 TEST(RegressJson, MembersPreserveOrder) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "core/experiment.hpp"
 #include "core/gpgpu_sim.hpp"
@@ -36,23 +38,23 @@ TEST(Trace, ParsesAllRecordTypes) {
 TEST(Trace, RejectsMalformedInput) {
   {
     std::istringstream in("X 0x100\n");
-    EXPECT_THROW(Trace::parse(in), std::runtime_error);
+    EXPECT_THROW(Trace::parse(in), std::invalid_argument);
   }
   {
     std::istringstream in("L\n");  // Memory op without address.
-    EXPECT_THROW(Trace::parse(in), std::runtime_error);
+    EXPECT_THROW(Trace::parse(in), std::invalid_argument);
   }
   {
     std::istringstream in("L zzz\n");
-    EXPECT_THROW(Trace::parse(in), std::runtime_error);
+    EXPECT_THROW(Trace::parse(in), std::invalid_argument);
   }
   {
     std::istringstream in("L 1 2 3 4 5\n");  // Too many addresses.
-    EXPECT_THROW(Trace::parse(in), std::runtime_error);
+    EXPECT_THROW(Trace::parse(in), std::invalid_argument);
   }
   {
     std::istringstream in("# only comments\n");
-    EXPECT_THROW(Trace::parse(in), std::runtime_error);
+    EXPECT_THROW(Trace::parse(in), std::invalid_argument);
   }
 }
 
@@ -72,11 +74,35 @@ TEST(Trace, RoundTripsThroughText) {
   }
 }
 
+TEST(Trace, RejectsSignedAndTrailingAddressesWithLocation) {
+  // Each bad line is a located configuration error: "<origin>:<line>: ...".
+  const struct {
+    const char* text;
+    const char* where;
+  } cases[] = {
+      {"garbage\n", "t.trace:1: unknown op 'garbage'"},
+      {"A\nL -64\n", "t.trace:2: bad address '-64'"},
+      {"L +64\n", "t.trace:1: bad address '+64'"},
+      {"A\n\nL 0x40zz\n", "t.trace:3: bad address '0x40zz'"},
+      {"S 64 12abc\n", "t.trace:1: bad address '12abc'"},
+      {"L 0x1ffffffffffffffff\n", "t.trace:1: bad address"},
+  };
+  for (const auto& c : cases) {
+    std::istringstream in(c.text);
+    try {
+      Trace::parse(in, "t.trace");
+      FAIL() << "accepted " << c.text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(c.where, 0), 0u) << e.what();
+    }
+  }
+}
+
 TEST(Trace, LoadReportsPathOnError) {
   try {
     Trace::load("/no/such/trace.txt");
     FAIL() << "expected exception";
-  } catch (const std::runtime_error& e) {
+  } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("/no/such/trace.txt"),
               std::string::npos);
   }
