@@ -1085,7 +1085,7 @@ int usage_error(const std::string& message) {
 int main(int argc, char** argv) {
   using namespace arinoc;
   using bench::Figure;
-  exec::ExecOptions opts = exec::options_from_env(/*default_cache=*/true);
+  exec::ExecOptions opts = exec::default_exec_options(/*cache=*/true);
   if (!exec::parse_exec_flags(argc, argv, opts)) return 2;
   std::string id;
   for (int i = 1; i < argc; ++i) {

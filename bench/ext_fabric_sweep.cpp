@@ -16,13 +16,14 @@
 #include "bench_util.hpp"
 #include "core/sweep.hpp"
 #include "exec/options.hpp"
+#include "obs/regress/baseline.hpp"
 #include "obs/regress/json.hpp"
 
 int main(int argc, char** argv) {
   using namespace arinoc;
   using obs::regress::json_escape;
 
-  exec::ExecOptions opts = exec::options_from_env(true);
+  exec::ExecOptions opts = exec::default_exec_options(true);
   if (!exec::parse_exec_flags(argc, argv, opts)) return 2;
   std::string out_path = "BENCH_fabric_sweep.json";
   bool quick = false;
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
       return exec::unknown_option(argv[i], "--out F, --quick");
     }
   }
-  if (!bench::out_dir_exists(out_path)) return 2;
+  if (!obs::regress::require_parent_dir(out_path, "--out")) return 2;
 
   bench::banner("Extension — ARI across fabrics (mesh/torus/cmesh/chiplet)",
                 "the reply bottleneck is topological, not mesh-specific: "

@@ -16,10 +16,11 @@
 
 #include "bench_util.hpp"
 #include "exec/runner.hpp"
+#include "obs/regress/baseline.hpp"
 
 int main(int argc, char** argv) {
   using namespace arinoc;
-  exec::ExecOptions opts = exec::options_from_env(true);
+  exec::ExecOptions opts = exec::default_exec_options(true);
   if (!exec::parse_exec_flags(argc, argv, opts)) return 2;
   std::string fabric = "mesh";
   bool fabric_flag = false;
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
       return exec::unknown_option(argv[i], "--fabric F, --out F");
     }
   }
-  if (!bench::out_dir_exists(out_path)) return 2;
+  if (!obs::regress::require_parent_dir(out_path, "--out")) return 2;
   bench::banner("Extension — fault resilience (corruption rate x scheme)",
                 "reply-side CRC + retransmission recovers >=99% of corrupted "
                 "packets; IPC degrades gracefully and monotonically");

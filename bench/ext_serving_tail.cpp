@@ -26,10 +26,11 @@
 
 #include "bench_util.hpp"
 #include "exec/runner.hpp"
+#include "obs/regress/baseline.hpp"
 
 int main(int argc, char** argv) {
   using namespace arinoc;
-  exec::ExecOptions opts = exec::options_from_env(true);
+  exec::ExecOptions opts = exec::default_exec_options(true);
   if (!exec::parse_exec_flags(argc, argv, opts)) return 2;
   bool quick = false;
   std::string fabric = "mesh";
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
       return exec::unknown_option(argv[i], "--quick, --fabric F, --out F");
     }
   }
-  if (!bench::out_dir_exists(out)) return 2;
+  if (!obs::regress::require_parent_dir(out, "--out")) return 2;
 
   bench::banner(
       "Extension — serving tail latency (load factor x scheme, open loop)",

@@ -27,21 +27,17 @@
 //     --json                  machine-readable metrics on stdout
 //     --list-benchmarks       print the 30-benchmark suite and exit
 //
-//   Execution engine (synthetic benchmarks run through arinoc::exec):
-//     --jobs <n>              exec pool size (single runs need just 1)
-//     --no-cache              disable the on-disk result cache
-//     --cache-dir <dir>       result-cache directory (default:
-//                             $ARINOC_CACHE_DIR or .arinoc-cache)
-//   A cache hit replays the stored metrics byte-identically instead of
-//   re-simulating. Replay runs bypass the cache (the cache key covers
-//   named benchmarks, not trace file contents).
+//   Every run simulates its one cell afresh; nothing is cached. A named
+//   benchmark runs with the same per-cell seed as the grid drivers
+//   (resolve_cell_config), so its metrics match theirs bit-for-bit.
 //
 //   Observability (see docs/observability.md; all off by default):
 //     --trace                 record the packet-lifecycle event trace
 //     --trace-out <file>      Chrome trace-event JSON path (implies
 //                             --trace; default: arinoc-trace.json)
 //     --trace-capacity <n>    trace ring size in events (default: 65536)
-//     --sample-interval <n>   telemetry sample every n cycles (0 = off)
+//     --sample-interval <n>   telemetry sample every n cycles (0 = off;
+//                             needs --sample-out)
 //     --sample-out <file>     telemetry JSONL path (needs --sample-interval)
 //     --counters-out <file>   dump every component counter as JSON after
 //                             the run
@@ -54,13 +50,9 @@
 //     --attr-window <n>       congestion-series window in cycles (512)
 //     --self-profile <file>   per-epoch simulator self-profile JSONL:
 //                             subsystem wall-clock + activity wake rates
-//   Environment fallbacks: ARINOC_TRACE (any value), ARINOC_TRACE_OUT,
-//   ARINOC_SAMPLE_INTERVAL, ARINOC_SAMPLE_OUT. Observed runs execute the
-//   simulator directly (same per-cell seed derivation as the execution
-//   engine, so metrics match the unobserved path bit-for-bit) and bypass
-//   the result cache. Trace/telemetry files are written even when the
-//   watchdog trips — the cycles leading up to a deadlock are exactly the
-//   ones worth looking at.
+//   Observers never change the metrics. Trace/telemetry files are written
+//   even when the watchdog trips — the cycles leading up to a deadlock are
+//   exactly the ones worth looking at.
 //
 //   Fault injection (reply network; all rates default to 0 = off):
 //     --fault-corrupt <p>     per-link/cycle transient corruption prob.
@@ -97,9 +89,7 @@
 //                             check client e2e p99, closed-loop runs check
 //                             reply-network p99)
 //   Missing/unreadable trace or pace files are rejected up front with exit
-//   code 2, before any simulation state is built. File-paced open-loop runs
-//   bypass the result cache (the cache key covers the pace spec string, not
-//   pace-file contents).
+//   code 2, before any simulation state is built.
 //
 //   Regression sentinel (see docs/observability.md):
 //     --baseline-write <dir>  anchor this cell: write its golden baseline
@@ -128,7 +118,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <optional>
@@ -139,9 +128,7 @@
 #include "core/experiment.hpp"
 #include "core/watchdog.hpp"
 #include "core/report.hpp"
-#include "exec/options.hpp"
 #include "exec/result_cache.hpp"
-#include "exec/runner.hpp"
 #include "obs/attr.hpp"
 #include "obs/regress/baseline.hpp"
 #include "obs/regress/compare.hpp"
@@ -155,6 +142,7 @@
 #include "workloads/tracefile.hpp"
 
 using namespace arinoc;
+using obs::regress::require_parent_dir;
 
 namespace {
 
@@ -225,33 +213,15 @@ struct ObsOptions {
   bool trace = false;
   std::string trace_out;     ///< Defaults to "arinoc-trace.json" if tracing.
   std::size_t trace_capacity = obs::PacketTracer::kDefaultCapacity;
+  Cycle sample_interval = 0;  ///< Telemetry period (0 = off).
   std::string sample_out;    ///< Telemetry JSONL (needs --sample-interval).
   std::string counters_out;  ///< Counter-dump JSON.
   std::string attr_out;      ///< Latency-attribution report JSON.
   std::string attr_html;     ///< Attribution dashboard (self-contained HTML).
   Cycle attr_window = 0;     ///< Congestion-series window (0 = default).
   std::string self_profile;  ///< Simulator self-profile JSONL.
-
-  /// Any observer active means the run executes the simulator directly
-  /// instead of going through the exec engine (whose workers own their
-  /// simulators, so there is nothing to attach a tracer to).
-  bool any() const {
-    return trace || !sample_out.empty() || !counters_out.empty() ||
-           !attr_out.empty() || !attr_html.empty() || !self_profile.empty();
-  }
   bool attr() const { return !attr_out.empty() || !attr_html.empty(); }
 };
-
-ObsOptions obs_from_env() {
-  ObsOptions obs;
-  if (std::getenv("ARINOC_TRACE") != nullptr) obs.trace = true;
-  if (const char* out = std::getenv("ARINOC_TRACE_OUT")) {
-    obs.trace = true;
-    obs.trace_out = out;
-  }
-  if (const char* out = std::getenv("ARINOC_SAMPLE_OUT")) obs.sample_out = out;
-  return obs;
-}
 
 /// Reads one count of a --topology generator spec: a plain positive
 /// decimal that fits the field (parse_count names a malformed one).
@@ -319,26 +289,13 @@ bool require_readable(const std::string& path, const char* what) {
   return false;
 }
 
-/// Fail-fast parent-directory check for output files named on the command
-/// line: writing into a directory that does not exist must die with a clear
-/// usage error before any simulation state is built, not as a mid-run
-/// "cannot write" after minutes of simulation.
-bool require_parent_dir(const std::string& path, const char* flag) {
-  if (path.empty() || obs::regress::parent_dir_exists(path)) return true;
-  std::fprintf(stderr,
-               "error: %s '%s': parent directory '%s' does not exist\n", flag,
-               path.c_str(), obs::regress::parent_dir_of(path).c_str());
-  return false;
-}
-
-/// Runs an observed simulation: attaches the requested observers, runs, and
-/// writes every requested artifact — including after a watchdog trip.
-/// Returns the process exit status; fills `m` on success.
-int run_observed(GpgpuSim& sim, const ObsOptions& obs, Cycle sample_interval,
-                 Metrics& m) {
+/// Runs the cell: attaches the requested observers, runs, and writes every
+/// requested artifact — including after a watchdog trip. Returns the
+/// process exit status; fills `m` on success.
+int run_cell(GpgpuSim& sim, const ObsOptions& obs, Metrics& m) {
   obs::PacketTracer tracer(obs.trace_capacity);
   if (obs.trace) sim.attach_tracer(&tracer);
-  if (sample_interval > 0) sim.enable_sampling(sample_interval);
+  if (obs.sample_interval > 0) sim.enable_sampling(obs.sample_interval);
   obs::LatencyAttributor attr(
       obs.attr_window > 0 ? obs.attr_window
                           : obs::LatencyAttributor::kDefaultWindow);
@@ -354,7 +311,7 @@ int run_observed(GpgpuSim& sim, const ObsOptions& obs, Cycle sample_interval,
     status = trip.exit_status();
     trip_text = std::string(trip.what()) + "\n" + trip.dump();
   }
-  if (sample_interval > 0) sim.flush_sampler();
+  if (obs.sample_interval > 0) sim.flush_sampler();
   if (!obs.self_profile.empty()) prof.finish(sim.now());
   if (status == 0) m = sim.collect();
 
@@ -403,12 +360,7 @@ int main(int argc, char** argv) {
   std::string baseline_check;  ///< --baseline-check dir ("" = off).
   bool ignore_improvements = false;
   double slo_cycles = 0.0;  ///< 0 = no SLO check.
-  ObsOptions obs = obs_from_env();
-
-  exec::ExecOptions exec_opts = exec::options_from_env(true);
-  exec_opts.jobs = 1;        // One cell; a wide pool buys nothing here.
-  exec_opts.progress = false;
-  if (!exec::parse_exec_flags(argc, argv, exec_opts)) return 2;
+  ObsOptions obs;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -439,6 +391,8 @@ int main(int argc, char** argv) {
       obs.trace_out = value();
     } else if (arg == "--trace-capacity") {
       count(&obs.trace_capacity);
+    } else if (arg == "--sample-interval") {
+      count(&obs.sample_interval);
     } else if (arg == "--sample-out") {
       obs.sample_out = value();
     } else if (arg == "--counters-out") {
@@ -548,13 +502,20 @@ int main(int argc, char** argv) {
       }
       return 0;
     } else {
-      return exec::unknown_option(
-          arg.c_str(), "the run flags listed atop examples/arinoc_sim.cpp");
+      std::fprintf(stderr,
+                   "unknown option '%s' (supported: the run flags listed "
+                   "atop examples/arinoc_sim.cpp)\n",
+                   arg.c_str());
+      return 2;
     }
   }
 
-  if (!obs.sample_out.empty() && exec_opts.sample_interval == 0) {
+  if (!obs.sample_out.empty() && obs.sample_interval == 0) {
     std::fprintf(stderr, "--sample-out requires --sample-interval <n>\n");
+    return 2;
+  }
+  if (obs.sample_interval > 0 && obs.sample_out.empty()) {
+    std::fprintf(stderr, "--sample-interval requires --sample-out <file>\n");
     return 2;
   }
   if (!baseline_write.empty() && !baseline_check.empty()) {
@@ -605,18 +566,14 @@ int main(int argc, char** argv) {
       !require_readable(replay_path, "trace file")) {
     return 2;
   }
-  if (cfg.open_loop && pace_spec_is_file(cfg.pace_spec)) {
-    if (!require_readable(cfg.pace_spec, "pace file")) return 2;
-    // Pace-file contents are not part of the exec cache key (only the path
-    // string is), so a cached result could silently go stale if the file
-    // changed. Never cache file-paced cells.
-    exec_opts.cache_enabled = false;
+  if (cfg.open_loop && pace_spec_is_file(cfg.pace_spec) &&
+      !require_readable(cfg.pace_spec, "pace file")) {
+    return 2;
   }
   if (cfg.fabric == "file") {
     // Fail fast on the topology file: parse it up front so a malformed
     // fabric dies with a clear location-tagged message (exit 2) before any
     // simulation state exists. Its MC count defines the system's MCs.
-    // (Caching stays safe: the cache key hashes the file contents.)
     if (!require_readable(cfg.topology_file, "topology file")) return 2;
     try {
       const topo::FabricGraph g = topo::parse_topology_file(cfg.topology_file);
@@ -629,8 +586,9 @@ int main(int argc, char** argv) {
   }
   // Reject an invalid configuration (an oversized fabric among them)
   // before any fabric or simulator state is built.
+  Config resolved_cfg;
   try {
-    resolve_cell_config(cfg, scheme, benchmark);
+    resolved_cfg = resolve_cell_config(cfg, scheme, benchmark);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
@@ -651,66 +609,38 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  const bool replay = !replay_path.empty();
+  const BenchmarkTraits* traits = find_benchmark(benchmark);
+  if (!replay && traits == nullptr) {
+    std::fprintf(stderr, "unknown benchmark '%s' (see --list-benchmarks)\n",
+                 benchmark.c_str());
+    return 2;
+  }
+
   Metrics m;
-  // Identity of the cell that actually ran — filled by every branch below,
-  // consumed by the provenance block (--json) and the baseline store.
-  Config resolved_cfg = cfg;
+  // Identity of the cell that ran, consumed by the provenance block
+  // (--json) and the baseline store. A replay keeps the base seed: the
+  // per-cell seed derivation keys named benchmarks.
   std::string fabric_tag;
   const auto wall_start = std::chrono::steady_clock::now();
-  if (!replay_path.empty() || obs.any()) {
-    // Direct runs. Replays bypass the exec cache: its key covers named
-    // benchmarks, not trace file contents. Observed runs need a simulator
-    // to attach to, and the exec workers own theirs; their config goes
-    // through the same resolve_cell_config() as the exec path, so seed
-    // derivation (and therefore every metric) matches bit-for-bit.
-    const bool replay = !replay_path.empty();
-    const BenchmarkTraits* traits = find_benchmark(benchmark);
-    if (!replay && traits == nullptr) {
-      std::fprintf(stderr, "unknown benchmark '%s' (see --list-benchmarks)\n",
-                   benchmark.c_str());
-      return 2;
+  try {
+    if (replay) resolved_cfg = apply_scheme(cfg, scheme);
+    fabric_tag = da2mesh ? "da2mesh" : exec::fabric_cache_tag(resolved_cfg);
+    std::optional<TraceFileSource> source;
+    if (replay) {
+      source.emplace(Trace::load(replay_path), resolved_cfg.num_ccs(),
+                     resolved_cfg.warps_per_core, resolved_cfg.line_bytes);
     }
-    try {
-      resolved_cfg = replay ? apply_scheme(cfg, scheme)
-                            : resolve_cell_config(cfg, scheme, benchmark);
-      fabric_tag = da2mesh ? "da2mesh" : exec::fabric_cache_tag(resolved_cfg);
-      std::optional<TraceFileSource> source;
-      if (replay) {
-        source.emplace(Trace::load(replay_path), resolved_cfg.num_ccs(),
-                       resolved_cfg.warps_per_core, resolved_cfg.line_bytes);
-      }
-      GpgpuSim sim = source ? GpgpuSim(resolved_cfg, &*source, da2mesh)
-                            : GpgpuSim(resolved_cfg, *traits, da2mesh);
-      const int status = run_observed(sim, obs, exec_opts.sample_interval, m);
-      if (status != 0) return status;
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
-  } else {
-    if (find_benchmark(benchmark) == nullptr) {
-      std::fprintf(stderr, "unknown benchmark '%s' (see --list-benchmarks)\n",
-                   benchmark.c_str());
-      return 2;
-    }
-    // One-cell grid on the execution engine: crash isolation surfaces any
-    // watchdog trip as a structured per-cell error, and the result cache
-    // replays unchanged configurations without re-simulating.
-    exec::ExperimentRunner runner(cfg, exec_opts);
-    const exec::CellSpec spec{"cli", scheme, benchmark, nullptr, da2mesh};
-    const auto results = runner.run({spec});
-    const exec::CellResult& r = results.at(0);
-    if (!r.ok()) {
-      std::fprintf(stderr, "%s\n%s", r.error.c_str(),
-                   r.error_detail.c_str());
-      return r.exit_status;
-    }
-    m = r.metrics;
-    resolved_cfg = runner.resolve(spec);  // Cannot throw: the cell ran.
-    fabric_tag = r.fabric;
+    GpgpuSim sim = source ? GpgpuSim(resolved_cfg, &*source, da2mesh)
+                          : GpgpuSim(resolved_cfg, *traits, da2mesh);
+    const int status = run_cell(sim, obs, m);
+    if (status != 0) return status;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
   }
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -

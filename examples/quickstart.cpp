@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   std::printf("benchmark: %s\n\n", bench.c_str());
 
   const auto results =
-      exec::ExperimentRunner(base, exec::options_from_env(false))
+      exec::ExperimentRunner(base, exec::default_exec_options(false))
           .run(grid({}, {Scheme::kAdaBaseline, Scheme::kAdaARI}, {bench}));
   for (const auto& r : results) {
     if (!r.ok()) {

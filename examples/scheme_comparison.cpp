@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
       Scheme::kAdaMultiPort, Scheme::kAccSupply,  Scheme::kAccConsume,
       Scheme::kAccBothNoPrio, Scheme::kAdaARI};
   const auto results =
-      exec::ExperimentRunner(base, exec::options_from_env(false))
+      exec::ExperimentRunner(base, exec::default_exec_options(false))
           .run(grid({}, schemes, benches));
   for (const auto& r : results) {
     if (!r.ok()) {

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/types.hpp"
+#include "noc/packet.hpp"
 
 namespace arinoc {
 
@@ -197,16 +198,12 @@ struct Config {
   /// topo::Fabric (GpgpuSim sizes cores off fabric.cc_nodes()).
   std::uint32_t num_nodes() const { return mesh_width * mesh_height; }
   std::uint32_t num_ccs() const { return num_nodes() - num_mcs; }
-  /// Flits of a long (data-bearing) packet on the given network link width:
-  /// 1 header flit + payload flits.
-  std::uint32_t long_packet_flits(std::uint32_t link_bits) const {
-    return 1 + ceil_div(data_payload_bits, link_bits);
-  }
+  /// Flits of a long (data-bearing) packet on each network.
   std::uint32_t reply_long_flits() const {
-    return long_packet_flits(link_width_bits_reply);
+    return long_packet_flits(data_payload_bits, link_width_bits_reply);
   }
   std::uint32_t request_long_flits() const {
-    return long_packet_flits(link_width_bits_request);
+    return long_packet_flits(data_payload_bits, link_width_bits_request);
   }
   /// VC buffer depth in flits on the reply network (1 pkt = long pkt).
   std::uint32_t vc_depth_flits_reply() const {

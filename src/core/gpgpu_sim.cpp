@@ -98,6 +98,7 @@ NetworkParams request_params(const Config& cfg) {
   p.activity_driven = cfg.activity_driven;
   p.name = "request";
   p.link_width_bits = cfg.link_width_bits_request;
+  p.data_payload_bits = cfg.data_payload_bits;
   p.num_vcs = cfg.num_vcs;
   p.vc_depth_flits = cfg.vc_depth_flits_request();
   // Deeper router pipelines show up as extra per-hop transfer latency.
@@ -117,6 +118,7 @@ NetworkParams reply_params(const Config& cfg) {
   p.activity_driven = cfg.activity_driven;
   p.name = "reply";
   p.link_width_bits = cfg.link_width_bits_reply;
+  p.data_payload_bits = cfg.data_payload_bits;
   p.num_vcs = cfg.num_vcs;
   p.vc_depth_flits = cfg.vc_depth_flits_reply();
   p.link_latency = cfg.link_latency + cfg.router_pipeline_stages - 1;
@@ -179,9 +181,7 @@ void GpgpuSim::build(bool use_da2mesh, InstrSource* source) {
   }
 
   request_net_ = std::make_unique<Network>(request_params(cfg), &fabric_);
-  request_net_->data_payload_bits = cfg.data_payload_bits;
   reply_net_ = std::make_unique<Network>(reply_params(cfg), &fabric_);
-  reply_net_->data_payload_bits = cfg.data_payload_bits;
   if (use_da2mesh) {
     OverlayParams op;
     op.queue_flits = cfg.ni_queue_flits;

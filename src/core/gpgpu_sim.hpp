@@ -176,7 +176,6 @@ class GpgpuSim {
   std::size_t live_txns() const { return txns_.live(); }
 
   // ---- Serving layer access (open_loop / admission runs only) ----
-  std::size_t num_clients() const { return clients_.size(); }
   OpenLoopClient& client(std::size_t i) { return *clients_[i]; }
   /// Current degradation state; kNormal when admission is disabled.
   DegradeState degrade_state() const {
@@ -201,7 +200,6 @@ class GpgpuSim {
   /// Attaches the wall-clock self-profiler (null detaches). Host-side
   /// measurement only: simulated behaviour is identical either way.
   void attach_self_profiler(obs::SelfProfiler* p) { prof_ = p; }
-  obs::SelfProfiler* self_profiler() const { return prof_; }
   /// Step/cycle calls made so far on the components of group `g`, read
   /// from the components themselves: what the self-profiler's wake totals
   /// must add up to when it is attached from the first cycle.

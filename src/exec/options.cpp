@@ -17,17 +17,9 @@
 
 namespace arinoc::exec {
 
-ExecOptions options_from_env(bool default_cache) {
+ExecOptions default_exec_options(bool cache) {
   ExecOptions opts;
-  count_from_env("ARINOC_JOBS", &opts.jobs);
-  opts.cache_enabled = default_cache;
-  if (std::getenv("ARINOC_NO_CACHE") != nullptr) opts.cache_enabled = false;
-  if (const char* dir = std::getenv("ARINOC_CACHE_DIR")) opts.cache_dir = dir;
-  count_from_env("ARINOC_SAMPLE_INTERVAL", &opts.sample_interval);
-  if (const char* dir = std::getenv("ARINOC_TELEMETRY_DIR")) {
-    opts.telemetry_dir = dir;
-  }
-  if (const char* dir = std::getenv("ARINOC_ATTR_DIR")) opts.attr_dir = dir;
+  opts.cache_enabled = cache;
   opts.progress = ARINOC_ISATTY_STDERR();
   return opts;
 }
@@ -84,7 +76,7 @@ int unknown_option(const char* arg, const char* own_flags) {
 }
 
 ExecOptions require_exec_flags(int argc, char** argv, bool default_cache) {
-  ExecOptions opts = options_from_env(default_cache);
+  ExecOptions opts = default_exec_options(default_cache);
   if (!parse_exec_flags(argc, argv, opts)) std::exit(2);
   if (argc > 1) std::exit(unknown_option(argv[1], ""));
   return opts;

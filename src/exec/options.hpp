@@ -1,5 +1,5 @@
-// Shared command-line / environment plumbing for ExecOptions, used by the
-// bench binaries and example drivers so every one of them speaks the same
+// Shared command-line plumbing for ExecOptions, used by the grid drivers
+// (the bench binaries, sweep_csv) so every one of them speaks the same
 // dialect:
 //
 //   --jobs N             worker threads (0 = hardware concurrency)
@@ -10,23 +10,20 @@
 //   --attr-dir D         per-cell latency-attribution report directory
 //                        (setting it turns attribution on for every cell)
 //
-// Environment fallbacks (read first, flags override): ARINOC_JOBS,
-// ARINOC_NO_CACHE (any value), ARINOC_CACHE_DIR, ARINOC_SAMPLE_INTERVAL,
-// ARINOC_TELEMETRY_DIR, ARINOC_ATTR_DIR. Progress/ETA reporting defaults to
-// on when stderr is a terminal.
+// Progress/ETA reporting defaults to on when stderr is a terminal.
 #pragma once
 
 #include "exec/runner.hpp"
 
 namespace arinoc::exec {
 
-/// Baseline options from the environment. `default_cache` is what the
-/// binary wants when neither ARINOC_NO_CACHE nor --no-cache is present
-/// (benches default to caching ON so re-runs only simulate changed cells).
-ExecOptions options_from_env(bool default_cache);
+/// A binary's options before its flags are parsed. `cache` is what the
+/// binary wants when --no-cache is absent (benches default to caching ON so
+/// re-runs only simulate changed cells).
+ExecOptions default_exec_options(bool cache);
 
 /// Consumes the exec flags from argv (compacting it in place and updating
-/// argc) on top of env defaults; leaves unrelated flags for the caller.
+/// argc); leaves unrelated flags for the caller.
 /// Returns false (after printing to stderr) on a malformed exec flag.
 bool parse_exec_flags(int& argc, char** argv, ExecOptions& opts);
 
@@ -37,7 +34,7 @@ bool parse_exec_flags(int& argc, char** argv, ExecOptions& opts);
 int unknown_option(const char* arg, const char* own_flags);
 
 /// One-call convenience for binaries whose only flags are the exec flags:
-/// env + argv, exits(2) on malformed or leftover unknown arguments.
+/// defaults + argv, exits(2) on malformed or leftover unknown arguments.
 ExecOptions require_exec_flags(int argc, char** argv,
                                bool default_cache = true);
 

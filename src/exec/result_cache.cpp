@@ -121,10 +121,7 @@ std::optional<Metrics> deserialize_metrics(const std::string& text) {
   return m;
 }
 
-std::string ResultCache::default_dir() {
-  if (const char* dir = std::getenv("ARINOC_CACHE_DIR")) return dir;
-  return ".arinoc-cache";
-}
+std::string ResultCache::default_dir() { return ".arinoc-cache"; }
 
 std::string ResultCache::entry_path(const std::string& key_material) const {
   return dir_ + "/" + hex_u64(fnv1a64(key_material)) + ".cell";

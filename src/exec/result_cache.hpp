@@ -61,7 +61,7 @@ class ResultCache {
   /// ignored — the cache is an accelerator, never a correctness dependency.
   void store(const std::string& key_material, const Metrics& m) const;
 
-  /// Default directory: $ARINOC_CACHE_DIR, else ".arinoc-cache".
+  /// Default directory: ".arinoc-cache" (relative to the working directory).
   static std::string default_dir();
 
  private:

@@ -27,13 +27,11 @@ void MemController::deliver(const Packet& pkt, Cycle /*now*/) {
 void MemController::sync_idle(Cycle now) {
   if (now <= next_cycle_) return;
   const Cycle gap = now - next_cycle_;
-  // While can_sleep() holds, every skipped cycle would have sampled three
-  // empty queues and ticked an idle DRAM: replay exactly that. stall_cycles_
-  // cannot accrue (the reply stage is empty) and the L2/reply pipelines
-  // cannot move (nothing is in them).
+  // While can_sleep() holds, every skipped cycle would have sampled an
+  // empty request queue and ticked an idle DRAM: replay exactly that.
+  // stall_cycles_ cannot accrue (the reply stage is empty) and the L2/reply
+  // pipelines cannot move (nothing is in them).
   req_q_occ_.add_zeros(gap);
-  dram_q_occ_.add_zeros(gap);
-  reply_occ_.add_zeros(gap);
   dram_.advance_idle(mem_clock_.ticks_for(gap));
   next_cycle_ = now;
 }
@@ -121,8 +119,6 @@ void MemController::cycle(Cycle now) {
   }
 
   req_q_occ_.add(static_cast<double>(request_q_.size()));
-  dram_q_occ_.add(static_cast<double>(dram_.queue_depth()));
-  reply_occ_.add(static_cast<double>(reply_stage_.size()));
 
   // 4) Tick DRAM in its own clock domain.
   const std::uint32_t ticks = mem_clock_.ticks_this_cycle();
@@ -149,8 +145,6 @@ void MemController::reset_stats() {
   l2_.reset_stats();
   dram_.reset_stats();
   req_q_occ_.reset();
-  dram_q_occ_.reset();
-  reply_occ_.reset();
 }
 
 }  // namespace arinoc

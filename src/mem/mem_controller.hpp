@@ -60,7 +60,7 @@ class MemController : public PacketSink {
            pending_reads_.empty() && dram_.fully_idle();
   }
   /// Replays the bookkeeping of the idle cycles [next expected, now):
-  /// zero-valued occupancy samples and idle DRAM clock ticks, exactly as
+  /// zero-valued request-queue samples and idle DRAM clock ticks, exactly as
   /// the skipped cycle() calls would have produced them. Also called by
   /// GpgpuSim::sync_activity() at run/reset boundaries so deferred samples
   /// are attributed to the measurement window they belong to.
@@ -78,10 +78,8 @@ class MemController : public PacketSink {
   const GddrDram& dram() const { return dram_; }
   std::size_t reply_backlog() const { return reply_stage_.size(); }
   std::uint64_t requests_served() const { return requests_served_; }
-  /// Per-cycle mean occupancies (diagnostics; sampled every cycle).
+  /// Per-cycle mean request-queue occupancy (the watchdog dump prints it).
   double mean_request_q() const { return req_q_occ_.mean(); }
-  double mean_dram_q() const { return dram_q_occ_.mean(); }
-  double mean_reply_stage() const { return reply_occ_.mean(); }
   void reset_stats();
 
   NodeId node() const { return node_; }
@@ -118,8 +116,6 @@ class MemController : public PacketSink {
   Cycle stall_cycles_ = 0;
   std::uint64_t requests_served_ = 0;
   Accumulator req_q_occ_;
-  Accumulator dram_q_occ_;
-  Accumulator reply_occ_;
 
   // Activity-driven stepping (null hook = always-on mode).
   ActiveSet* act_set_ = nullptr;

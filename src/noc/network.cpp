@@ -73,7 +73,7 @@ Network::~Network() = default;
 std::uint16_t Network::flits_for(PacketType type) const {
   if (!is_long_packet(type)) return 1;
   return static_cast<std::uint16_t>(
-      1 + ceil_div(data_payload_bits, params_.link_width_bits));
+      long_packet_flits(params_.data_payload_bits, params_.link_width_bits));
 }
 
 PacketId Network::make_packet(PacketType type, NodeId src, NodeId dest,

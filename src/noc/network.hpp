@@ -27,6 +27,7 @@ struct PacketSink;
 struct NetworkParams {
   std::string name = "net";
   std::uint32_t link_width_bits = 128;
+  std::uint32_t data_payload_bits = 512;  ///< Payload of a long packet.
   std::uint32_t num_vcs = 4;
   std::uint32_t vc_depth_flits = 5;
   std::uint32_t link_latency = 1;
@@ -152,9 +153,6 @@ class Network {
   /// credits == VC depth. Returns an empty string, or a description of the
   /// first violation (a lost/duplicated credit or flit).
   std::string validate_credit_invariants() const;
-
-  /// Payload bits configured for long packets on this network.
-  std::uint32_t data_payload_bits = 512;
 
  private:
   struct FlitEvent {

@@ -212,7 +212,6 @@ class EjectNi {
           std::uint32_t drain_flits_per_cycle = 1);
 
   void cycle(Cycle now);
-  std::size_t pending_packets() const { return partial_.size(); }
   /// Calls to cycle() so far: the ground truth for the self-profiler's
   /// wake totals.
   std::uint64_t steps() const { return steps_; }

@@ -24,7 +24,7 @@ Da2MeshOverlay::Da2MeshOverlay(const OverlayParams& params,
 std::uint16_t Da2MeshOverlay::flits_for(PacketType type) const {
   if (!is_long_packet(type)) return 1;
   return static_cast<std::uint16_t>(
-      1 + ceil_div(params_.data_payload_bits, params_.link_width_bits));
+      long_packet_flits(params_.data_payload_bits, params_.link_width_bits));
 }
 
 Da2MeshOverlay::McEndpoint& Da2MeshOverlay::endpoint(NodeId mc) {

@@ -26,6 +26,12 @@ inline constexpr std::size_t kNumPacketTypes = 4;
 inline bool is_long_packet(PacketType t) {
   return t == PacketType::kWriteRequest || t == PacketType::kReadReply;
 }
+/// Flits of a long (data-bearing) packet: one header flit plus the payload
+/// split over links `link_bits` wide.
+constexpr std::uint32_t long_packet_flits(std::uint32_t payload_bits,
+                                          std::uint32_t link_bits) {
+  return 1 + ceil_div(payload_bits, link_bits);
+}
 inline bool is_reply(PacketType t) {
   return t == PacketType::kReadReply || t == PacketType::kWriteReply;
 }

@@ -1,5 +1,6 @@
 #include "obs/regress/baseline.hpp"
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -200,6 +201,14 @@ bool parent_dir_exists(const std::string& path) {
   if (parent.empty()) return true;  // Bare file name: CWD always exists.
   std::error_code ec;
   return std::filesystem::is_directory(parent, ec);
+}
+
+bool require_parent_dir(const std::string& path, const char* flag) {
+  if (path.empty() || parent_dir_exists(path)) return true;
+  std::fprintf(stderr,
+               "error: %s '%s': parent directory '%s' does not exist\n", flag,
+               path.c_str(), parent_dir_of(path).c_str());
+  return false;
 }
 
 }  // namespace arinoc::obs::regress

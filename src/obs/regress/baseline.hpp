@@ -93,4 +93,10 @@ std::string parent_dir_of(const std::string& path);
 /// counts: the current directory always exists).
 bool parent_dir_exists(const std::string& path);
 
+/// Fail-fast check for an output path named by a command-line flag: true
+/// when `path` is empty or its parent directory exists; otherwise prints
+/// "error: <flag> '<path>': parent directory '<dir>' does not exist" and
+/// returns false, so the binary exits 2 before simulating anything.
+bool require_parent_dir(const std::string& path, const char* flag);
+
 }  // namespace arinoc::obs::regress

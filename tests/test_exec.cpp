@@ -97,21 +97,6 @@ TEST(ExecOptions, CountsAreStrictNonNegativeIntegers) {
     EXPECT_FALSE(parse({"--jobs", bad}, &o));
   }
   EXPECT_FALSE(parse({"--sample-interval", "-5"}, &o));
-
-  // Environment: the same check, and a bad value exits 2 naming the
-  // variable.
-  EXPECT_EXIT(
-      {
-        ::setenv("ARINOC_JOBS", "4x", 1);
-        exec::options_from_env(false);
-      },
-      ::testing::ExitedWithCode(2), "ARINOC_JOBS");
-  EXPECT_EXIT(
-      {
-        ::setenv("ARINOC_SAMPLE_INTERVAL", "-5", 1);
-        exec::options_from_env(false);
-      },
-      ::testing::ExitedWithCode(2), "ARINOC_SAMPLE_INTERVAL");
 }
 
 TEST(ExecOptions, ThreadsIsAnUnknownOption) {
@@ -133,7 +118,7 @@ TEST(ExecOptions, ThreadsIsAnUnknownOption) {
   EXPECT_EXIT(exec::require_exec_flags(argc, argv.data()),
               ::testing::ExitedWithCode(2),
               "unknown option '--threads' \\(supported: --jobs N, ");
-  // The binaries with flags of their own (arinoc_sim, arinoc_paper, the
+  // The binaries with flags of their own (arinoc_paper, the
   // ext_* benches) name those first.
   ::testing::internal::CaptureStderr();
   EXPECT_EQ(exec::unknown_option("--threads", "--figure <id>|all"), 2);

@@ -174,8 +174,8 @@ TEST(Network, WiderLinksShrinkLongPackets) {
   const topo::Fabric mesh(topo::make_mesh_graph(4, 4, 1));
   NetworkParams np;
   np.link_width_bits = 256;
+  np.data_payload_bits = 512;
   Network net(np, &mesh);
-  net.data_payload_bits = 512;
   EXPECT_EQ(net.flits_for(PacketType::kReadReply), 3);  // 1 + 512/256.
   EXPECT_EQ(net.flits_for(PacketType::kReadRequest), 1);
 }

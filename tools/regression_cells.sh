@@ -30,7 +30,7 @@ case "$MODE" in
   *) echo "unknown mode '$MODE' (want write|check)" >&2; exit 2 ;;
 esac
 
-COMMON="--mesh 4 --mcs 4 --cycles 2000 --warmup 500 --no-cache"
+COMMON="--mesh 4 --mcs 4 --cycles 2000 --warmup 500"
 
 status=0
 run_cell() {
